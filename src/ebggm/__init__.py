@@ -1,6 +1,7 @@
 """Empirical Bayes structure selection for decomposable Gaussian graphical models."""
 
 from .errors import (
+    ChecksumError,
     DegenerateStatsError,
     DomainError,
     EbggmError,

@@ -2,7 +2,8 @@
 
 Every run resolves its configuration into a flat manifest (key=value lines,
 including the seed and library versions) and writes it next to the outputs,
-so `ebggm rerun manifest.txt` reproduces the run byte for byte.
+so `ebggm rerun manifest.txt` reproduces the run byte for byte.  A rerun
+first checks its input files against the checksums in the manifest.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .dataio import (fmt, ingest_csv, read_manifest, read_posterior_csv,
                      sha256_of, write_acceptance_trace, write_csv,
                      write_data_csv, write_manifest, write_posterior_csv,
                      write_saem_trace, write_visit_log)
-from .errors import EbggmError, ParseError
+from .errors import ChecksumError, EbggmError, ParseError
 from .exact import exact_posterior
 from .graphs import Graph, count_decomposable, edge_pair, n_candidate_edges, \
     named_graph, to_dot
@@ -117,6 +118,20 @@ def config_from_manifest(mapping):
                 f"manifest entry {field.name}={text!r} is not a valid "
                 f"{hint.__name__}") from None
     return RunConfig(**kwargs)
+
+
+def verify_inputs(cfg, mapping):
+    """Check the input files of a run against the checksums its manifest recorded.
+
+    Raises ChecksumError naming the first file whose SHA-256 differs.
+    """
+    for key, path in (("data_sha256", cfg.data), ("table_sha256", cfg.table)):
+        want = mapping.get(key)
+        if want and path:
+            got = sha256_of(path)
+            if got != want:
+                raise ChecksumError(
+                    f"{path}: sha256 mismatch (manifest {want}, file {got})")
 
 
 def _resolve_out_dir(cfg):
@@ -255,7 +270,7 @@ def _cmd_sample(cfg, out):
     scorer = PosteriorScorer(stats, hp)
     moves = MoveCache()
     g0 = Graph(stats.p)
-    state = ChainState(g0, scorer.score(g0))
+    state = ChainState(g0, scorer.score(g0, moves.moves(g0)))
     if cfg.n_burn:
         state, _ = run_chain(state, cfg.n_burn, stats, hp, kernel, rng,
                              scorer=scorer, moves=moves)
@@ -436,7 +451,9 @@ def main(argv=None):
         return 2
     try:
         if ns.command == "rerun":
-            cfg = config_from_manifest(read_manifest(ns.manifest))
+            mapping = read_manifest(ns.manifest)
+            cfg = config_from_manifest(mapping)
+            verify_inputs(cfg, mapping)
             if ns.out_dir:
                 cfg = replace(cfg, out_dir=ns.out_dir)
         else:

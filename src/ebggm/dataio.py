@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from math import isfinite
 
 import numpy as np
 
@@ -20,9 +21,11 @@ from .saem import TRACE_COLUMNS
 def ingest_csv(path, center=True, standardize=True):
     """Read a rectangular numeric CSV into (DatasetStats, raw matrix).
 
-    A non-numeric first row is treated as a header.  Processing follows the
-    model conventions: subtract column means when center, then divide by the
-    sample standard deviation (n-1 denominator) when standardize.
+    A non-numeric first row is treated as a header; an unparseable or
+    non-finite cell raises ParseError with its row and column.  Processing
+    follows the model conventions: subtract column means when center, then
+    divide by the sample standard deviation (n-1 denominator) when
+    standardize.
     """
     with open(path, newline="") as fh:
         raw_rows = [row for row in csv.reader(fh)
@@ -48,11 +51,16 @@ def ingest_csv(path, center=True, standardize=True):
         parsed = []
         for col, cell in enumerate(cells):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ParseError(
                     f"{path}: row {rownum}, column {col + 1}: "
                     f"cannot parse {cell.strip()!r} as a number") from None
+            if not isfinite(value):
+                raise ParseError(
+                    f"{path}: row {rownum}, column {col + 1}: "
+                    f"non-finite value {cell.strip()!r}")
+            parsed.append(value)
         values.append(parsed)
     raw = np.asarray(values, dtype=float)
     if raw.shape[0] < 2:

@@ -33,6 +33,10 @@ class MismatchedModelError(EbggmError):
     """Raised when a chain log and a reference table describe different models."""
 
 
+class ChecksumError(EbggmError):
+    """Raised when an input file no longer matches the checksum a manifest recorded."""
+
+
 class ParseError(EbggmError):
     """Raised on malformed numeric input, with row/column context."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import MismatchedModelError, TooLargeError
-from .graphs import Graph, n_candidate_edges, perfect_sequence, _adjacency, _earlier_sets_complete, _mcs
+from .graphs import Graph, n_candidate_edges, perfect_sequence, _adjacency, _mcs
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import ChainLog
 
@@ -31,9 +31,7 @@ def enumerate_decomposable(p):
         raise TooLargeError(f"enumeration capped at p={_ENUM_CAP_P}, got {p}")
     m = n_candidate_edges(p)
     for edges in range(1 << m):
-        adj = _adjacency(p, edges)
-        _, earlier = _mcs(p, adj)
-        if _earlier_sets_complete(adj, earlier):
+        if _mcs(p, _adjacency(p, edges)) is not None:
             yield Graph(p, edges)
 
 

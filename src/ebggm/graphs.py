@@ -10,6 +10,8 @@ line.
 Decomposability is detected with maximum cardinality search: the reverse of
 an MCS visit order is a perfect elimination order exactly when the graph is
 chordal, which for undirected Gaussian models is the same as decomposable.
+One search also yields the perfect clique sequence, and the legal add and
+delete moves follow from its cliques and separators as edge bitmasks.
 """
 
 from __future__ import annotations
@@ -190,80 +192,92 @@ def named_graph(token, p=None):
 
 
 def _mcs(p, adj, tie_rng=None):
-    """Maximum cardinality search.
+    """Maximum cardinality search with an on-the-fly chordality test.
 
     Returns (order, earlier) where order is the visit order and earlier[k]
-    is the bitmask of neighbors of order[k] already visited.  Ties are
-    broken toward the lowest vertex index unless tie_rng is given, in which
-    case the tied vertex is drawn uniformly (used to probe order-invariance).
+    is the bitmask of neighbors of order[k] already visited, or None when
+    the graph is not chordal.  Unvisited vertices are kept in one bitmask
+    per weight; ties are broken toward the lowest vertex index unless
+    tie_rng is given, in which case the tied vertex is drawn uniformly (used
+    to probe order-invariance).
+
+    The reverse visit order is a perfect elimination order exactly when the
+    graph is chordal; by Tarjan and Yannakakis it suffices to check that
+    each earlier set minus its most recently visited member u lies in N(u).
     """
-    weights = [0] * p
+    level = [0] * (p + 1)  # level[w]: unvisited vertices of weight w
+    level[0] = (1 << p) - 1
+    weight = [0] * p
+    last = [-1] * p  # most recently visited neighbor of each vertex
     order = []
     earlier = []
     numbered = 0
-    remaining = (1 << p) - 1
+    top = 0
     for _ in range(p):
-        best = -1
+        while not level[top]:
+            top -= 1
+        pool = level[top]
         if tie_rng is None:
-            v = -1
-            for u in _iter_bits(remaining):
-                if weights[u] > best:
-                    best = weights[u]
-                    v = u
+            b = pool & -pool
+            v = b.bit_length() - 1
         else:
-            ties = []
-            for u in _iter_bits(remaining):
-                w = weights[u]
-                if w > best:
-                    best = w
-                    ties = [u]
-                elif w == best:
-                    ties.append(u)
+            ties = list(_iter_bits(pool))
             v = ties[int(tie_rng.integers(len(ties)))]
+            b = 1 << v
+        e = adj[v] & numbered
+        u = last[v]
+        if e and e & ~adj[u] != 1 << u:
+            return None
         order.append(v)
-        earlier.append(adj[v] & numbered)
-        numbered |= 1 << v
-        remaining ^= 1 << v
-        for u in _iter_bits(adj[v] & remaining):
-            weights[u] += 1
+        earlier.append(e)
+        numbered |= b
+        level[top] ^= b
+        rest = adj[v] & ~numbered
+        while rest:
+            c = rest & -rest
+            w = c.bit_length() - 1
+            k = weight[w]
+            level[k] ^= c
+            level[k + 1] |= c
+            weight[w] = k + 1
+            last[w] = v
+            rest ^= c
+        if level[top + 1]:
+            top += 1
     return order, earlier
-
-
-def _earlier_sets_complete(adj, earlier):
-    # Chordal iff each visited vertex's already-visited neighborhood is a
-    # clique (reverse MCS order is then a perfect elimination order).
-    for mask in earlier:
-        sub = mask
-        while sub:
-            b = sub & -sub
-            u = b.bit_length() - 1
-            sub ^= b
-            if mask & ~adj[u] != b:
-                return False
-    return True
 
 
 def is_decomposable(g: Graph):
     """True iff the graph is chordal, hence supports a perfect clique order."""
-    _, earlier = _mcs(g.p, g.adjacency)
-    return _earlier_sets_complete(g.adjacency, earlier)
+    return _mcs(g.p, g.adjacency) is not None
 
 
 @dataclass(frozen=True)
 class PerfectSequence:
-    """Maximal cliques in a perfect order plus separators and histories.
+    """Maximal cliques in a perfect order plus their separators, as bitmasks.
 
-    cliques[0..k-1] satisfy the running intersection property; for i >= 1,
-    separators[i-1] = cliques[i] & (cliques[0] | ... | cliques[i-1]) and
-    histories[i-1] is the index of one earlier clique containing it.
-    Masks mirror the frozensets for bit-level consumers.
+    clique_masks[0..k-1] satisfy the running intersection property; for
+    i >= 1, separator_masks[i-1] = clique_masks[i] & (clique_masks[0] | ...
+    | clique_masks[i-1]).  The vertex-set views and the histories (index of
+    one earlier clique holding each separator) are derived on first use.
     """
 
-    cliques: tuple
-    separators: tuple
-    histories: tuple
     clique_masks: tuple
     separator_masks: tuple
+
+    @cached_property
+    def cliques(self):
+        return tuple(frozenset(_iter_bits(c)) for c in self.clique_masks)
+
+    @cached_property
+    def separators(self):
+        return tuple(frozenset(_iter_bits(s)) for s in self.separator_masks)
+
+    @cached_property
+    def histories(self):
+        cms = self.clique_masks
+        return tuple(next(j for j in range(i + 1) if s & ~cms[j] == 0)
+                     for i, s in enumerate(self.separator_masks))
 
 
 def perfect_sequence(g: Graph, tie_rng=None):
@@ -273,86 +287,117 @@ def perfect_sequence(g: Graph, tie_rng=None):
     tie_rng, MCS ties are randomized; any resulting sequence is perfect and
     the separator multiset does not change.
     """
-    p, adj = g.p, g.adjacency
-    order, earlier = _mcs(p, adj, tie_rng)
-    if not _earlier_sets_complete(adj, earlier):
+    p = g.p
+    found = _mcs(p, g.adjacency, tie_rng)
+    if found is None:
         raise NotDecomposableError(f"graph {g.id_hex} (p={g.p}) is not decomposable")
-    cand = [earlier[k] | (1 << order[k]) for k in range(p)]
-    # candidate k is maximal unless swallowed by a later candidate
+    order, earlier = found
+    # In an MCS order candidate k = earlier[k] + order[k] is a maximal
+    # clique unless the next vertex extends it, i.e. earlier[k+1] equals it.
     cliques = []
-    for k in range(p):
-        ck = cand[k]
-        if all(ck & ~cand[j] for j in range(k + 1, p)):
-            cliques.append(ck)
+    for k in range(p - 1):
+        cand = earlier[k] | (1 << order[k])
+        if earlier[k + 1] != cand:
+            cliques.append(cand)
+    cliques.append(earlier[-1] | (1 << order[-1]))
     seps = []
-    hist = []
     seen = cliques[0]
-    for i in range(1, len(cliques)):
-        s = cliques[i] & seen
-        seen |= cliques[i]
-        h = next((j for j in range(i) if s & ~cliques[j] == 0), None)
-        if h is None:
-            raise NotDecomposableError("running intersection property violated")
-        seps.append(s)
-        hist.append(h)
-    return PerfectSequence(
-        cliques=tuple(frozenset(_iter_bits(c)) for c in cliques),
-        separators=tuple(frozenset(_iter_bits(s)) for s in seps),
-        histories=tuple(hist),
-        clique_masks=tuple(cliques),
-        separator_masks=tuple(seps),
-    )
+    for c in cliques[1:]:
+        seps.append(c & seen)
+        seen |= c
+    return PerfectSequence(clique_masks=tuple(cliques), separator_masks=tuple(seps))
 
 
-def legal_deletions(g: Graph, seq: PerfectSequence | None = None):
-    """Edges whose removal keeps the graph decomposable.
+@lru_cache(maxsize=None)
+def _row_offsets(p):
+    """Bit position of edge (x, x+1) for each x.
+
+    Edges (x, y), y > x, are consecutive from there, so (partners >> (x+1))
+    << offset turns a vertex mask of partners of x into their edge mask.
+    """
+    return tuple(x * (2 * p - x - 1) // 2 for x in range(p))
+
+
+def _pairs(p, mask):
+    table = _pair_table(p)
+    return [table[k] for k in _iter_bits(mask)]
+
+
+def deletion_mask(g: Graph, seq: PerfectSequence | None = None):
+    """Edge bitmask of the removals that keep the graph decomposable.
 
     An edge is removable exactly when it lies in a single maximal clique.
     """
     if seq is None:
         seq = perfect_sequence(g)
-    table = _pair_table(g.p)
-    out = []
-    for k in _iter_bits(g.edges):
-        i, j = table[k]
-        pair = (1 << i) | (1 << j)
-        n_hosts = sum(1 for cm in seq.clique_masks if cm & pair == pair)
-        if n_hosts == 1:
-            out.append((i, j))
-    return out
+    off = _row_offsets(g.p)
+    once = twice = 0
+    for c in seq.clique_masks:
+        e = 0
+        rest = c
+        while rest:
+            b = rest & -rest
+            x = b.bit_length() - 1
+            e |= (c >> (x + 1)) << off[x]
+            rest ^= b
+        twice |= once & e
+        once |= e
+    return once & ~twice
 
 
-def legal_additions(g: Graph):
-    """Non-edges whose insertion keeps the graph decomposable.
+def addition_mask(g: Graph, seq: PerfectSequence | None = None):
+    """Edge bitmask of the insertions that keep the graph decomposable.
 
-    For chordal g, adding (i, j) stays chordal iff the common neighborhood
-    N(i) & N(j) separates i from j (equivalently every induced i-j path has
-    length two); vertices in distinct components are always joinable.
+    For chordal g, adding (x, y) stays chordal iff S = N(x) & N(y)
+    separates x from y; S is then a minimal separator, i.e. one of the
+    sequence's separators (the empty one when g is disconnected).  So for
+    each distinct separator S the components of G - S are labelled, and
+    every vertex x with S + x complete (x in C - S for a clique C holding
+    S) may join every such vertex y in another component.
     """
+    if seq is None:
+        seq = perfect_sequence(g)
     p, adj = g.p, g.adjacency
-    table = _pair_table(g.p)
-    non_edges = ~g.edges & ((1 << g.m) - 1)
-    out = []
-    for k in _iter_bits(non_edges):
-        i, j = table[k]
-        sep = adj[i] & adj[j]
-        target = 1 << j
-        visited = 1 << i
-        frontier = visited
-        blocked = False
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= adj[v]
-            nxt &= ~(visited | sep)
-            if nxt & target:
-                blocked = True
-                break
-            visited |= nxt
-            frontier = nxt
-        if not blocked:
-            out.append((i, j))
-    return out
+    partner = [0] * p
+    for s in set(seq.separator_masks):
+        joinable = 0
+        for c in seq.clique_masks:
+            if c & s == s:
+                joinable |= c ^ s
+        rest = joinable
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    nxt |= adj[b.bit_length() - 1]
+                    frontier ^= b
+                frontier = nxt & ~(comp | s)
+                comp |= frontier
+            rest &= ~comp
+            part = joinable & comp
+            others = joinable ^ part
+            while part:
+                b = part & -part
+                partner[b.bit_length() - 1] |= others
+                part ^= b
+    off = _row_offsets(p)
+    mask = 0
+    for x in range(p - 1):
+        if partner[x]:
+            mask |= (partner[x] >> (x + 1)) << off[x]
+    return mask
+
+
+def legal_deletions(g: Graph, seq: PerfectSequence | None = None):
+    """Edges (i, j) whose removal keeps the graph decomposable, in edge order."""
+    return _pairs(g.p, deletion_mask(g, seq))
+
+
+def legal_additions(g: Graph, seq: PerfectSequence | None = None):
+    """Non-edges (i, j) whose insertion keeps the graph decomposable, in edge order."""
+    return _pairs(g.p, addition_mask(g, seq))
 
 
 def random_decomposable_graph(p, rng, walk_steps=None):
@@ -395,8 +440,7 @@ def count_decomposable(p):
         i, j = table[flip.bit_length() - 1]
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
-        _, earlier = _mcs(p, adj)
-        if _earlier_sets_complete(adj, earlier):
+        if _mcs(p, adj) is not None:
             count += 1
     return count
 

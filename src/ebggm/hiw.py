@@ -240,7 +240,9 @@ class PosteriorScorer:
     """Cached posterior scorer bound to one (stats, hyperparams) pair.
 
     Clique and separator contributions depend only on the vertex subset, so
-    they are memoized per subset bitmask; full scores are memoized per graph.
+    they are memoized per subset bitmask; a graph's score is their sum over
+    its perfect sequence, so callers that hold the sequence (or a MoveCache
+    entry) pass it in rather than having it recomputed.
     Construction fails fast with NotSPDError when Phi + scatter is not SPD.
     """
 
@@ -262,7 +264,6 @@ class PosteriorScorer:
         self._scaled = hp.phi_mode == "scaled_identity"
         self._log_tau_half = log(hp.tau / 2.0) if self._scaled else 0.0
         self._terms = {}
-        self._liks = {}
         self._priors = {}
 
     def _term(self, mask):
@@ -288,10 +289,12 @@ class PosteriorScorer:
         return t
 
     def log_lik(self, g: Graph, seq=None):
-        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph."""
-        val = self._liks.get(g.edges)
-        if val is not None:
-            return val
+        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph.
+
+        seq is the graph's PerfectSequence, or anything else carrying its
+        clique_masks and separator_masks (a MoveCache entry); without it
+        the sequence is computed here.
+        """
         if seq is None:
             seq = perfect_sequence(g)
         val = 0.0
@@ -300,7 +303,6 @@ class PosteriorScorer:
         for sm in seq.separator_masks:
             if sm:
                 val -= self._term(sm)
-        self._liks[g.edges] = val
         return val
 
     def _log_prior_k(self, g: Graph):

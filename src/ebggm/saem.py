@@ -165,8 +165,8 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
     scorer = PosteriorScorer(stats, hp)
     g0 = init_graph_backward(stats, hp, scorer)
-    state = ChainState(g0, scorer.score(g0))
     moves = MoveCache()
+    state = ChainState(g0, scorer.score(g0, moves.moves(g0)))
     weights = (edge_weights(stats, kernel)
                if kernel.mode in ("data_driven", "alternate") else None)
     s = SufficientStats(0.0, 0.0, 0.0)
@@ -189,6 +189,7 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
         trace[k - 1] = (k, tau, r, s.s1, s.s2, s.s3, accept_rate)
         hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
         scorer = PosteriorScorer(stats, hp)
-        state = ChainState(state.graph, scorer.score(state.graph),
+        state = ChainState(state.graph,
+                           scorer.score(state.graph, moves.moves(state.graph)),
                            state.step_index, state.accept_count)
     return SaemResult(tau=tau, r=r, trace=trace, final_state=state, init_graph=g0)

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import exp, log
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, edge_index, legal_additions, legal_deletions, perfect_sequence
+from .graphs import (Graph, _iter_bits, addition_mask, deletion_mask, edge_pair,
+                     perfect_sequence)
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
@@ -42,23 +44,45 @@ class ChainState:
     accept_count: int = 0
 
 
+class Moves(NamedTuple):
+    """Legal moves of one graph as edge bitmasks, plus its perfect sequence.
+
+    The clique and separator masks are all the scorer needs, so a Moves
+    entry can stand in for a PerfectSequence when scoring.
+    """
+
+    additions: int
+    deletions: int
+    clique_masks: tuple
+    separator_masks: tuple
+
+
 class MoveCache:
-    """Memo of legal moves per graph; legality does not depend on the model."""
+    """Memo of legal moves per graph; legality does not depend on the model.
+
+    Each entry costs one maximum cardinality search: a few ints per graph.
+    """
 
     def __init__(self):
         self._memo = {}
 
     def moves(self, g: Graph):
-        """(additions, deletions) as tuples of (i, j, edge_index) triples."""
+        """Moves entry of g (raises NotDecomposableError if g is not chordal)."""
         key = (g.p, g.edges)
         got = self._memo.get(key)
         if got is None:
             seq = perfect_sequence(g)
-            adds = tuple((i, j, edge_index(g.p, i, j)) for i, j in legal_additions(g))
-            dels = tuple((i, j, edge_index(g.p, i, j)) for i, j in legal_deletions(g, seq))
-            got = (adds, dels)
+            got = Moves(addition_mask(g, seq), deletion_mask(g, seq),
+                        seq.clique_masks, seq.separator_masks)
             self._memo[key] = got
         return got
+
+
+def _nth_bit(mask, r):
+    """Position of the r-th lowest set bit of mask, counting from 0."""
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
 
 
 def edge_weights(stats: DatasetStats, cfg: KernelConfig):
@@ -83,60 +107,67 @@ def _null_step(state: ChainState):
 
 
 def _propose_uniform(g: Graph, moves: MoveCache, do_delete, rng):
-    """Uniform move in the chosen direction; returns (proposal, log q-ratio).
+    """Uniform move in the chosen direction.
 
-    The log proposal ratio is log |moves from g| - log |reverse moves from
-    the proposal|; None when the direction has no legal move.
+    Returns (proposal, (i, j), log q-ratio, Moves entry of the proposal),
+    or None when the direction has no legal move.  The log proposal ratio
+    is log |moves from g| - log |reverse moves from the proposal|.
     """
-    adds, dels = moves.moves(g)
-    cand = dels if do_delete else adds
+    here = moves.moves(g)
+    cand = here.deletions if do_delete else here.additions
     if not cand:
         return None
-    i, j, k = cand[int(rng.integers(len(cand)))]
+    k = _nth_bit(cand, int(rng.integers(cand.bit_count())))
     gp = Graph(g.p, g.edges ^ (1 << k))
-    padds, pdels = moves.moves(gp)
-    reverse = padds if do_delete else pdels
-    return gp, (i, j), log(len(cand)) - log(len(reverse))
+    there = moves.moves(gp)
+    reverse = there.additions if do_delete else there.deletions
+    return (gp, edge_pair(g.p, k),
+            log(cand.bit_count()) - log(reverse.bit_count()), there)
+
+
+def _weight_total(weights, mask):
+    total = 0.0
+    for k in _iter_bits(mask):
+        total += weights[k]
+    return total
 
 
 def _propose_weighted(g: Graph, moves: MoveCache, weights, do_delete, rng):
-    """Weighted move using the data-driven edge weights; see _propose_uniform."""
+    """Weighted move using the data-driven edge weights; see _propose_uniform.
+
+    Weights are summed over candidate edges in ascending edge order.
+    """
     add_w, del_w = weights
-    adds, dels = moves.moves(g)
-    cand = dels if do_delete else adds
+    here = moves.moves(g)
+    cand = here.deletions if do_delete else here.additions
     if not cand:
         return None
     w_fwd = del_w if do_delete else add_w
-    total_fwd = 0.0
-    for _, _, k in cand:
-        total_fwd += w_fwd[k]
+    total_fwd = _weight_total(w_fwd, cand)
     target = rng.random() * total_fwd
     acc = 0.0
-    pick = cand[-1]
-    for triple in cand:
-        acc += w_fwd[triple[2]]
+    k = cand.bit_length() - 1
+    for kk in _iter_bits(cand):
+        acc += w_fwd[kk]
         if acc >= target:
-            pick = triple
+            k = kk
             break
-    i, j, k = pick
     gp = Graph(g.p, g.edges ^ (1 << k))
-    padds, pdels = moves.moves(gp)
-    reverse = padds if do_delete else pdels
+    there = moves.moves(gp)
+    reverse = there.additions if do_delete else there.deletions
     w_rev = add_w if do_delete else del_w
-    total_rev = 0.0
-    for _, _, kk in reverse:
-        total_rev += w_rev[kk]
+    total_rev = _weight_total(w_rev, reverse)
     log_q_fwd = log(w_fwd[k]) - log(total_fwd)
     log_q_rev = log(w_rev[k]) - log(total_rev)
-    return gp, (i, j), log_q_rev - log_q_fwd
+    return gp, edge_pair(g.p, k), log_q_rev - log_q_fwd, there
 
 
 def _accept(state: ChainState, proposal, scorer: PosteriorScorer, rng):
-    gp, _, log_q_ratio = proposal
-    log_alpha = scorer.score(gp) - state.log_score + log_q_ratio
+    gp, _, log_q_ratio, seq = proposal
+    score = scorer.score(gp, seq)
+    log_alpha = score - state.log_score + log_q_ratio
     if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-        return ChainState(gp, scorer.score(gp), state.step_index + 1,
-                          state.accept_count + 1)
+        return ChainState(gp, score, state.step_index + 1, state.accept_count + 1)
     return _null_step(state)
 
 
@@ -216,7 +247,7 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     if moves is None:
         moves = MoveCache()
     if isinstance(init, Graph):
-        state = ChainState(init, scorer.score(init))
+        state = ChainState(init, scorer.score(init, moves.moves(init)))
     else:
         state = init
     weights = edge_weights(stats, cfg) if _needs_weights(cfg) else None

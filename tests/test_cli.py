@@ -94,6 +94,11 @@ def test_ingest_error_messages(tmp_path):
     one_row = write(tmp_path / "one.csv", "1,2\n")
     with pytest.raises(ParseError, match="at least 2 data rows"):
         ingest_csv(one_row)
+    for cell in ("nan", "inf", "-Infinity"):
+        non_finite = write(tmp_path / "nf.csv", f"x,y\n1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(ParseError,
+                           match=rf"nf\.csv: row 4, column 2: non-finite value '{cell}'"):
+            ingest_csv(non_finite)
 
 
 # ------------------------------------------------------------------ writers
@@ -259,6 +264,49 @@ def test_cli_sample_and_rerun_bit_identical(tmp_path, capsys, small_csv):
     assert ma.pop("out_dir") == out_a and mb.pop("out_dir") == out_b
     assert ma == mb
     assert ma["data_sha256"] == sha256_of(small_csv)
+
+
+def test_cli_rerun_rejects_changed_inputs(tmp_path, capsys, small_csv):
+    out_a = str(tmp_path / "a")
+    assert main(["sample", "--data", small_csv, "--n-steps", "50",
+                 "--n-burn", "0", "--seed", "3", "--out-dir", out_a]) == 0
+    out_r = str(tmp_path / "r")
+    assert main(["report", "--table", os.path.join(out_a, "visits.csv"),
+                 "--p", "3", "--out-dir", out_r]) == 0
+    capsys.readouterr()
+    recorded = sha256_of(small_csv)
+
+    # Change one digit of the data rows: the rerun must refuse to start.
+    with open(small_csv, "rb") as fh:
+        original = fh.read()
+    digit = next(i for i in range(original.index(b"\n"), len(original))
+                 if original[i:i + 1].isdigit())
+    edited = bytearray(original)
+    edited[digit] = ord("1") if original[digit] != ord("1") else ord("2")
+    with open(small_csv, "wb") as fh:
+        fh.write(edited)
+    out_b = str(tmp_path / "b")
+    assert main(["rerun", os.path.join(out_a, "manifest.txt"),
+                 "--out-dir", out_b]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == (f"error: {small_csv}: sha256 mismatch "
+                           f"(manifest {recorded}, file {sha256_of(small_csv)})")
+    assert not os.path.exists(os.path.join(out_b, "visits.csv"))
+
+    # The report's table checksum is checked the same way.
+    with open(os.path.join(out_a, "visits.csv"), "a") as fh:
+        fh.write("51,0,0,0.0,0\n")
+    assert main(["rerun", os.path.join(out_r, "manifest.txt"),
+                 "--out-dir", str(tmp_path / "r2")]) == 2
+    assert "visits.csv: sha256 mismatch (manifest " in capsys.readouterr().err
+
+    # Restoring the data makes the sample run reproducible again.
+    with open(small_csv, "wb") as fh:
+        fh.write(original)
+    assert main(["rerun", os.path.join(out_a, "manifest.txt"),
+                 "--out-dir", out_b]) == 0
+    assert filecmp.cmp(os.path.join(out_a, "top_graphs.csv"),
+                       os.path.join(out_b, "top_graphs.csv"), shallow=False)
 
 
 def test_cli_report_from_visit_log(tmp_path, capsys, small_csv):

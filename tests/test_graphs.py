@@ -6,8 +6,10 @@ import pytest
 from ebggm.errors import NotDecomposableError, TooLargeError
 from ebggm.graphs import (
     Graph,
+    addition_mask,
     bench9_graph,
     count_decomposable,
+    deletion_mask,
     edge_index,
     edge_pair,
     graph_from_cliques,
@@ -188,6 +190,63 @@ def test_legal_moves_match_oracle_random(p, n_graphs, seed):
         g = random_decomposable_graph(p, rng)
         assert sorted(legal_additions(g)) == oracle_additions(g)
         assert sorted(legal_deletions(g)) == oracle_deletions(g)
+
+
+def networkx_graph(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.p))
+    h.add_edges_from(g.edge_list())
+    return h
+
+
+def oracle_graphs(p, seed, n_graphs):
+    """Empty, complete (p <= 16), and seeded random decomposable graphs."""
+    rng = np.random.default_rng(seed)
+    yield Graph(p)
+    if p <= 16:
+        yield Graph.complete(p)
+    for _ in range(n_graphs):
+        yield random_decomposable_graph(p, rng)
+
+
+# These oracles go through networkx alone, so they share no code with the
+# maximum cardinality search and separator logic they check.
+@pytest.mark.parametrize("p,n_graphs,seed", [(9, 12, 31), (16, 6, 32), (25, 4, 33), (32, 3, 34)])
+def test_move_masks_match_networkx_chordality(p, n_graphs, seed):
+    nx = pytest.importorskip("networkx")
+    for g in oracle_graphs(p, seed, n_graphs):
+        h = networkx_graph(nx, g)
+        assert nx.is_chordal(h)
+        adds, dels = addition_mask(g), deletion_mask(g)
+        for k in range(g.m):
+            i, j = edge_pair(p, k)
+            present = bool(g.edges >> k & 1)
+            if present:
+                h.remove_edge(i, j)
+            else:
+                h.add_edge(i, j)
+            legal = nx.is_chordal(h)
+            if present:
+                h.add_edge(i, j)
+                assert legal == bool(dels >> k & 1), (g, i, j)
+            else:
+                h.remove_edge(i, j)
+                assert legal == bool(adds >> k & 1), (g, i, j)
+
+
+@pytest.mark.parametrize("p,n_graphs,seed", [(9, 12, 41), (16, 6, 42), (25, 4, 43), (32, 3, 44)])
+def test_perfect_sequence_cliques_match_networkx(p, n_graphs, seed):
+    nx = pytest.importorskip("networkx")
+    for g in oracle_graphs(p, seed, n_graphs):
+        seq = perfect_sequence(g)
+        want = {frozenset(c) for c in nx.chordal_graph_cliques(networkx_graph(nx, g))}
+        assert set(seq.cliques) == want
+        assert len(seq.cliques) == len(want)
+        seen = set()
+        for idx, clique in enumerate(seq.cliques):
+            if idx:
+                assert seq.separators[idx - 1] == clique & seen
+            seen |= clique
 
 
 def test_deletions_are_single_clique_edges():

@@ -25,6 +25,7 @@ from ebggm import (
     sample_graph_and_sigma,
     simulate_dataset,
 )
+from ebggm.errors import NotDecomposableError
 from ebggm.sampler import _propose_uniform, _propose_weighted
 
 
@@ -42,6 +43,18 @@ class ScriptedRng:
         value = self._ints.pop(0)
         assert 0 <= value < n
         return value
+
+
+def move_triples(p, mask):
+    """(i, j, edge_index) triples of the set bits of an edge mask, ascending."""
+    return tuple((i, j, edge_index(p, i, j)) for i in range(p) for j in range(i + 1, p)
+                 if mask >> edge_index(p, i, j) & 1)
+
+
+def cached_triples(moves, g):
+    """(additions, deletions) of g from the cache, as triples."""
+    entry = moves.moves(g)
+    return move_triples(g.p, entry.additions), move_triples(g.p, entry.deletions)
 
 
 def make_stats(p, n=40, seed=0):
@@ -66,9 +79,11 @@ def test_uniform_proposal_ratio_from_empty():
     g = Graph(3, 0)
     moves = MoveCache()
     rng = ScriptedRng(ints=[1])
-    gp, (i, j), log_q = _propose_uniform(g, moves, False, rng)
+    gp, (i, j), log_q, entry = _propose_uniform(g, moves, False, rng)
     assert gp.edge_count == 1
     assert gp.has_edge(i, j)
+    assert (i, j) == (0, 2)  # the second of the three additions
+    assert entry is moves.moves(gp)
     assert log_q == pytest.approx(math.log(3.0), abs=1e-15)
 
 
@@ -103,19 +118,22 @@ def test_move_cache_matches_fresh_computation():
     rng = np.random.default_rng(3)
     cache = MoveCache()
     for p in (3, 4, 6):
+        checked = 0
         for _ in range(20):
             edges = int.from_bytes(rng.bytes(8), "little") & ((1 << (p * (p - 1) // 2)) - 1)
             g = Graph(p, edges)
             try:
-                adds, dels = cache.moves(g)
-            except Exception:
+                adds, dels = cached_triples(cache, g)
+            except NotDecomposableError:
                 continue
+            checked += 1
             want_adds = tuple((i, j, edge_index(p, i, j)) for i, j in legal_additions(g))
             want_dels = tuple((i, j, edge_index(p, i, j)) for i, j in legal_deletions(g))
             assert adds == want_adds
             assert sorted(dels) == sorted(want_dels)
             # Second lookup hits the memo and returns the identical object.
             assert cache.moves(g) is cache.moves(Graph(p, edges))
+        assert checked > 0
 
 
 def test_edge_weights_values_and_clamping():
@@ -146,7 +164,7 @@ def exact_transition_matrix(graphs, scorer, moves, kernel, weights):
     n = len(graphs)
     mat = np.zeros((n, n))
     for t, g in enumerate(graphs):
-        adds, dels = moves.moves(g)
+        adds, dels = cached_triples(moves, g)
         for do_delete, cand in ((False, adds), (True, dels)):
             if not cand:
                 continue
@@ -159,7 +177,7 @@ def exact_transition_matrix(graphs, scorer, moves, kernel, weights):
                 sel = [w_fwd[k] / total for _, _, k in cand]
             for (i, j, k), q_sel in zip(cand, sel):
                 gp = Graph(g.p, g.edges ^ (1 << k))
-                padds, pdels = moves.moves(gp)
+                padds, pdels = cached_triples(moves, gp)
                 reverse = padds if do_delete else pdels
                 if kernel == "uniform":
                     log_q = math.log(len(cand)) - math.log(len(reverse))
@@ -207,7 +225,8 @@ def test_weighted_proposal_log_ratio_matches_hand_computation():
     moves = MoveCache()
     # Force the first candidate whose cumulative weight exceeds the target.
     rng = ScriptedRng(randoms=[0.0])
-    gp, (i, j), log_q = _propose_weighted(g, moves, weights, False, rng)
+    gp, (i, j), log_q, entry = _propose_weighted(g, moves, weights, False, rng)
+    assert entry is moves.moves(gp)
     k = edge_index(3, i, j)
     assert k == 0
     total_fwd = sum(add_w)
