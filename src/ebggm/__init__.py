@@ -21,6 +21,7 @@ from .graphs import (
     count_decomposable,
     edge_index,
     edge_pair,
+    enumerate_decomposable,
     graph_from_cliques,
     is_decomposable,
     legal_additions,
@@ -50,9 +51,8 @@ from .sampler import (
     ChainState,
     KernelConfig,
     MoveCache,
-    add_delete_step,
-    data_driven_step,
     edge_weights,
+    mh_step,
     run_chain,
     sample_graph_and_sigma,
 )
@@ -71,7 +71,6 @@ from .exact import (
     MarginalSurface,
     PosteriorTable,
     chain_vs_exact,
-    enumerate_decomposable,
     exact_marginal_mle,
     exact_posterior,
 )

@@ -3,7 +3,8 @@
 Every run resolves its configuration into a flat manifest (key=value lines,
 including the seed and library versions) and writes it next to the outputs,
 so `ebggm rerun manifest.txt` reproduces the run byte for byte.  A rerun
-first checks its input files against the checksums in the manifest.
+first checks its input files against the checksums in the manifest and
+warns when a library version differs from the recorded one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .graphs import Graph, count_decomposable, edge_pair, n_candidate_edges, \
     named_graph, to_dot
 from .hiw import Hyperparams, PosteriorScorer, simulate_dataset
 from .saem import SaemConfig, run_saem
-from .sampler import (ChainState, KernelConfig, MoveCache, edge_weights,
+from .sampler import (ChainState, KernelConfig, MoveCache, auto_kernel_mode,
                       run_chain)
 
 OUT_DIR_ENV = "EBGGM_OUT_DIR"
@@ -134,20 +135,28 @@ def verify_inputs(cfg, mapping):
                     f"{path}: sha256 mismatch (manifest {want}, file {got})")
 
 
+def _library_versions():
+    return {"package_version": __version__, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__}
+
+
+def _warn_version_drift(mapping, stream):
+    """Print a warning for each library version that differs from the manifest's."""
+    for key, running in _library_versions().items():
+        recorded = mapping.get(key)
+        if recorded is not None and recorded != running:
+            print(f"warning: manifest {key}={recorded}, running {running}",
+                  file=stream)
+
+
 def _resolve_out_dir(cfg):
     return cfg.out_dir or os.environ.get(OUT_DIR_ENV, "") or "ebggm_out"
 
 
-def _resolve_kernel(cfg, stats=None):
+def _resolve_kernel(cfg, stats):
     if cfg.kernel != "auto":
         return cfg.kernel
-    if cfg.command == "fit" and stats is not None:
-        try:
-            stats.inv_empirical
-            return "alternate"
-        except EbggmError:
-            return "add_delete"
-    return "add_delete"
+    return auto_kernel_mode(stats) if cfg.command == "fit" else "add_delete"
 
 
 def _hyperparams(cfg):
@@ -159,10 +168,8 @@ def _finish(cfg, out, extras):
     """Write the manifest for a resolved run; returns its path."""
     mapping = dataclasses.asdict(cfg)
     mapping.update(extras)
-    mapping["package_version"] = __version__
+    mapping.update(_library_versions())
     mapping["python_version"] = platform.python_version()
-    mapping["numpy_version"] = np.__version__
-    mapping["scipy_version"] = scipy.__version__
     path = os.path.join(out, "manifest.txt")
     write_manifest(path, mapping)
     return path
@@ -318,31 +325,11 @@ def _cmd_fit(cfg, out):
 
 
 def _pairs_from_table(path, p):
-    """Load (graph, weight) pairs from a posterior table or a visit log."""
-    import csv as _csv
-    with open(path, newline="") as fh:
-        header = next(_csv.reader(fh), None)
-    if header is None:
-        raise ParseError(f"{path}: empty table")
-    if "prob" in header:
-        pairs = read_posterior_csv(path, p)
-    elif "graph_id" in header:
-        id_col = header.index("graph_id")
-        counts = Counter()
-        with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            next(reader)
-            for rownum, cells in enumerate(reader, start=2):
-                try:
-                    counts[int(cells[id_col], 16)] += 1
-                except (ValueError, IndexError):
-                    raise ParseError(
-                        f"{path}: row {rownum}: malformed graph_id") from None
-        pairs = [(gid, float(c)) for gid, c in counts.items()]
-        for gid, _ in pairs:
-            Graph(p, gid)
-    else:
-        raise ParseError(f"{path}: no graph_id column")
+    """Normalized (graph, weight) pairs of a posterior table or a visit log.
+
+    The weights sum to one and the pairs come by decreasing weight.
+    """
+    pairs = read_posterior_csv(path, p)
     total = sum(w for _, w in pairs)
     if not pairs or total <= 0:
         raise ParseError(f"{path}: table carries no probability mass")
@@ -453,6 +440,7 @@ def main(argv=None):
         if ns.command == "rerun":
             mapping = read_manifest(ns.manifest)
             cfg = config_from_manifest(mapping)
+            _warn_version_drift(mapping, sys.stderr)
             verify_inputs(cfg, mapping)
             if ns.out_dir:
                 cfg = replace(cfg, out_dir=ns.out_dir)

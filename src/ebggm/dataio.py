@@ -117,26 +117,37 @@ def write_posterior_csv(path, table):
 
 
 def read_posterior_csv(path, p):
-    """Back-read (graph_id, prob) pairs written by write_posterior_csv."""
-    out = []
+    """Read (graph_id, weight) pairs from a posterior table or a visit log.
+
+    A table with a prob column (write_posterior_csv) gives each graph's
+    probability, which must be finite and nonnegative; a visit log
+    (write_visit_log) gives each graph's visit count.  Graphs come in order
+    of first appearance.
+    """
+    weights = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty table")
-        try:
-            id_col = header.index("graph_id")
-            pr_col = header.index("prob")
-        except ValueError:
-            raise ParseError(f"{path}: missing graph_id/prob columns") from None
+        if "graph_id" not in header:
+            raise ParseError(f"{path}: missing graph_id/prob columns")
+        id_col = header.index("graph_id")
+        pr_col = header.index("prob") if "prob" in header else None
         for rownum, cells in enumerate(reader, start=2):
             try:
-                out.append((int(cells[id_col], 16), float(cells[pr_col])))
+                gid = int(cells[id_col], 16)
+                w = 1.0 if pr_col is None else float(cells[pr_col])
             except (ValueError, IndexError):
                 raise ParseError(f"{path}: row {rownum}: malformed entry") from None
-    for gid, _ in out:
+            if not (isfinite(w) and w >= 0.0):
+                raise ParseError(
+                    f"{path}: row {rownum}, column {pr_col + 1}: probability "
+                    f"{cells[pr_col].strip()!r} is not finite and nonnegative")
+            weights[gid] = weights.get(gid, 0.0) + w
+    for gid in weights:
         Graph(p, gid)  # validates the ID against p
-    return out
+    return list(weights.items())
 
 
 def write_saem_trace(path, result):

@@ -16,23 +16,12 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import MismatchedModelError, TooLargeError
-from .graphs import Graph, n_candidate_edges, perfect_sequence, _adjacency, _mcs
+from .graphs import Graph, enumerate_decomposable, n_candidate_edges, perfect_sequence
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import ChainLog
 
-_ENUM_CAP_P = 8
 _POSTERIOR_CAP_P = 6
 _MLE_CAP_P = 5
-
-
-def enumerate_decomposable(p):
-    """Yield every decomposable graph on p vertices in ascending ID order."""
-    if p > _ENUM_CAP_P:
-        raise TooLargeError(f"enumeration capped at p={_ENUM_CAP_P}, got {p}")
-    m = n_candidate_edges(p)
-    for edges in range(1 << m):
-        if _mcs(p, _adjacency(p, edges)) is not None:
-            yield Graph(p, edges)
 
 
 @dataclass(frozen=True)

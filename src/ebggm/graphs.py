@@ -60,7 +60,8 @@ def _adjacency(p, edges):
     return tuple(adj)
 
 
-def _iter_bits(mask):
+def iter_bits(mask):
+    """Positions of the set bits of mask, lowest first."""
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
@@ -121,11 +122,11 @@ class Graph:
         return Graph(self.p, self.edges ^ bit)
 
     def neighbors(self, v):
-        return tuple(_iter_bits(self.adjacency[v]))
+        return tuple(iter_bits(self.adjacency[v]))
 
     def edge_list(self):
         table = _pair_table(self.p)
-        return [table[k] for k in _iter_bits(self.edges)]
+        return [table[k] for k in iter_bits(self.edges)]
 
     @property
     def id_hex(self):
@@ -221,7 +222,7 @@ def _mcs(p, adj, tie_rng=None):
             b = pool & -pool
             v = b.bit_length() - 1
         else:
-            ties = list(_iter_bits(pool))
+            ties = list(iter_bits(pool))
             v = ties[int(tie_rng.integers(len(ties)))]
             b = 1 << v
         e = adj[v] & numbered
@@ -267,11 +268,11 @@ class PerfectSequence:
 
     @cached_property
     def cliques(self):
-        return tuple(frozenset(_iter_bits(c)) for c in self.clique_masks)
+        return tuple(frozenset(iter_bits(c)) for c in self.clique_masks)
 
     @cached_property
     def separators(self):
-        return tuple(frozenset(_iter_bits(s)) for s in self.separator_masks)
+        return tuple(frozenset(iter_bits(s)) for s in self.separator_masks)
 
     @cached_property
     def histories(self):
@@ -320,7 +321,7 @@ def _row_offsets(p):
 
 def _pairs(p, mask):
     table = _pair_table(p)
-    return [table[k] for k in _iter_bits(mask)]
+    return [table[k] for k in iter_bits(mask)]
 
 
 def deletion_mask(g: Graph, seq: PerfectSequence | None = None):
@@ -417,32 +418,45 @@ def random_decomposable_graph(p, rng, walk_steps=None):
     return g
 
 
-_COUNT_CAP_P = 8
+_SCAN_CAP_P = 8
+
+
+def _decomposable_edge_sets(p):
+    """Edge bitsets of every decomposable graph on p vertices, ascending.
+
+    Capped at p=8 (2^28 graphs); the p=8 scan takes on the order of an hour
+    in pure Python.  Going from bitset t-1 to t flips the edges set in
+    t ^ (t-1), two on average, so one adjacency is kept and updated rather
+    than rebuilt for every graph.
+    """
+    if p < 1:
+        raise ValueError(f"p must be at least 1, got {p}")
+    if p > _SCAN_CAP_P:
+        raise TooLargeError(f"decomposable-graph scan capped at p={_SCAN_CAP_P}, "
+                            f"got {p}")
+    table = _pair_table(p)
+    adj = [0] * p
+    yield 0  # the empty graph
+    for t in range(1, 1 << n_candidate_edges(p)):
+        flip = t ^ (t - 1)
+        while flip:
+            b = flip & -flip
+            i, j = table[b.bit_length() - 1]
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            flip ^= b
+        if _mcs(p, adj) is not None:
+            yield t
+
+
+def enumerate_decomposable(p):
+    """Yield every decomposable graph on p vertices in ascending ID order."""
+    return (Graph(p, edges) for edges in _decomposable_edge_sets(p))
 
 
 def count_decomposable(p):
-    """Count decomposable graphs on p labeled vertices by exhaustive scan.
-
-    Capped at p=8 (2^28 graphs); the p=8 scan takes on the order of an hour
-    in pure Python.  Enumeration follows a Gray code so each step flips one
-    edge of the maintained adjacency.
-    """
-    if p > _COUNT_CAP_P:
-        raise TooLargeError(f"count_decomposable capped at p={_COUNT_CAP_P}, got {p}")
-    if p == 1:
-        return 1
-    m = n_candidate_edges(p)
-    table = _pair_table(p)
-    adj = [0] * p
-    count = 1  # empty graph
-    for t in range(1, 1 << m):
-        flip = t & -t
-        i, j = table[flip.bit_length() - 1]
-        adj[i] ^= 1 << j
-        adj[j] ^= 1 << i
-        if _mcs(p, adj) is not None:
-            count += 1
-    return count
+    """Count decomposable graphs on p labeled vertices by exhaustive scan."""
+    return sum(1 for _ in _decomposable_edge_sets(p))
 
 
 def to_dot(g: Graph, name="G"):

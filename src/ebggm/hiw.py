@@ -24,7 +24,7 @@ from .errors import (
     SingularScatterError,
     ZeroVarianceError,
 )
-from .graphs import Graph, perfect_sequence
+from .graphs import Graph, iter_bits, perfect_sequence
 
 LOG_2PI = log(2.0 * pi)
 
@@ -351,28 +351,28 @@ def sample_hiw(g: Graph, delta, phi, rng, seq=None):
     and each later clique draws its residual block and regression onto the
     separator, then extends the matrix so that the new vertices are
     conditionally independent of everything earlier given the separator.
+    seq is the graph's PerfectSequence or anything else carrying its
+    clique_masks and separator_masks (a MoveCache entry).
     """
     phi = np.asarray(phi, dtype=float)
     if seq is None:
         seq = perfect_sequence(g)
     p = g.p
     sigma = np.zeros((p, p))
-    first = sorted(seq.cliques[0])
+    first = list(iter_bits(seq.clique_masks[0]))
     sigma[np.ix_(first, first)] = sample_invwishart(
         delta + len(first) - 1, phi[np.ix_(first, first)], rng)
     placed = list(first)
-    for i in range(1, len(seq.cliques)):
-        cl = seq.cliques[i]
-        sep = seq.separators[i - 1]
-        res = sorted(cl - sep)
-        df = delta + len(cl) - 1
-        if not sep:
+    for cm, sm in zip(seq.clique_masks[1:], seq.separator_masks):
+        res = list(iter_bits(cm & ~sm))
+        df = delta + cm.bit_count() - 1
+        if not sm:
             sigma[np.ix_(res, res)] = sample_invwishart(
                 df, phi[np.ix_(res, res)], rng)
             placed.extend(res)
             placed.sort()
             continue
-        sv = sorted(sep)
+        sv = list(iter_bits(sm))
         pss = phi[np.ix_(sv, sv)]
         psr = phi[np.ix_(sv, res)]
         prr = phi[np.ix_(res, res)]

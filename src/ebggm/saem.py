@@ -16,13 +16,14 @@ from math import isfinite
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DegenerateStatsError, NonFiniteError, SingularScatterError
+from .errors import DegenerateStatsError, NonFiniteError
 from .graphs import Graph, legal_deletions, perfect_sequence
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import (
     ChainState,
     KernelConfig,
     MoveCache,
+    auto_kernel_mode,
     edge_weights,
     sample_graph_and_sigma,
 )
@@ -72,12 +73,13 @@ def compute_suff_stats(g: Graph, sigma, seq=None):
     """Sufficient statistics of one (graph, covariance) draw.
 
     s1 = sum |C|^2 - sum |S|^2 over the perfect sequence, s2 = tr(sigma^-1),
-    s3 = number of edges.
+    s3 = number of edges.  seq is the graph's PerfectSequence or anything
+    else carrying its clique_masks and separator_masks (a MoveCache entry).
     """
     if seq is None:
         seq = perfect_sequence(g)
-    s1 = float(sum(len(c) ** 2 for c in seq.cliques)
-               - sum(len(s) ** 2 for s in seq.separators))
+    s1 = float(sum(c.bit_count() ** 2 for c in seq.clique_masks)
+               - sum(s.bit_count() ** 2 for s in seq.separator_masks))
     lo = np.linalg.cholesky(np.asarray(sigma, dtype=float))
     half = solve_triangular(lo, np.eye(g.p), lower=True)
     s2 = float(np.sum(half * half))
@@ -153,11 +155,7 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     if hp_base.phi_mode != "scaled_identity":
         raise ValueError("the EM drives tau, so phi_mode must be scaled_identity")
     if kernel is None:
-        try:
-            stats.inv_empirical
-            kernel = KernelConfig(mode="alternate")
-        except SingularScatterError:
-            kernel = KernelConfig(mode="add_delete")
+        kernel = KernelConfig(mode=auto_kernel_mode(stats))
     estimate_r = hp_base.graph_prior == "bernoulli"
     p = stats.p
     m = Graph(p).m
@@ -167,8 +165,7 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     g0 = init_graph_backward(stats, hp, scorer)
     moves = MoveCache()
     state = ChainState(g0, scorer.score(g0, moves.moves(g0)))
-    weights = (edge_weights(stats, kernel)
-               if kernel.mode in ("data_driven", "alternate") else None)
+    weights = edge_weights(stats, kernel) if kernel.mode != "add_delete" else None
     s = SufficientStats(0.0, 0.0, 0.0)
     trace = np.empty((cfg.n_iter, len(TRACE_COLUMNS)))
     for k in range(1, cfg.n_iter + 1):
@@ -177,7 +174,8 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
         state, sigma = sample_graph_and_sigma(
             state, stats, hp, n_chain, rng, cfg=kernel,
             scorer=scorer, moves=moves, weights=weights)
-        sample = compute_suff_stats(state.graph, sigma)
+        entry = moves.moves(state.graph)
+        sample = compute_suff_stats(state.graph, sigma, entry)
         s = sa_update(s, sample, step_size(k, cfg.n_unit))
         tau, r_new = m_step(s, hp_base.delta, p, m)
         if estimate_r:
@@ -189,7 +187,6 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
         trace[k - 1] = (k, tau, r, s.s1, s.s2, s.s3, accept_rate)
         hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
         scorer = PosteriorScorer(stats, hp)
-        state = ChainState(state.graph,
-                           scorer.score(state.graph, moves.moves(state.graph)),
+        state = ChainState(state.graph, scorer.score(state.graph, entry),
                            state.step_index, state.accept_count)
     return SaemResult(tau=tau, r=r, trace=trace, final_state=state, init_graph=g0)

@@ -1,12 +1,12 @@
 """Metropolis-Hastings kernels over the space of decomposable graphs.
 
-Two proposal kernels share the accept/reject skeleton: the uniform
-add-delete kernel picks a direction with probability 1/2 and then a legal
-move uniformly, while the data-driven kernel biases additions toward edges
-with large empirical partial covariance |K_ij| (K the inverse empirical
+Every kernel is the add-delete step (mh_step): pick a direction with
+probability 1/2, then a legal move in it.  The uniform kernel picks the
+move uniformly; the data-driven kernel weights additions toward edges with
+large empirical partial covariance |K_ij| (K the inverse empirical
 covariance) and deletions toward small ones.  A third mode alternates the
-two kernels deterministically by step parity.  A direction with no legal
-move is a null proposal and counts as a rejected step.
+two by step parity.  A direction with no legal move is a null proposal and
+counts as a rejected step.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import (Graph, _iter_bits, addition_mask, deletion_mask, edge_pair,
+from .errors import SingularScatterError
+from .graphs import (Graph, addition_mask, deletion_mask, edge_pair, iter_bits,
                      perfect_sequence)
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
@@ -34,6 +35,18 @@ class KernelConfig:
             raise ValueError(f"mode must be one of {KERNEL_MODES}")
         if not 0.0 < self.weight_floor <= 1.0:
             raise ValueError("weight_floor must lie in (0, 1]")
+
+
+def auto_kernel_mode(stats: DatasetStats):
+    """alternate when the empirical covariance is invertible, else add_delete.
+
+    The data-driven half of alternate needs the inverse empirical covariance.
+    """
+    try:
+        stats.inv_empirical
+    except SingularScatterError:
+        return "add_delete"
+    return "alternate"
 
 
 @dataclass(frozen=True)
@@ -102,102 +115,70 @@ def edge_weights(stats: DatasetStats, cfg: KernelConfig):
     return tuple(add_w), tuple(del_w)
 
 
-def _null_step(state: ChainState):
-    return replace(state, step_index=state.step_index + 1)
-
-
-def _propose_uniform(g: Graph, moves: MoveCache, do_delete, rng):
-    """Uniform move in the chosen direction.
-
-    Returns (proposal, (i, j), log q-ratio, Moves entry of the proposal),
-    or None when the direction has no legal move.  The log proposal ratio
-    is log |moves from g| - log |reverse moves from the proposal|.
-    """
-    here = moves.moves(g)
-    cand = here.deletions if do_delete else here.additions
-    if not cand:
-        return None
-    k = _nth_bit(cand, int(rng.integers(cand.bit_count())))
-    gp = Graph(g.p, g.edges ^ (1 << k))
-    there = moves.moves(gp)
-    reverse = there.additions if do_delete else there.deletions
-    return (gp, edge_pair(g.p, k),
-            log(cand.bit_count()) - log(reverse.bit_count()), there)
-
-
 def _weight_total(weights, mask):
     total = 0.0
-    for k in _iter_bits(mask):
+    for k in iter_bits(mask):
         total += weights[k]
     return total
 
 
-def _propose_weighted(g: Graph, moves: MoveCache, weights, do_delete, rng):
-    """Weighted move using the data-driven edge weights; see _propose_uniform.
+def _propose(g: Graph, moves: MoveCache, weights, do_delete, rng):
+    """Add-delete move in the chosen direction.
 
-    Weights are summed over candidate edges in ascending edge order.
+    weights=None picks a legal move uniformly; otherwise weights is the
+    (addition, deletion) pair from edge_weights, summed over candidate edges
+    in ascending edge order.  Returns (proposal, (i, j), log q-ratio, Moves
+    entry of the proposal), or None when the direction has no legal move.
+    The log q-ratio is log q(reverse move) - log q(forward move).
     """
-    add_w, del_w = weights
     here = moves.moves(g)
     cand = here.deletions if do_delete else here.additions
     if not cand:
         return None
-    w_fwd = del_w if do_delete else add_w
-    total_fwd = _weight_total(w_fwd, cand)
-    target = rng.random() * total_fwd
-    acc = 0.0
-    k = cand.bit_length() - 1
-    for kk in _iter_bits(cand):
-        acc += w_fwd[kk]
-        if acc >= target:
-            k = kk
-            break
+    if weights is None:
+        k = _nth_bit(cand, int(rng.integers(cand.bit_count())))
+    else:
+        w_rev, w_fwd = weights if do_delete else weights[::-1]
+        total_fwd = _weight_total(w_fwd, cand)
+        target = rng.random() * total_fwd
+        acc = 0.0
+        k = cand.bit_length() - 1
+        for kk in iter_bits(cand):
+            acc += w_fwd[kk]
+            if acc >= target:
+                k = kk
+                break
     gp = Graph(g.p, g.edges ^ (1 << k))
     there = moves.moves(gp)
     reverse = there.additions if do_delete else there.deletions
-    w_rev = add_w if do_delete else del_w
-    total_rev = _weight_total(w_rev, reverse)
-    log_q_fwd = log(w_fwd[k]) - log(total_fwd)
-    log_q_rev = log(w_rev[k]) - log(total_rev)
-    return gp, edge_pair(g.p, k), log_q_rev - log_q_fwd, there
-
-
-def _accept(state: ChainState, proposal, scorer: PosteriorScorer, rng):
-    gp, _, log_q_ratio, seq = proposal
-    score = scorer.score(gp, seq)
-    log_alpha = score - state.log_score + log_q_ratio
-    if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-        return ChainState(gp, score, state.step_index + 1, state.accept_count + 1)
-    return _null_step(state)
-
-
-def add_delete_step(state: ChainState, stats, hp, rng, *, scorer=None, moves=None):
-    """One uniform add-delete Metropolis-Hastings step."""
-    if scorer is None:
-        scorer = PosteriorScorer(stats, hp)
-    if moves is None:
-        moves = MoveCache()
-    do_delete = rng.random() < 0.5
-    proposal = _propose_uniform(state.graph, moves, do_delete, rng)
-    if proposal is None:
-        return _null_step(state)
-    return _accept(state, proposal, scorer, rng)
-
-
-def data_driven_step(state: ChainState, stats, hp, cfg: KernelConfig, rng, *,
-                     scorer=None, moves=None, weights=None):
-    """One data-driven Metropolis-Hastings step with |K_ij|-biased proposals."""
-    if scorer is None:
-        scorer = PosteriorScorer(stats, hp)
-    if moves is None:
-        moves = MoveCache()
     if weights is None:
-        weights = edge_weights(stats, cfg)
+        log_q_ratio = log(cand.bit_count()) - log(reverse.bit_count())
+    else:
+        log_q_fwd = log(w_fwd[k]) - log(total_fwd)
+        log_q_rev = log(w_rev[k]) - log(_weight_total(w_rev, reverse))
+        log_q_ratio = log_q_rev - log_q_fwd
+    return gp, edge_pair(g.p, k), log_q_ratio, there
+
+
+def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, moves: MoveCache,
+            weights=None):
+    """One add-delete Metropolis-Hastings step.
+
+    The direction is add or delete with probability 1/2 each; weights=None
+    proposes uniformly among the legal moves, edge_weights output biases the
+    proposal toward large (additions) or small (deletions) |K_ij|.  A
+    direction with no legal move is a null proposal and counts as a
+    rejected step.
+    """
     do_delete = rng.random() < 0.5
-    proposal = _propose_weighted(state.graph, moves, weights, do_delete, rng)
-    if proposal is None:
-        return _null_step(state)
-    return _accept(state, proposal, scorer, rng)
+    proposal = _propose(state.graph, moves, weights, do_delete, rng)
+    if proposal is not None:
+        gp, _, log_q_ratio, entry = proposal
+        score = scorer.score(gp, entry)
+        log_alpha = score - state.log_score + log_q_ratio
+        if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
+            return ChainState(gp, score, state.step_index + 1, state.accept_count + 1)
+    return replace(state, step_index=state.step_index + 1)
 
 
 @dataclass
@@ -221,26 +202,15 @@ class ChainLog:
         return float(np.mean(self.accepted)) if len(self.accepted) else 0.0
 
 
-def _step_once(state, stats, hp, cfg, rng, scorer, moves, weights):
-    mode = cfg.mode
-    if mode == "alternate":
-        mode = "add_delete" if state.step_index % 2 == 0 else "data_driven"
-    if mode == "add_delete":
-        return add_delete_step(state, stats, hp, rng, scorer=scorer, moves=moves)
-    return data_driven_step(state, stats, hp, cfg, rng,
-                            scorer=scorer, moves=moves, weights=weights)
-
-
-def _needs_weights(cfg: KernelConfig):
-    return cfg.mode in ("data_driven", "alternate")
-
-
 def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
-              cfg: KernelConfig, rng, *, scorer=None, moves=None):
+              cfg: KernelConfig, rng, *, scorer=None, moves=None, weights=None):
     """Run the configured kernel for n_steps and log every visited state.
 
     init may be a Graph or a ChainState (the latter resumes step parity and
-    acceptance counts).  Returns (final ChainState, ChainLog).
+    acceptance counts).  weights are the edge_weights of stats under cfg,
+    computed here when not given.  Under alternate an even step_index
+    proposes uniformly and an odd one uses the weights.  Returns (final
+    ChainState, ChainLog).
     """
     if scorer is None:
         scorer = PosteriorScorer(stats, hp)
@@ -250,7 +220,12 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
         state = ChainState(init, scorer.score(init, moves.moves(init)))
     else:
         state = init
-    weights = edge_weights(stats, cfg) if _needs_weights(cfg) else None
+    if cfg.mode == "add_delete":
+        by_parity = (None, None)
+    else:
+        if weights is None:
+            weights = edge_weights(stats, cfg)
+        by_parity = (None, weights) if cfg.mode == "alternate" else (weights, weights)
     ids = []
     ks = np.empty(n_steps, dtype=np.int64)
     scores = np.empty(n_steps, dtype=float)
@@ -258,7 +233,8 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     steps = np.empty(n_steps, dtype=np.int64)
     for t in range(n_steps):
         prev_accepts = state.accept_count
-        state = _step_once(state, stats, hp, cfg, rng, scorer, moves, weights)
+        state = mh_step(state, rng, scorer=scorer, moves=moves,
+                        weights=by_parity[state.step_index % 2])
         ids.append(state.graph.edges)
         ks[t] = state.graph.edge_count
         scores[t] = state.log_score
@@ -277,16 +253,11 @@ def sample_graph_and_sigma(state: ChainState, stats: DatasetStats, hp: Hyperpara
     Returns (new ChainState, sigma).  The drawn sigma follows the
     graph-constrained law with degrees delta + n and scale Phi + scatter.
     """
-    if cfg is None:
-        cfg = KernelConfig()
-    if scorer is None:
-        scorer = PosteriorScorer(stats, hp)
     if moves is None:
         moves = MoveCache()
-    if weights is None and _needs_weights(cfg):
-        weights = edge_weights(stats, cfg)
-    for _ in range(M):
-        state = _step_once(state, stats, hp, cfg, rng, scorer, moves, weights)
+    state, _ = run_chain(state, M, stats, hp, cfg or KernelConfig(), rng,
+                         scorer=scorer, moves=moves, weights=weights)
     post_scale = phi_matrix(hp, stats) + stats.scatter
-    sigma = sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng)
+    sigma = sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng,
+                       moves.moves(state.graph))
     return state, sigma

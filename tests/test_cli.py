@@ -132,6 +132,34 @@ def test_posterior_csv_round_trip(tmp_path):
         read_posterior_csv(path, 2)
 
 
+@pytest.mark.parametrize("rows, row, cell", [
+    ("1,0,0,nan,0.0\n", 2, "nan"),
+    ("1,1,1,inf,0.0\n", 2, "inf"),
+    ("1,0,0,1.5,0.0\n2,1,1,-0.5,0.0\n", 3, "-0.5"),
+], ids=["nan", "inf", "negative"])
+def test_report_rejects_bad_probabilities(tmp_path, capsys, rows, row, cell):
+    path = write(tmp_path / "post.csv",
+                 "rank,graph_id,k_edges,prob,log_score\n" + rows)
+    with pytest.raises(ParseError, match=f"post.csv: row {row}, column 4: "
+                                         f"probability '{cell}'"):
+        read_posterior_csv(path, 3)
+    assert main(["report", "--table", path, "--p", "3",
+                 "--out-dir", str(tmp_path / "r")]) == 2
+    assert f"row {row}, column 4" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "r" / "top_graphs.csv")
+
+
+def test_read_posterior_csv_counts_visit_log(tmp_path):
+    path = write(tmp_path / "visits.csv",
+                 "step,graph_id,k_edges,log_score,accepted\n"
+                 "1,2,1,-3.0,1\n2,2,1,-3.0,0\n3,0,0,-4.0,1\n")
+    assert read_posterior_csv(path, 3) == [(2, 2.0), (0, 1.0)]
+    bad = write(tmp_path / "bad.csv",
+                "step,graph_id\n1,zz\n")
+    with pytest.raises(ParseError, match="row 2: malformed entry"):
+        read_posterior_csv(bad, 3)
+
+
 def test_manifest_round_trip(tmp_path):
     path = str(tmp_path / "manifest.txt")
     write_manifest(path, {"command": "count", "p": 4, "tau": 0.5,
@@ -309,6 +337,26 @@ def test_cli_rerun_rejects_changed_inputs(tmp_path, capsys, small_csv):
                        os.path.join(out_b, "top_graphs.csv"), shallow=False)
 
 
+def test_cli_rerun_warns_on_version_drift(tmp_path, capsys):
+    out_a = str(tmp_path / "a")
+    assert main(["count", "--p", "3", "--out-dir", out_a]) == 0
+    path = os.path.join(out_a, "manifest.txt")
+    mapping = read_manifest(path)
+    running = mapping["numpy_version"]
+    mapping["numpy_version"] = "0.0.1"
+    write_manifest(path, mapping)
+    capsys.readouterr()
+
+    out_b = str(tmp_path / "b")
+    assert main(["rerun", path, "--out-dir", out_b]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"warning: manifest numpy_version=0.0.1, "
+                            f"running {running}\n")
+    assert captured.out.strip() == "p=3 total=8 decomposable=8"
+    assert filecmp.cmp(os.path.join(out_a, "counts.txt"),
+                       os.path.join(out_b, "counts.txt"), shallow=False)
+
+
 def test_cli_report_from_visit_log(tmp_path, capsys, small_csv):
     out_s = str(tmp_path / "s")
     assert main(["sample", "--data", small_csv, "--n-steps", "500",
@@ -364,6 +412,9 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = write(tmp_path / "m.txt", "p=3\n")
     assert main(["rerun", bad, "--out-dir", out]) == 2
     assert "command" in capsys.readouterr().err
+    # Count with a vertex count below 1.
+    assert main(["count", "--p", "-1", "--out-dir", out]) == 2
+    assert capsys.readouterr().err.strip() == "error: p must be at least 1, got -1"
     # Report on a table without a graph_id column.
     table = write(tmp_path / "t.csv", "a,b\n1,2\n")
     assert main(["report", "--table", table, "--p", "3",

@@ -14,19 +14,18 @@ from ebggm import (
     KernelConfig,
     MoveCache,
     PosteriorScorer,
-    add_delete_step,
-    data_driven_step,
     edge_index,
     edge_weights,
     enumerate_decomposable,
     legal_additions,
     legal_deletions,
+    mh_step,
     run_chain,
     sample_graph_and_sigma,
     simulate_dataset,
 )
 from ebggm.errors import NotDecomposableError
-from ebggm.sampler import _propose_uniform, _propose_weighted
+from ebggm.sampler import _propose
 
 
 class ScriptedRng:
@@ -79,7 +78,7 @@ def test_uniform_proposal_ratio_from_empty():
     g = Graph(3, 0)
     moves = MoveCache()
     rng = ScriptedRng(ints=[1])
-    gp, (i, j), log_q, entry = _propose_uniform(g, moves, False, rng)
+    gp, (i, j), log_q, entry = _propose(g, moves, None, False, rng)
     assert gp.edge_count == 1
     assert gp.has_edge(i, j)
     assert (i, j) == (0, 2)  # the second of the three additions
@@ -89,8 +88,8 @@ def test_uniform_proposal_ratio_from_empty():
 
 def test_uniform_proposal_none_without_moves():
     moves = MoveCache()
-    assert _propose_uniform(Graph(3, 0), moves, True, ScriptedRng()) is None
-    assert _propose_uniform(Graph.complete(3), moves, False, ScriptedRng()) is None
+    assert _propose(Graph(3, 0), moves, None, True, ScriptedRng()) is None
+    assert _propose(Graph.complete(3), moves, None, False, ScriptedRng()) is None
 
 
 def test_null_step_counts_as_rejection():
@@ -100,16 +99,16 @@ def test_null_step_counts_as_rejection():
     g = Graph(3, 0)
     state = ChainState(g, scorer.score(g))
     # random() = 0.4 forces the delete direction, which is empty here.
-    out = add_delete_step(state, stats, hp, ScriptedRng(randoms=[0.4]),
-                          scorer=scorer)
+    out = mh_step(state, ScriptedRng(randoms=[0.4]), scorer=scorer,
+                  moves=MoveCache())
     assert out.graph == g
     assert out.step_index == state.step_index + 1
     assert out.accept_count == state.accept_count
 
     full = Graph.complete(3)
     state = ChainState(full, scorer.score(full))
-    out = add_delete_step(state, stats, hp, ScriptedRng(randoms=[0.6]),
-                          scorer=scorer)
+    out = mh_step(state, ScriptedRng(randoms=[0.6]), scorer=scorer,
+                  moves=MoveCache())
     assert out.graph == full
     assert out.accept_count == state.accept_count
 
@@ -225,7 +224,7 @@ def test_weighted_proposal_log_ratio_matches_hand_computation():
     moves = MoveCache()
     # Force the first candidate whose cumulative weight exceeds the target.
     rng = ScriptedRng(randoms=[0.0])
-    gp, (i, j), log_q, entry = _propose_weighted(g, moves, weights, False, rng)
+    gp, (i, j), log_q, entry = _propose(g, moves, weights, False, rng)
     assert entry is moves.moves(gp)
     k = edge_index(3, i, j)
     assert k == 0
@@ -304,19 +303,14 @@ def test_alternate_kernel_switches_by_parity(monkeypatch):
     import ebggm.sampler as sampler_mod
 
     calls = []
-    orig_add = sampler_mod.add_delete_step
-    orig_dd = sampler_mod.data_driven_step
+    orig_step = sampler_mod.mh_step
 
-    def spy_add(state, *args, **kwargs):
-        calls.append(("add_delete", state.step_index))
-        return orig_add(state, *args, **kwargs)
+    def spy_step(state, *args, weights=None, **kwargs):
+        mode = "add_delete" if weights is None else "data_driven"
+        calls.append((mode, state.step_index))
+        return orig_step(state, *args, weights=weights, **kwargs)
 
-    def spy_dd(state, *args, **kwargs):
-        calls.append(("data_driven", state.step_index))
-        return orig_dd(state, *args, **kwargs)
-
-    monkeypatch.setattr(sampler_mod, "add_delete_step", spy_add)
-    monkeypatch.setattr(sampler_mod, "data_driven_step", spy_dd)
+    monkeypatch.setattr(sampler_mod, "mh_step", spy_step)
 
     stats = make_stats(3, n=30, seed=1)
     hp = Hyperparams(delta=1.0, tau=1.0)
@@ -342,12 +336,14 @@ def test_data_driven_step_runs_and_moves():
     hp = Hyperparams(delta=1.0, tau=0.5)
     cfg = KernelConfig(mode="data_driven")
     scorer = PosteriorScorer(stats, hp)
+    moves = MoveCache()
+    weights = edge_weights(stats, cfg)
     g = Graph(4, 0)
     state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(17)
     seen = {g.edges}
     for _ in range(200):
-        state = data_driven_step(state, stats, hp, cfg, rng, scorer=scorer)
+        state = mh_step(state, rng, scorer=scorer, moves=moves, weights=weights)
         seen.add(state.graph.edges)
     assert state.step_index == 200
     assert len(seen) > 1
