@@ -17,6 +17,7 @@ import sys
 import typing
 from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -28,14 +29,15 @@ from .dataio import (fmt, ingest_csv, read_manifest, read_posterior_csv,
                      write_saem_trace, write_visit_log)
 from .errors import ChecksumError, EbggmError, ParseError
 from .exact import exact_posterior
-from .graphs import Graph, count_decomposable, edge_pair, n_candidate_edges, \
-    named_graph, to_dot
+from .graphs import Graph, count_decomposable, edge_pair, id_width, \
+    n_candidate_edges, named_graph, to_dot
 from .hiw import Hyperparams, PosteriorScorer, simulate_dataset
 from .saem import SaemConfig, run_saem
 from .sampler import (ChainState, KernelConfig, MoveCache, auto_kernel_mode,
                       run_chain)
 
 OUT_DIR_ENV = "EBGGM_OUT_DIR"
+MANIFEST = "manifest.txt"
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ def _finish(cfg, out, extras):
     mapping.update(extras)
     mapping.update(_library_versions())
     mapping["python_version"] = platform.python_version()
-    path = os.path.join(out, "manifest.txt")
+    path = os.path.join(out, MANIFEST)
     write_manifest(path, mapping)
     return path
 
@@ -193,7 +195,7 @@ def _write_report(out, p, pairs, top_k, stdout=None):
     pairs is a list of (graph bitset, weight) with weights summing to one,
     sorted by decreasing weight.
     """
-    width = (Graph(p).m + 3) // 4
+    width = id_width(p)
     top = pairs[:top_k]
     write_csv(os.path.join(out, "top_graphs.csv"),
               ("rank", "graph_id", "k_edges", "prob"),
@@ -354,11 +356,13 @@ _RUNNERS = {"count": _cmd_count, "simulate": _cmd_simulate, "exact": _cmd_exact,
 def run_command(cfg: RunConfig):
     """Execute one command; returns the output directory used.
 
-    The manifest is written last so a manifest on disk always describes a
-    completed run.
+    Any old manifest is removed first and the new one is written last, so a
+    manifest on disk always describes the artifacts beside it, even after a
+    run that failed part way.
     """
     out = _resolve_out_dir(cfg)
     os.makedirs(out, exist_ok=True)
+    Path(out, MANIFEST).unlink(missing_ok=True)
     resolved, extras = _RUNNERS[cfg.command](replace(cfg, out_dir=out), out)
     _finish(resolved, out, extras)
     return out

@@ -13,7 +13,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import ParseError
-from .graphs import Graph
+from .graphs import Graph, id_width
 from .hiw import DatasetStats
 from .saem import TRACE_COLUMNS
 
@@ -94,7 +94,7 @@ def write_data_csv(path, data):
 
 
 def write_visit_log(path, log):
-    width = (Graph(log.p).m + 3) // 4
+    width = id_width(log.p)
     rows = ((int(log.steps[t]), format(log.graph_ids[t], f"0{width}x"),
              int(log.k_edges[t]), float(log.log_scores[t]), int(log.accepted[t]))
             for t in range(len(log)))
@@ -108,7 +108,7 @@ def write_acceptance_trace(path, log):
 
 
 def write_posterior_csv(path, table):
-    width = (Graph(table.p).m + 3) // 4
+    width = id_width(table.p)
     rows = ((rank + 1, format(gid, f"0{width}x"), Graph(table.p, gid).edge_count,
              float(pr), float(ls))
             for rank, (gid, pr, ls) in enumerate(
@@ -122,8 +122,10 @@ def read_posterior_csv(path, p):
     A table with a prob column (write_posterior_csv) gives each graph's
     probability, which must be finite and nonnegative; a visit log
     (write_visit_log) gives each graph's visit count.  Graphs come in order
-    of first appearance.
+    of first appearance.  Every graph_id must have the hex width of a
+    p-vertex ID, so a table written for another p is rejected.
     """
+    width = id_width(p)
     weights = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -136,10 +138,16 @@ def read_posterior_csv(path, p):
         pr_col = header.index("prob") if "prob" in header else None
         for rownum, cells in enumerate(reader, start=2):
             try:
-                gid = int(cells[id_col], 16)
+                text = cells[id_col].strip()
+                gid = int(text, 16)
                 w = 1.0 if pr_col is None else float(cells[pr_col])
             except (ValueError, IndexError):
                 raise ParseError(f"{path}: row {rownum}: malformed entry") from None
+            if len(text) != width:
+                fits = " or ".join(f"p={q}" for q in range(1, 8 * len(text) + 2)
+                                   if id_width(q) == len(text)) or "no p"
+                raise ParseError(f"{path}: row {rownum}: graph_id {text!r} has "
+                                 f"{len(text)} hex digits, as for {fits}, not p={p}")
             if not (isfinite(w) and w >= 0.0):
                 raise ParseError(
                     f"{path}: row {rownum}, column {pr_col + 1}: probability "

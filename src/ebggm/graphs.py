@@ -26,6 +26,11 @@ def n_candidate_edges(p):
     return p * (p - 1) // 2
 
 
+def id_width(p):
+    """Hex digits of a p-vertex graph ID as Graph.id_hex writes it."""
+    return max((n_candidate_edges(p) + 3) // 4, 1)
+
+
 def edge_index(p, i, j):
     """Bit position of edge (i, j), i < j, in the lexicographic layout."""
     if not (0 <= i < j < p):
@@ -131,8 +136,7 @@ class Graph:
     @property
     def id_hex(self):
         """Zero-padded lowercase hex of the edge bitset (bit 0 = edge (0, 1))."""
-        width = (self.m + 3) // 4
-        return format(self.edges, f"0{width}x")
+        return format(self.edges, f"0{id_width(self.p)}x")
 
     @classmethod
     def from_id(cls, p, hex_id):

@@ -11,9 +11,9 @@ the closed-form marginal likelihood implemented below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from math import lgamma, log, pi
+from math import lgamma, log, log1p, pi, sqrt
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -61,10 +61,15 @@ class Hyperparams:
 
 @dataclass(frozen=True, eq=False)
 class DatasetStats:
-    """Processed data rows plus the scatter matrix sum_i y_i y_i'."""
+    """Processed data rows plus the scatter matrix sum_i y_i y_i'.
+
+    The eigenvalues of each scatter block are cached per vertex bitmask
+    (spectrum), so every scorer built on these stats shares them.
+    """
 
     data: np.ndarray
     scatter: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self):
@@ -91,6 +96,15 @@ class DatasetStats:
         half = solve_triangular(lo, eye, lower=True)
         return half.T @ half
 
+    def spectrum(self, mask):
+        """Ascending eigenvalues of the scatter block on the vertices in mask."""
+        lam = self._spectra.get(mask)
+        if lam is None:
+            idx = _index(mask)
+            lam = tuple(np.linalg.eigvalsh(self.scatter[idx[:, None], idx]).tolist())
+            self._spectra[mask] = lam
+        return lam
+
     @classmethod
     def from_data(cls, raw, center=True, standardize=True):
         """Build stats from an (n, p) array, optionally centering and scaling.
@@ -115,6 +129,11 @@ class DatasetStats:
                 raise ZeroVarianceError(f"column {bad[0]} has zero variance")
             y = y / sd
         return cls(data=y, scatter=y.T @ y)
+
+
+def _index(mask):
+    """Vertex positions of mask as an index array, ascending."""
+    return np.fromiter(iter_bits(mask), dtype=np.intp)
 
 
 def phi_matrix(hp: Hyperparams, stats: DatasetStats | None = None, p: int | None = None):
@@ -239,10 +258,18 @@ def log_posterior_score(g: Graph, stats: DatasetStats, hp: Hyperparams, seq=None
 class PosteriorScorer:
     """Cached posterior scorer bound to one (stats, hyperparams) pair.
 
-    Clique and separator contributions depend only on the vertex subset, so
-    they are memoized per subset bitmask; a graph's score is their sum over
-    its perfect sequence, so callers that hold the sequence (or a MoveCache
-    entry) pass it in rather than having it recomputed.
+    A graph's score is a sum of clique and separator terms over its perfect
+    sequence, so callers that hold the sequence (or a MoveCache entry) pass
+    it in rather than having it recomputed.  Each term comes in closed form
+    from the block's scatter eigenvalues lam (DatasetStats.spectrum, shared
+    by every scorer on the same stats, whatever tau), since Phi_C and
+    Phi_C + S_C are both functions of S_C:
+
+      scaled_identity   log det Phi_C = q log tau
+                        log det(Phi_C + S_C) = sum log(tau + lam)
+      empirical_gprior  log det Phi_C = sum log lam - q log n
+                        log det(Phi_C + S_C) = sum log lam + q log(1 + 1/n)
+
     Construction fails fast with NotSPDError when Phi + scatter is not SPD.
     """
 
@@ -250,19 +277,27 @@ class PosteriorScorer:
         self.stats = stats
         self.hp = hp
         self.p = stats.p
-        self._phi = phi_matrix(hp, stats)
-        self._post = self._phi + stats.scatter
-        _chol_logdet(self._phi)
-        _chol_logdet(self._post)
-        d, n = hp.delta, stats.n
+        n = stats.n
+        scaled = hp.phi_mode == "scaled_identity"
+        self._shift = hp.tau if scaled else 0.0
+        lam = stats.spectrum((1 << self.p) - 1)
+        low, high = self._shift + lam[0], self._shift + lam[-1]
+        # a numerically singular matrix fails here, as a Cholesky would
+        if not low > self.p * np.finfo(float).eps * abs(high):
+            raise NotSPDError("Phi + scatter is not symmetric positive definite")
+        # both modes: log det(block) - q log 2 = q * k + w * sum log(shift + lam)
+        if scaled:
+            self._w_pri, self._k_pri, self._k_post = 0.0, log(hp.tau / 2.0), -log(2.0)
+        else:
+            self._w_pri, self._k_pri = 1.0, -log(2.0 * n)
+            self._k_post = log1p(1.0 / n) - log(2.0)
+        d = hp.delta
         self._a_pri = [(q + d - 1) / 2.0 for q in range(self.p + 1)]
         self._a_post = [(q + d + n - 1) / 2.0 for q in range(self.p + 1)]
         self._lg_pri = [log_multivariate_gamma(q, self._a_pri[q]) if q else 0.0
                         for q in range(self.p + 1)]
         self._lg_post = [log_multivariate_gamma(q, self._a_post[q]) if q else 0.0
                          for q in range(self.p + 1)]
-        self._scaled = hp.phi_mode == "scaled_identity"
-        self._log_tau_half = log(hp.tau / 2.0) if self._scaled else 0.0
         self._terms = {}
         self._priors = {}
 
@@ -270,20 +305,14 @@ class PosteriorScorer:
         t = self._terms.get(mask)
         if t is not None:
             return t
-        idx = []
-        mm = mask
-        while mm:
-            b = mm & -mm
-            idx.append(b.bit_length() - 1)
-            mm ^= b
-        q = len(idx)
-        if self._scaled:
-            pri = self._a_pri[q] * q * self._log_tau_half - self._lg_pri[q]
-        else:
-            sub = self._phi[np.ix_(idx, idx)]
-            pri = self._a_pri[q] * (_chol_logdet(sub) - q * log(2.0)) - self._lg_pri[q]
-        sub = self._post[np.ix_(idx, idx)]
-        post = self._a_post[q] * (_chol_logdet(sub) - q * log(2.0)) - self._lg_post[q]
+        lam = self.stats.spectrum(mask)
+        q = len(lam)
+        try:
+            s = sum([log(self._shift + x) for x in lam])
+        except ValueError:
+            raise NotSPDError("Phi + scatter block is not positive definite") from None
+        pri = self._a_pri[q] * (q * self._k_pri + self._w_pri * s) - self._lg_pri[q]
+        post = self._a_post[q] * (q * self._k_post + s) - self._lg_post[q]
         t = pri - post
         self._terms[mask] = t
         return t
@@ -326,6 +355,7 @@ def sample_invwishart(df, scale, rng):
 
     scipy-style parametrization: density proportional to
     det(S)^-((df + q + 1)/2) exp(-tr(S^-1 scale)/2); needs df > q - 1.
+    Row i of the Bartlett factor takes one chi-square then i normals.
     """
     scale = np.asarray(scale, dtype=float)
     q = scale.shape[0]
@@ -337,10 +367,9 @@ def sample_invwishart(df, scale, rng):
         raise NotSPDError("scale matrix is not SPD") from exc
     bart = np.zeros((q, q))
     for i in range(q):
-        bart[i, i] = np.sqrt(rng.chisquare(df - i))
-        for j in range(i):
-            bart[i, j] = rng.standard_normal()
-    half = solve_triangular(bart, lo.T, lower=True).T
+        bart[i, i] = sqrt(rng.chisquare(df - i))
+        bart[i, :i] = rng.standard_normal(i)
+    half = solve_triangular(bart, lo.T, lower=True, check_finite=False).T
     return half @ half.T
 
 
@@ -357,40 +386,36 @@ def sample_hiw(g: Graph, delta, phi, rng, seq=None):
     phi = np.asarray(phi, dtype=float)
     if seq is None:
         seq = perfect_sequence(g)
-    p = g.p
-    sigma = np.zeros((p, p))
-    first = list(iter_bits(seq.clique_masks[0]))
-    sigma[np.ix_(first, first)] = sample_invwishart(
-        delta + len(first) - 1, phi[np.ix_(first, first)], rng)
-    placed = list(first)
-    for cm, sm in zip(seq.clique_masks[1:], seq.separator_masks):
-        res = list(iter_bits(cm & ~sm))
+    sigma = np.zeros((g.p, g.p))
+    placed = 0
+    for cm, sm in zip(seq.clique_masks, (0, *seq.separator_masks)):
+        res = _index(cm & ~sm)
+        rc = res[:, None]
         df = delta + cm.bit_count() - 1
         if not sm:
-            sigma[np.ix_(res, res)] = sample_invwishart(
-                df, phi[np.ix_(res, res)], rng)
-            placed.extend(res)
-            placed.sort()
-            continue
-        sv = list(iter_bits(sm))
-        pss = phi[np.ix_(sv, sv)]
-        psr = phi[np.ix_(sv, res)]
-        prr = phi[np.ix_(res, res)]
-        lss = np.linalg.cholesky(pss)
-        m_reg = np.linalg.solve(pss, psr)
-        prr_s = prr - psr.T @ m_reg
-        prr_s = (prr_s + prr_s.T) / 2.0
-        u_blk = sample_invwishart(df, prr_s, rng)
-        # regression rows have covariance pss^-1, columns the drawn residual
-        a_half = solve_triangular(lss, np.eye(len(sv)), lower=True).T
-        c_half = np.linalg.cholesky(u_blk)
-        b_reg = m_reg + a_half @ rng.standard_normal((len(sv), len(res))) @ c_half.T
-        cross = b_reg.T @ sigma[np.ix_(sv, placed)]
-        sigma[np.ix_(res, placed)] = cross
-        sigma[np.ix_(placed, res)] = cross.T
-        sigma[np.ix_(res, res)] = u_blk + b_reg.T @ sigma[np.ix_(sv, sv)] @ b_reg
-        placed.extend(res)
-        placed.sort()
+            sigma[rc, res] = sample_invwishart(df, phi[rc, res], rng)
+        else:
+            sv = _index(sm)
+            sc = sv[:, None]
+            pl = _index(placed)
+            pss = phi[sc, sv]
+            psr = phi[sc, res]
+            lss = np.linalg.cholesky(pss)
+            m_reg = np.linalg.solve(pss, psr)
+            prr_s = phi[rc, res] - psr.T @ m_reg
+            prr_s = (prr_s + prr_s.T) / 2.0
+            u_blk = sample_invwishart(df, prr_s, rng)
+            # regression rows have covariance pss^-1, columns the drawn residual
+            a_half = solve_triangular(lss, np.eye(len(sv)), lower=True,
+                                      check_finite=False).T
+            c_half = np.linalg.cholesky(u_blk)
+            noise = rng.standard_normal((len(sv), len(res)))
+            b_reg = m_reg + a_half @ noise @ c_half.T
+            cross = b_reg.T @ sigma[sc, pl]
+            sigma[rc, pl] = cross
+            sigma[pl[:, None], res] = cross.T
+            sigma[rc, res] = u_blk + b_reg.T @ sigma[sc, sv] @ b_reg
+        placed |= cm
     return sigma
 
 

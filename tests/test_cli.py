@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ebggm import DatasetStats, Graph, Hyperparams, ParseError, exact_posterior
+from ebggm import DatasetStats, Graph, Hyperparams, ParseError, cli, exact_posterior
 from ebggm.cli import (
     RunConfig,
     config_from_manifest,
@@ -160,6 +160,23 @@ def test_read_posterior_csv_counts_visit_log(tmp_path):
         read_posterior_csv(bad, 3)
 
 
+def test_report_rejects_table_of_other_p(tmp_path, capsys):
+    # 8cc020f12 is a p=9 ID; under --p 10 it would read as other edges.
+    path = write(tmp_path / "visits.csv",
+                 "step,graph_id,k_edges,log_score,accepted\n"
+                 "1,8cc020f12,9,-3.0,1\n")
+    assert read_posterior_csv(path, 9) == [(0x8cc020f12, 1.0)]
+    out = tmp_path / "r"
+    assert main(["report", "--table", path, "--p", "10",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: {path}: row 2: graph_id '8cc020f12' has 9 hex digits, "
+        "as for p=9, not p=10")
+    assert not os.path.exists(out / "top_graphs.csv")
+    with pytest.raises(ParseError, match="row 2: .* as for p=1 or p=2 or p=3, not p=4"):
+        read_posterior_csv(write(tmp_path / "p3.csv", "graph_id,prob\n5,1.0\n"), 4)
+
+
 def test_manifest_round_trip(tmp_path):
     path = str(tmp_path / "manifest.txt")
     write_manifest(path, {"command": "count", "p": 4, "tau": 0.5,
@@ -292,6 +309,24 @@ def test_cli_sample_and_rerun_bit_identical(tmp_path, capsys, small_csv):
     assert ma.pop("out_dir") == out_a and mb.pop("out_dir") == out_b
     assert ma == mb
     assert ma["data_sha256"] == sha256_of(small_csv)
+
+
+def test_failed_run_leaves_no_manifest(tmp_path, capsys, small_csv, monkeypatch):
+    out = str(tmp_path / "a")
+    assert main(["sample", "--data", small_csv, "--n-steps", "50",
+                 "--n-burn", "0", "--seed", "3", "--out-dir", out]) == 0
+    manifest = os.path.join(out, "manifest.txt")
+    assert os.path.exists(manifest)
+
+    def broken_writer(path, log):
+        raise OSError(f"{path}: no space left on device")
+
+    # An in-place rerun that dies after writing visits.csv.
+    monkeypatch.setattr(cli, "write_acceptance_trace", broken_writer)
+    assert main(["rerun", manifest]) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert os.path.exists(os.path.join(out, "visits.csv"))
+    assert not os.path.exists(manifest)
 
 
 def test_cli_rerun_rejects_changed_inputs(tmp_path, capsys, small_csv):

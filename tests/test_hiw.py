@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from ebggm.errors import (
@@ -13,9 +16,10 @@ from ebggm.errors import (
     SingularScatterError,
     ZeroVarianceError,
 )
-from ebggm.graphs import Graph, graph_from_cliques, perfect_sequence, \
-    random_decomposable_graph
+from ebggm.graphs import Graph, bench9_graph, graph_from_cliques, iter_bits, \
+    perfect_sequence, random_decomposable_graph
 from ebggm.hiw import (
+    GRAPH_PRIORS,
     DatasetStats,
     Hyperparams,
     PosteriorScorer,
@@ -210,6 +214,51 @@ def test_scorer_matches_slow_path():
                 log_marginal_likelihood(g, stats_, hp), rel=1e-10, abs=1e-10)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([1, 2, 5, 9, 16, 32]),
+       seed=st.integers(0, 2**32 - 1),
+       log_taus=st.lists(st.floats(math.log(1e-4), math.log(1e2)),
+                         min_size=1, max_size=4),
+       kind=st.sampled_from(["scaled_identity", "empirical_gprior", "n_below_p"]),
+       graph_prior=st.sampled_from(GRAPH_PRIORS))
+def test_spectral_scorer_matches_cholesky_path(p, seed, log_taus, kind, graph_prior):
+    # One DatasetStats, so every scorer below reads the same cached spectra.
+    # The mixing has condition number at most 10.  With a scatter whose
+    # condition number nears 1e8, each path is itself about 1e-10 off an
+    # mpmath evaluation, so the two agree only to about 1e-9.
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    mix = (rot * np.exp(rng.uniform(math.log(0.1), 0.0, p))) @ rot.T
+    if kind == "n_below_p":
+        y = rng.standard_normal((max(1, p // 2), p)) @ mix
+        stats_ = DatasetStats(data=y, scatter=y.T @ y)
+    else:
+        stats_ = DatasetStats.from_data(rng.standard_normal((p + 10, p)) @ mix)
+    graphs = [Graph(p), Graph.complete(p)] + [
+        random_decomposable_graph(p, rng, walk_steps=8 * p) for _ in range(3)]
+    if kind == "empirical_gprior":
+        hps = [Hyperparams(delta=1.5, phi_mode=kind, graph_prior=graph_prior, r=0.3)]
+    else:
+        hps = [Hyperparams(delta=1.0, tau=math.exp(t), graph_prior=graph_prior, r=0.3)
+               for t in log_taus]
+    for hp in hps:
+        scorer = PosteriorScorer(stats_, hp)
+        for g in graphs:
+            assert scorer.score(g) == pytest.approx(
+                log_posterior_score(g, stats_, hp), rel=1e-10)
+
+
+def test_scorer_rejects_singular_gprior():
+    # n < p: scatter / n is singular, so the g-prior has no SPD Phi.
+    rng = np.random.default_rng(21)
+    for n, p in ((3, 5), (8, 9)):
+        stats_ = DatasetStats.from_data(rng.standard_normal((n, p)))
+        with pytest.raises(NotSPDError):
+            PosteriorScorer(stats_, Hyperparams(phi_mode="empirical_gprior"))
+    # The same data are fine under a scaled identity Phi.
+    PosteriorScorer(stats_, Hyperparams(tau=1e-4))
+
+
 def test_scorer_gprior_needs_no_tau():
     rng = np.random.default_rng(9)
     y = rng.standard_normal((9, 3))
@@ -350,6 +399,73 @@ def test_hiw_respects_perfect_sequence_argument():
     s1 = sample_hiw(g, 2.0, phi, rng1)
     s2 = sample_hiw(g, 2.0, phi, rng2, seq=perfect_sequence(g))
     np.testing.assert_allclose(s1, s2)
+
+
+def _reference_invwishart(df, scale, rng):
+    """Reference sample_invwishart: one scalar RNG call per Bartlett entry."""
+    q = scale.shape[0]
+    lo = np.linalg.cholesky(scale)
+    bart = np.zeros((q, q))
+    for i in range(q):
+        bart[i, i] = np.sqrt(rng.chisquare(df - i))
+        for j in range(i):
+            bart[i, j] = rng.standard_normal()
+    half = solve_triangular(bart, lo.T, lower=True).T
+    return half @ half.T
+
+
+def _reference_hiw(g, delta, phi, rng):
+    """Reference sample_hiw: np.ix_ blocks, a sorted list of placed vertices
+    and the first clique drawn on its own."""
+    seq = perfect_sequence(g)
+    sigma = np.zeros((g.p, g.p))
+    first = list(iter_bits(seq.clique_masks[0]))
+    sigma[np.ix_(first, first)] = _reference_invwishart(
+        delta + len(first) - 1, phi[np.ix_(first, first)], rng)
+    placed = list(first)
+    for cm, sm in zip(seq.clique_masks[1:], seq.separator_masks):
+        res = list(iter_bits(cm & ~sm))
+        df = delta + cm.bit_count() - 1
+        if not sm:
+            sigma[np.ix_(res, res)] = _reference_invwishart(
+                df, phi[np.ix_(res, res)], rng)
+            placed.extend(res)
+            placed.sort()
+            continue
+        sv = list(iter_bits(sm))
+        pss = phi[np.ix_(sv, sv)]
+        psr = phi[np.ix_(sv, res)]
+        prr = phi[np.ix_(res, res)]
+        lss = np.linalg.cholesky(pss)
+        m_reg = np.linalg.solve(pss, psr)
+        prr_s = prr - psr.T @ m_reg
+        prr_s = (prr_s + prr_s.T) / 2.0
+        u_blk = _reference_invwishart(df, prr_s, rng)
+        a_half = solve_triangular(lss, np.eye(len(sv)), lower=True).T
+        c_half = np.linalg.cholesky(u_blk)
+        b_reg = m_reg + a_half @ rng.standard_normal((len(sv), len(res))) @ c_half.T
+        cross = b_reg.T @ sigma[np.ix_(sv, placed)]
+        sigma[np.ix_(res, placed)] = cross
+        sigma[np.ix_(placed, res)] = cross.T
+        sigma[np.ix_(res, res)] = u_blk + b_reg.T @ sigma[np.ix_(sv, sv)] @ b_reg
+        placed.extend(res)
+        placed.sort()
+    return sigma
+
+
+def test_hiw_draw_is_bit_identical_to_reference():
+    grng = np.random.default_rng(22)
+    cases = [Graph(1), bench9_graph(), random_decomposable_graph(25, grng),
+             graph_from_cliques(8, [(0, 1, 2), (3, 4), (5,), (6, 7)])]
+    for g in cases:
+        a = grng.standard_normal((g.p + 2, g.p))
+        for delta, phi in ((1.0, 0.03 * np.eye(g.p)), (40.5, a.T @ a + np.eye(g.p))):
+            rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+            for _ in range(3):
+                got = sample_hiw(g, delta, phi, rng)
+                want = _reference_hiw(g, delta, phi, ref_rng)
+                assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_simulate_dataset_deterministic_and_consistent():
