@@ -166,6 +166,16 @@ def _hyperparams(cfg):
                        graph_prior=cfg.graph_prior, r=cfg.r)
 
 
+def _artifact(out, name):
+    """Path of an artifact in out, with any manifest there removed first.
+
+    A run that fails before its first write leaves the old manifest and
+    artifacts as they were; one that fails later leaves no manifest.
+    """
+    Path(out, MANIFEST).unlink(missing_ok=True)
+    return os.path.join(out, name)
+
+
 def _finish(cfg, out, extras):
     """Write the manifest for a resolved run; returns its path."""
     mapping = dataclasses.asdict(cfg)
@@ -197,12 +207,12 @@ def _write_report(out, p, pairs, top_k, stdout=None):
     """
     width = id_width(p)
     top = pairs[:top_k]
-    write_csv(os.path.join(out, "top_graphs.csv"),
+    write_csv(_artifact(out, "top_graphs.csv"),
               ("rank", "graph_id", "k_edges", "prob"),
               ((rank + 1, format(gid, f"0{width}x"), Graph(p, gid).edge_count, w)
                for rank, (gid, w) in enumerate(top)))
     incl = _inclusion_probs(p, pairs)
-    write_csv(os.path.join(out, "edge_marginals.csv"), ("i", "j", "prob"),
+    write_csv(_artifact(out, "edge_marginals.csv"), ("i", "j", "prob"),
               ((i + 1, j + 1, incl[k])
                for k, (i, j) in ((k, edge_pair(p, k)) for k in range(len(incl)))))
     lines = ["top graphs", "rank graph_id k_edges prob"]
@@ -215,10 +225,10 @@ def _write_report(out, p, pairs, top_k, stdout=None):
     for k in range(len(incl)):
         i, j = edge_pair(p, k)
         lines.append(f"{i + 1} {j + 1} {fmt(incl[k])}")
-    with open(os.path.join(out, "report.txt"), "w") as fh:
+    with open(_artifact(out, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for rank, (gid, _) in enumerate(top):
-        with open(os.path.join(out, f"top_{rank + 1}.dot"), "w") as fh:
+        with open(_artifact(out, f"top_{rank + 1}.dot"), "w") as fh:
             fh.write(to_dot(Graph(p, gid), name=f"G{rank + 1}"))
     if stdout is not None and top:
         gid, w = top[0]
@@ -237,7 +247,7 @@ def _cmd_count(cfg, out):
     dec = count_decomposable(cfg.p)
     line = f"p={cfg.p} total={total} decomposable={dec}"
     print(line)
-    with open(os.path.join(out, "counts.txt"), "w") as fh:
+    with open(_artifact(out, "counts.txt"), "w") as fh:
         fh.write(line + "\n")
     return cfg, {}
 
@@ -252,10 +262,11 @@ def _cmd_simulate(cfg, out):
         raise ValueError(f"--n must be at least 1, got {cfg.n}")
     rng = np.random.default_rng(cfg.seed)
     data, _ = simulate_dataset(g, cfg.tau, cfg.delta, cfg.n, rng)
-    write_data_csv(os.path.join(out, "data.csv"), data)
-    with open(os.path.join(out, "truth.dot"), "w") as fh:
+    data_path = _artifact(out, "data.csv")
+    write_data_csv(data_path, data)
+    with open(_artifact(out, "truth.dot"), "w") as fh:
         fh.write(to_dot(g, name="truth"))
-    print(f"data={os.path.join(out, 'data.csv')} graph_id={g.id_hex}")
+    print(f"data={data_path} graph_id={g.id_hex}")
     return replace(cfg, p=g.p), {"graph_id": g.id_hex}
 
 
@@ -263,7 +274,7 @@ def _cmd_exact(cfg, out):
     _require(cfg, "data", "CSV dataset path")
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
     table = exact_posterior(stats, _hyperparams(cfg))
-    write_posterior_csv(os.path.join(out, "posterior.csv"), table)
+    write_posterior_csv(_artifact(out, "posterior.csv"), table)
     pairs = list(zip(table.graph_ids, (float(x) for x in table.probs)))
     _write_report(out, stats.p, pairs, cfg.top_k, stdout=sys.stdout)
     return cfg, {"data_sha256": sha256_of(cfg.data), "p": stats.p}
@@ -285,8 +296,8 @@ def _cmd_sample(cfg, out):
                              scorer=scorer, moves=moves)
     state, log = run_chain(state, cfg.n_steps, stats, hp, kernel, rng,
                            scorer=scorer, moves=moves)
-    write_visit_log(os.path.join(out, "visits.csv"), log)
-    write_acceptance_trace(os.path.join(out, "acceptance.csv"), log)
+    write_visit_log(_artifact(out, "visits.csv"), log)
+    write_acceptance_trace(_artifact(out, "acceptance.csv"), log)
     counts = Counter(log.graph_ids)
     total = len(log)
     pairs = sorted(((gid, c / total) for gid, c in counts.items()),
@@ -311,7 +322,7 @@ def _cmd_fit(cfg, out):
                           init_r=cfg.init_r)
     rng = np.random.default_rng(cfg.seed)
     result = run_saem(stats, saem_cfg, hp_base, rng, kernel=kernel)
-    write_saem_trace(os.path.join(out, "saem_trace.csv"), result)
+    write_saem_trace(_artifact(out, "saem_trace.csv"), result)
     tail = result.trace[-min(50, len(result.trace)):, -1] if len(result.trace) \
         else np.zeros(1)
     summary = [f"tau_hat={fmt(result.tau)}",
@@ -319,7 +330,7 @@ def _cmd_fit(cfg, out):
                f"init_graph={result.init_graph.id_hex}",
                f"final_graph={result.final_state.graph.id_hex}",
                f"tail_accept_rate={fmt(float(np.mean(tail)))}"]
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
+    with open(_artifact(out, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"tau_hat={fmt(result.tau)} r_hat={fmt(result.r)}")
     return replace(cfg, kernel=mode, phi_mode="scaled_identity"), \
@@ -356,13 +367,12 @@ _RUNNERS = {"count": _cmd_count, "simulate": _cmd_simulate, "exact": _cmd_exact,
 def run_command(cfg: RunConfig):
     """Execute one command; returns the output directory used.
 
-    Any old manifest is removed first and the new one is written last, so a
-    manifest on disk always describes the artifacts beside it, even after a
-    run that failed part way.
+    Any old manifest is removed before the first artifact is written (see
+    _artifact) and the new one is written last, so a manifest on disk always
+    describes the artifacts beside it, even after a run that failed part way.
     """
     out = _resolve_out_dir(cfg)
     os.makedirs(out, exist_ok=True)
-    Path(out, MANIFEST).unlink(missing_ok=True)
     resolved, extras = _RUNNERS[cfg.command](replace(cfg, out_dir=out), out)
     _finish(resolved, out, extras)
     return out

@@ -30,6 +30,8 @@ LOG_2PI = log(2.0 * pi)
 
 PHI_MODES = ("scaled_identity", "empirical_gprior")
 GRAPH_PRIORS = ("bernoulli", "beta_binomial", "uniform")
+# largest condition number of shift * I + S_C scored from its eigenvalues
+SPECTRAL_COND = 1e4
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ class PosteriorScorer:
 
     A graph's score is a sum of clique and separator terms over its perfect
     sequence, so callers that hold the sequence (or a MoveCache entry) pass
-    it in rather than having it recomputed.  Each term comes in closed form
+    it in rather than having it recomputed.  A term comes in closed form
     from the block's scatter eigenvalues lam (DatasetStats.spectrum, shared
     by every scorer on the same stats, whatever tau), since Phi_C and
     Phi_C + S_C are both functions of S_C:
@@ -269,6 +271,12 @@ class PosteriorScorer:
                         log det(Phi_C + S_C) = sum log(tau + lam)
       empirical_gprior  log det Phi_C = sum log lam - q log n
                         log det(Phi_C + S_C) = sum log lam + q log(1 + 1/n)
+
+    eigvalsh gets each lam only to about eps * max(lam), so the closed form
+    is used while shift + lam (shift = tau or 0) spans at most SPECTRAL_COND
+    (an error of about q * eps * SPECTRAL_COND per log det).  A block past
+    that, as badly scaled raw columns or n < p with a small tau give, is
+    factored by Cholesky as log_hiw_constant does.
 
     Construction fails fast with NotSPDError when Phi + scatter is not SPD.
     """
@@ -280,11 +288,6 @@ class PosteriorScorer:
         n = stats.n
         scaled = hp.phi_mode == "scaled_identity"
         self._shift = hp.tau if scaled else 0.0
-        lam = stats.spectrum((1 << self.p) - 1)
-        low, high = self._shift + lam[0], self._shift + lam[-1]
-        # a numerically singular matrix fails here, as a Cholesky would
-        if not low > self.p * np.finfo(float).eps * abs(high):
-            raise NotSPDError("Phi + scatter is not symmetric positive definite")
         # both modes: log det(block) - q log 2 = q * k + w * sum log(shift + lam)
         if scaled:
             self._w_pri, self._k_pri, self._k_post = 0.0, log(hp.tau / 2.0), -log(2.0)
@@ -300,6 +303,7 @@ class PosteriorScorer:
                          for q in range(self.p + 1)]
         self._terms = {}
         self._priors = {}
+        self._term((1 << self.p) - 1)  # fails fast unless Phi + scatter is SPD
 
     def _term(self, mask):
         t = self._terms.get(mask)
@@ -307,13 +311,19 @@ class PosteriorScorer:
             return t
         lam = self.stats.spectrum(mask)
         q = len(lam)
-        try:
-            s = sum([log(self._shift + x) for x in lam])
-        except ValueError:
-            raise NotSPDError("Phi + scatter block is not positive definite") from None
-        pri = self._a_pri[q] * (q * self._k_pri + self._w_pri * s) - self._lg_pri[q]
-        post = self._a_post[q] * (q * self._k_post + s) - self._lg_post[q]
-        t = pri - post
+        shift = self._shift
+        low, high = shift + lam[0], shift + lam[-1]
+        if 0.0 < low and high <= low * SPECTRAL_COND:
+            s = sum([log(shift + x) for x in lam])
+            pri = self._a_pri[q] * (q * self._k_pri + self._w_pri * s) - self._lg_pri[q]
+            post = self._a_post[q] * (q * self._k_post + s) - self._lg_post[q]
+            t = pri - post
+        else:
+            idx = _index(mask)
+            blk = self.stats.scatter[idx[:, None], idx]
+            phi = shift * np.eye(q) if shift else blk / self.stats.n
+            d = self.hp.delta
+            t = log_iw_constant(phi, d) - log_iw_constant(phi + blk, d + self.stats.n)
         self._terms[mask] = t
         return t
 

@@ -318,6 +318,12 @@ def test_failed_run_leaves_no_manifest(tmp_path, capsys, small_csv, monkeypatch)
     manifest = os.path.join(out, "manifest.txt")
     assert os.path.exists(manifest)
 
+    # A run that fails before writing anything keeps the earlier manifest.
+    assert main(["report", "--table", os.path.join(out, "visits.csv"),
+                 "--p", "4", "--out-dir", out]) == 2
+    assert "not p=4" in capsys.readouterr().err
+    assert os.path.exists(manifest)
+
     def broken_writer(path, log):
         raise OSError(f"{path}: no space left on device")
 

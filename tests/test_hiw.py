@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
@@ -214,38 +212,38 @@ def test_scorer_matches_slow_path():
                 log_marginal_likelihood(g, stats_, hp), rel=1e-10, abs=1e-10)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(p=st.sampled_from([1, 2, 5, 9, 16, 32]),
-       seed=st.integers(0, 2**32 - 1),
-       log_taus=st.lists(st.floats(math.log(1e-4), math.log(1e2)),
-                         min_size=1, max_size=4),
-       kind=st.sampled_from(["scaled_identity", "empirical_gprior", "n_below_p"]),
-       graph_prior=st.sampled_from(GRAPH_PRIORS))
-def test_spectral_scorer_matches_cholesky_path(p, seed, log_taus, kind, graph_prior):
-    # One DatasetStats, so every scorer below reads the same cached spectra.
-    # The mixing has condition number at most 10.  With a scatter whose
-    # condition number nears 1e8, each path is itself about 1e-10 off an
-    # mpmath evaluation, so the two agree only to about 1e-9.
-    rng = np.random.default_rng(seed)
-    rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    mix = (rot * np.exp(rng.uniform(math.log(0.1), 0.0, p))) @ rot.T
-    if kind == "n_below_p":
-        y = rng.standard_normal((max(1, p // 2), p)) @ mix
-        stats_ = DatasetStats(data=y, scatter=y.T @ y)
-    else:
-        stats_ = DatasetStats.from_data(rng.standard_normal((p + 10, p)) @ mix)
-    graphs = [Graph(p), Graph.complete(p)] + [
-        random_decomposable_graph(p, rng, walk_steps=8 * p) for _ in range(3)]
-    if kind == "empirical_gprior":
-        hps = [Hyperparams(delta=1.5, phi_mode=kind, graph_prior=graph_prior, r=0.3)]
-    else:
-        hps = [Hyperparams(delta=1.0, tau=math.exp(t), graph_prior=graph_prior, r=0.3)
-               for t in log_taus]
-    for hp in hps:
-        scorer = PosteriorScorer(stats_, hp)
-        for g in graphs:
-            assert scorer.score(g) == pytest.approx(
-                log_posterior_score(g, stats_, hp), rel=1e-10)
+@pytest.mark.parametrize("kind", ["standardized", "raw", "n_below_p"])
+@pytest.mark.parametrize("p", [1, 2, 5, 9, 16, 32])
+def test_spectral_scorer_matches_cholesky_path(p, kind):
+    # Unconditioned random mixing.  "raw" scales the columns by 1e-3..1e3, as
+    # --no-standardize leaves them, and "n_below_p" has a rank-deficient
+    # scatter.  One DatasetStats is scored under several taus, so the later
+    # scorers read the spectra cached by the first.
+    for seed in range(4):
+        rng = np.random.default_rng([p, seed])
+        mix = rng.standard_normal((p, p))
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        if kind == "n_below_p":
+            y = rng.standard_normal((max(1, p // 2), p)) @ mix * scales
+            stats_ = DatasetStats(data=y, scatter=y.T @ y)
+        elif kind == "raw":
+            y = rng.standard_normal((p + 10, p)) @ mix * scales
+            stats_ = DatasetStats.from_data(y, standardize=False)
+        else:
+            stats_ = DatasetStats.from_data(rng.standard_normal((p + 10, p)) @ mix)
+        graphs = [Graph(p), Graph.complete(p)] + [
+            random_decomposable_graph(p, rng, walk_steps=8 * p) for _ in range(2)]
+        prior = GRAPH_PRIORS[seed % len(GRAPH_PRIORS)]
+        hps = [Hyperparams(tau=tau, graph_prior=prior, r=0.3)
+               for tau in 10.0 ** rng.uniform(-4.0, 2.0, 3)]
+        if kind != "n_below_p":
+            hps.append(Hyperparams(delta=1.5, phi_mode="empirical_gprior",
+                                   graph_prior=prior, r=0.3))
+        for hp in hps:
+            scorer = PosteriorScorer(stats_, hp)
+            for g in graphs:
+                assert scorer.score(g) == pytest.approx(
+                    log_posterior_score(g, stats_, hp), rel=1e-10)
 
 
 def test_scorer_rejects_singular_gprior():
