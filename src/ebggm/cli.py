@@ -88,6 +88,10 @@ class RunConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be at least 1, got {self.top_k}")
+        for name in ("n_steps", "n_burn"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, "
+                                 f"got {getattr(self, name)}")
 
 
 COMMANDS = ("fit", "sample", "exact", "count", "simulate", "report")
@@ -188,14 +192,15 @@ def _finish(cfg, out, extras):
 
 
 def _inclusion_probs(p, pairs):
+    """Per edge, the summed weight of the graphs holding it, added in pair order."""
     m = n_candidate_edges(p)
+    size = (m + 7) // 8
+    packed = b"".join(gid.to_bytes(size, "little") for gid, _ in pairs)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(pairs), size),
+                         axis=1, count=m, bitorder="little")
+    rows, cols = np.nonzero(bits)
     incl = np.zeros(m)
-    for gid, weight in pairs:
-        bits = gid
-        while bits:
-            low = bits & -bits
-            incl[low.bit_length() - 1] += weight
-            bits ^= low
+    np.add.at(incl, cols, np.array([w for _, w in pairs])[rows])
     return incl
 
 
@@ -209,7 +214,7 @@ def _write_report(out, p, pairs, top_k, stdout=None):
     top = pairs[:top_k]
     write_csv(_artifact(out, "top_graphs.csv"),
               ("rank", "graph_id", "k_edges", "prob"),
-              ((rank + 1, format(gid, f"0{width}x"), Graph(p, gid).edge_count, w)
+              ((rank + 1, format(gid, f"0{width}x"), gid.bit_count(), w)
                for rank, (gid, w) in enumerate(top)))
     incl = _inclusion_probs(p, pairs)
     write_csv(_artifact(out, "edge_marginals.csv"), ("i", "j", "prob"),
@@ -218,7 +223,7 @@ def _write_report(out, p, pairs, top_k, stdout=None):
     lines = ["top graphs", "rank graph_id k_edges prob"]
     for rank, (gid, w) in enumerate(top):
         lines.append(f"{rank + 1} {format(gid, f'0{width}x')} "
-                     f"{Graph(p, gid).edge_count} {fmt(w)}")
+                     f"{gid.bit_count()} {fmt(w)}")
     lines.append("")
     lines.append("edge inclusion probabilities")
     lines.append("i j prob")
@@ -275,7 +280,7 @@ def _cmd_exact(cfg, out):
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
     table = exact_posterior(stats, _hyperparams(cfg))
     write_posterior_csv(_artifact(out, "posterior.csv"), table)
-    pairs = list(zip(table.graph_ids, (float(x) for x in table.probs)))
+    pairs = list(zip(table.graph_ids, table.probs.tolist()))
     _write_report(out, stats.p, pairs, cfg.top_k, stdout=sys.stdout)
     return cfg, {"data_sha256": sha256_of(cfg.data), "p": stats.p}
 

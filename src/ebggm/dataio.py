@@ -93,27 +93,35 @@ def write_data_csv(path, data):
     write_csv(path, header, data)
 
 
+def _write_lines(path, header, lines):
+    """Write a CSV whose rows come formatted, each ending in \\r\\n as
+    csv.writer ends them; none of them needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
+
+
 def write_visit_log(path, log):
-    width = id_width(log.p)
-    rows = ((int(log.steps[t]), format(log.graph_ids[t], f"0{width}x"),
-             int(log.k_edges[t]), float(log.log_scores[t]), int(log.accepted[t]))
-            for t in range(len(log)))
-    write_csv(path, ("step", "graph_id", "k_edges", "log_score", "accepted"), rows)
+    row = f"%d,%0{id_width(log.p)}x,%d,%r,%d\r\n"
+    _write_lines(path, ("step", "graph_id", "k_edges", "log_score", "accepted"),
+                 (row % t for t in zip(log.steps.tolist(), log.graph_ids,
+                                       log.k_edges.tolist(), log.log_scores.tolist(),
+                                       log.accepted.tolist())))
 
 
 def write_acceptance_trace(path, log):
     rates = log.running_acceptance()
-    rows = ((int(log.steps[t]), float(rates[t])) for t in range(len(log)))
-    write_csv(path, ("step", "acceptance_rate"), rows)
+    _write_lines(path, ("step", "acceptance_rate"),
+                 ("%d,%r\r\n" % t for t in zip(log.steps.tolist(), rates.tolist())))
 
 
 def write_posterior_csv(path, table):
-    width = id_width(table.p)
-    rows = ((rank + 1, format(gid, f"0{width}x"), Graph(table.p, gid).edge_count,
-             float(pr), float(ls))
-            for rank, (gid, pr, ls) in enumerate(
-                zip(table.graph_ids, table.probs, table.log_scores)))
-    write_csv(path, ("rank", "graph_id", "k_edges", "prob", "log_score"), rows)
+    row = f"%d,%0{id_width(table.p)}x,%d,%r,%r\r\n"
+    ids = table.graph_ids
+    _write_lines(path, ("rank", "graph_id", "k_edges", "prob", "log_score"),
+                 (row % t for t in zip(range(1, len(ids) + 1), ids,
+                                       [gid.bit_count() for gid in ids],
+                                       table.probs.tolist(), table.log_scores.tolist())))
 
 
 def read_posterior_csv(path, p):

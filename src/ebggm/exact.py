@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import MismatchedModelError, TooLargeError
-from .graphs import Graph, enumerate_decomposable, n_candidate_edges, perfect_sequence
+from .graphs import Graph, enumerate_decomposable, n_candidate_edges
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import ChainLog
 
@@ -58,9 +58,9 @@ def exact_posterior(stats: DatasetStats, hp: Hyperparams):
     scorer = PosteriorScorer(stats, hp)
     ids = []
     scores = []
-    for g in enumerate_decomposable(p):
+    for g, seq in enumerate_decomposable(p):
         ids.append(g.edges)
-        scores.append(scorer.score(g))
+        scores.append(scorer.score(g, seq))
     scores = np.asarray(scores)
     log_norm = float(logsumexp(scores))
     probs = np.exp(scores - log_norm)
@@ -106,7 +106,20 @@ def exact_marginal_mle(stats: DatasetStats, delta, tau_grid=None, r_grid=None):
         raise TooLargeError(f"exact marginal MLE capped at p={_MLE_CAP_P}, got {p}")
     tau_grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
     r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    graphs = [(g, perfect_sequence(g)) for g in enumerate_decomposable(p)]
+    graphs = list(enumerate_decomposable(p))
+    # log_lik of graph a is incidence[a] @ (term of each vertex subset): +1
+    # per clique, -1 per nonempty separator.  A tau then costs one term per
+    # distinct subset instead of one sum per graph.
+    masks = sorted({mask for _, seq in graphs
+                    for mask in seq.clique_masks + seq.separator_masks} - {0})
+    column = {mask: c for c, mask in enumerate(masks)}
+    incidence = np.zeros((len(graphs), len(masks)))
+    for a, (_, seq) in enumerate(graphs):
+        for cm in seq.clique_masks:
+            incidence[a, column[cm]] += 1.0
+        for sm in seq.separator_masks:
+            if sm:
+                incidence[a, column[sm]] -= 1.0
     k_edges = np.array([g.edge_count for g, _ in graphs])
     m = n_candidate_edges(p)
     hp0 = Hyperparams(delta=delta, tau=1.0, graph_prior="bernoulli", r=0.5)
@@ -115,7 +128,7 @@ def exact_marginal_mle(stats: DatasetStats, delta, tau_grid=None, r_grid=None):
     log_1mr = np.log1p(-r_grid)
     for a, tau in enumerate(tau_grid):
         scorer = PosteriorScorer(stats, replace(hp0, tau=float(tau)))
-        liks = np.array([scorer.log_lik(g, seq) for g, seq in graphs])
+        liks = incidence @ np.array([scorer.term(mask) for mask in masks])
         # logsumexp over graphs of lik + k log r + (m - k) log(1 - r)
         stacked = liks[:, None] + np.outer(k_edges, log_r) + np.outer(m - k_edges, log_1mr)
         surface[a] = logsumexp(stacked, axis=0)

@@ -285,22 +285,12 @@ class PerfectSequence:
                      for i, s in enumerate(self.separator_masks))
 
 
-def perfect_sequence(g: Graph, tie_rng=None):
-    """Perfect clique sequence of a decomposable graph.
-
-    Raises NotDecomposableError when the graph is not chordal.  With
-    tie_rng, MCS ties are randomized; any resulting sequence is perfect and
-    the separator multiset does not change.
-    """
-    p = g.p
-    found = _mcs(p, g.adjacency, tie_rng)
-    if found is None:
-        raise NotDecomposableError(f"graph {g.id_hex} (p={g.p}) is not decomposable")
-    order, earlier = found
+def _sequence(order, earlier):
+    """PerfectSequence of a chordal graph from its MCS (order, earlier)."""
     # In an MCS order candidate k = earlier[k] + order[k] is a maximal
     # clique unless the next vertex extends it, i.e. earlier[k+1] equals it.
     cliques = []
-    for k in range(p - 1):
+    for k in range(len(order) - 1):
         cand = earlier[k] | (1 << order[k])
         if earlier[k + 1] != cand:
             cliques.append(cand)
@@ -311,6 +301,19 @@ def perfect_sequence(g: Graph, tie_rng=None):
         seps.append(c & seen)
         seen |= c
     return PerfectSequence(clique_masks=tuple(cliques), separator_masks=tuple(seps))
+
+
+def perfect_sequence(g: Graph, tie_rng=None):
+    """Perfect clique sequence of a decomposable graph.
+
+    Raises NotDecomposableError when the graph is not chordal.  With
+    tie_rng, MCS ties are randomized; any resulting sequence is perfect and
+    the separator multiset does not change.
+    """
+    found = _mcs(g.p, g.adjacency, tie_rng)
+    if found is None:
+        raise NotDecomposableError(f"graph {g.id_hex} (p={g.p}) is not decomposable")
+    return _sequence(*found)
 
 
 @lru_cache(maxsize=None)
@@ -405,20 +408,29 @@ def legal_additions(g: Graph, seq: PerfectSequence | None = None):
     return _pairs(g.p, addition_mask(g, seq))
 
 
+def nth_bit(mask, r):
+    """Position of the r-th lowest set bit of mask, counting from 0."""
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
 def random_decomposable_graph(p, rng, walk_steps=None):
-    """Random decomposable graph from a uniform-move add/delete walk."""
+    """Random decomposable graph from a uniform-move add/delete walk.
+
+    Each step picks a direction with probability 1/2 and flips the
+    rng.integers(n)-th of its n legal edges in edge order, if any.
+    """
     g = Graph(p)
     if walk_steps is None:
         walk_steps = 4 * n_candidate_edges(p)
     for _ in range(walk_steps):
-        if rng.random() < 0.5:
-            moves = legal_additions(g)
-            if moves:
-                g = g.add_edge(*moves[int(rng.integers(len(moves)))])
-        else:
-            moves = legal_deletions(g)
-            if moves:
-                g = g.remove_edge(*moves[int(rng.integers(len(moves)))])
+        add = rng.random() < 0.5
+        seq = perfect_sequence(g)
+        cand = addition_mask(g, seq) if add else deletion_mask(g, seq)
+        if cand:
+            k = nth_bit(cand, int(rng.integers(cand.bit_count())))
+            g = Graph(p, g.edges ^ (1 << k))
     return g
 
 
@@ -426,12 +438,14 @@ _SCAN_CAP_P = 8
 
 
 def _decomposable_edge_sets(p):
-    """Edge bitsets of every decomposable graph on p vertices, ascending.
+    """(edge bitset, MCS result) of every decomposable graph on p vertices.
 
-    Capped at p=8 (2^28 graphs); the p=8 scan takes on the order of an hour
-    in pure Python.  Going from bitset t-1 to t flips the edges set in
-    t ^ (t-1), two on average, so one adjacency is kept and updated rather
-    than rebuilt for every graph.
+    Bitsets come in ascending order, each with the (order, earlier) of the
+    maximum cardinality search that found it chordal.  Capped at p=8 (2^28
+    graphs); the p=8 scan takes on the order of an hour in pure Python.
+    Going from bitset t-1 to t flips the edges set in t ^ (t-1), two on
+    average, so one adjacency is kept and updated rather than rebuilt for
+    every graph.
     """
     if p < 1:
         raise ValueError(f"p must be at least 1, got {p}")
@@ -440,7 +454,7 @@ def _decomposable_edge_sets(p):
                             f"got {p}")
     table = _pair_table(p)
     adj = [0] * p
-    yield 0  # the empty graph
+    yield 0, _mcs(p, adj)  # the empty graph
     for t in range(1, 1 << n_candidate_edges(p)):
         flip = t ^ (t - 1)
         while flip:
@@ -449,13 +463,17 @@ def _decomposable_edge_sets(p):
             adj[i] ^= 1 << j
             adj[j] ^= 1 << i
             flip ^= b
-        if _mcs(p, adj) is not None:
-            yield t
+        found = _mcs(p, adj)
+        if found is not None:
+            yield t, found
 
 
 def enumerate_decomposable(p):
-    """Yield every decomposable graph on p vertices in ascending ID order."""
-    return (Graph(p, edges) for edges in _decomposable_edge_sets(p))
+    """Yield (graph, perfect sequence) for every decomposable graph on p
+    vertices, in ascending ID order; each sequence comes from the MCS that
+    recognised the graph as chordal."""
+    return ((Graph(p, edges), _sequence(*found))
+            for edges, found in _decomposable_edge_sets(p))
 
 
 def count_decomposable(p):

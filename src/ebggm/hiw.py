@@ -303,9 +303,12 @@ class PosteriorScorer:
                          for q in range(self.p + 1)]
         self._terms = {}
         self._priors = {}
-        self._term((1 << self.p) - 1)  # fails fast unless Phi + scatter is SPD
+        self.term((1 << self.p) - 1)  # fails fast unless Phi + scatter is SPD
 
-    def _term(self, mask):
+    def term(self, mask):
+        """log h(delta, Phi_C) - log h(delta + n, Phi_C + S_C) of the vertex
+        subset C in mask, memoized per mask.  log_lik adds it for every
+        clique and subtracts it for every nonempty separator."""
         t = self._terms.get(mask)
         if t is not None:
             return t
@@ -338,10 +341,10 @@ class PosteriorScorer:
             seq = perfect_sequence(g)
         val = 0.0
         for cm in seq.clique_masks:
-            val += self._term(cm)
+            val += self.term(cm)
         for sm in seq.separator_masks:
             if sm:
-                val -= self._term(sm)
+                val -= self.term(sm)
         return val
 
     def _log_prior_k(self, g: Graph):

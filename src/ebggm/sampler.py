@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularScatterError
 from .graphs import (Graph, addition_mask, deletion_mask, edge_pair, iter_bits,
-                     perfect_sequence)
+                     nth_bit, perfect_sequence)
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
@@ -91,13 +91,6 @@ class MoveCache:
         return got
 
 
-def _nth_bit(mask, r):
-    """Position of the r-th lowest set bit of mask, counting from 0."""
-    for _ in range(r):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
-
-
 def edge_weights(stats: DatasetStats, cfg: KernelConfig):
     """Clamped |K_ij| per edge slot and its reciprocal for deletions.
 
@@ -136,7 +129,7 @@ def _propose(g: Graph, moves: MoveCache, weights, do_delete, rng):
     if not cand:
         return None
     if weights is None:
-        k = _nth_bit(cand, int(rng.integers(cand.bit_count())))
+        k = nth_bit(cand, int(rng.integers(cand.bit_count())))
     else:
         w_rev, w_fwd = weights if do_delete else weights[::-1]
         total_fwd = _weight_total(w_fwd, cand)
@@ -212,6 +205,8 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     proposes uniformly and an odd one uses the weights.  Returns (final
     ChainState, ChainLog).
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     if scorer is None:
         scorer = PosteriorScorer(stats, hp)
     if moves is None:

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from ebggm import DatasetStats, Graph, Hyperparams, ParseError, cli, exact_posterior
+from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, ParseError, cli,
+                   exact_posterior, n_candidate_edges, random_decomposable_graph, run_chain)
 from ebggm.cli import (
     RunConfig,
     config_from_manifest,
@@ -19,9 +20,13 @@ from ebggm.dataio import (
     read_manifest,
     read_posterior_csv,
     sha256_of,
+    write_acceptance_trace,
+    write_csv,
     write_manifest,
     write_posterior_csv,
+    write_visit_log,
 )
+from ebggm.graphs import id_width
 
 
 def write(path, text):
@@ -132,6 +137,33 @@ def test_posterior_csv_round_trip(tmp_path):
         read_posterior_csv(path, 2)
 
 
+def test_writers_match_csv_writer(tmp_path):
+    # The posterior table, visit log and acceptance trace format their rows
+    # directly; they must give the bytes of csv.writer over fmt'd cells.
+    rng = np.random.default_rng(4)
+    stats = DatasetStats.from_data(rng.standard_normal((30, 4)))
+    hp = Hyperparams(delta=1.0, tau=0.5)
+    table = exact_posterior(stats, hp)
+    _, log = run_chain(Graph(4), 300, stats, hp, KernelConfig(), rng)
+    width = id_width(4)
+    cases = [
+        (write_posterior_csv, table, ("rank", "graph_id", "k_edges", "prob", "log_score"),
+         [(rank + 1, format(gid, f"0{width}x"), Graph(4, gid).edge_count, pr, ls)
+          for rank, (gid, pr, ls) in enumerate(zip(table.graph_ids, table.probs,
+                                                   table.log_scores))]),
+        (write_visit_log, log, ("step", "graph_id", "k_edges", "log_score", "accepted"),
+         [(s, format(gid, f"0{width}x"), k, ls, int(a)) for s, gid, k, ls, a in
+          zip(log.steps, log.graph_ids, log.k_edges, log.log_scores, log.accepted)]),
+        (write_acceptance_trace, log, ("step", "acceptance_rate"),
+         list(zip(log.steps, log.running_acceptance()))),
+    ]
+    for writer, obj, header, rows in cases:
+        writer(str(tmp_path / "got.csv"), obj)
+        write_csv(str(tmp_path / "want.csv"), header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), \
+            writer.__name__
+
+
 @pytest.mark.parametrize("rows, row, cell", [
     ("1,0,0,nan,0.0\n", 2, "nan"),
     ("1,1,1,inf,0.0\n", 2, "inf"),
@@ -175,6 +207,21 @@ def test_report_rejects_table_of_other_p(tmp_path, capsys):
     assert not os.path.exists(out / "top_graphs.csv")
     with pytest.raises(ParseError, match="row 2: .* as for p=1 or p=2 or p=3, not p=4"):
         read_posterior_csv(write(tmp_path / "p3.csv", "graph_id,prob\n5,1.0\n"), 4)
+
+
+@pytest.mark.parametrize("p", [12, 32])
+def test_inclusion_probs_match_bit_loop(p):
+    # IDs wider than 64 bits; the sums must equal a per-bit loop exactly.
+    rng = np.random.default_rng(p)
+    ids = [random_decomposable_graph(p, rng, walk_steps=6 * p).edges for _ in range(40)]
+    ids += [0, Graph.complete(p).edges]
+    weights = rng.dirichlet(np.ones(len(ids))).tolist()
+    want = np.zeros(n_candidate_edges(p))
+    for gid, w in zip(ids, weights):
+        for k in range(n_candidate_edges(p)):
+            if gid >> k & 1:
+                want[k] += w
+    assert np.array_equal(cli._inclusion_probs(p, list(zip(ids, weights))), want)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -456,6 +503,12 @@ def test_cli_error_paths(tmp_path, capsys):
     # Count with a vertex count below 1.
     assert main(["count", "--p", "-1", "--out-dir", out]) == 2
     assert capsys.readouterr().err.strip() == "error: p must be at least 1, got -1"
+    # Negative chain lengths name their option.
+    for flag, value in (("--n-steps", "-1"), ("--n-burn", "-3")):
+        assert main(["sample", "--data", str(tmp_path / "missing.csv"), flag, value,
+                     "--out-dir", out]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"error: {flag} must be nonnegative, got {value}"
     # Report on a table without a graph_id column.
     table = write(tmp_path / "t.csv", "a,b\n1,2\n")
     assert main(["report", "--table", table, "--p", "3",

@@ -10,6 +10,7 @@ from ebggm import (
     Graph,
     Hyperparams,
     MismatchedModelError,
+    PosteriorScorer,
     TooLargeError,
     chain_vs_exact,
     enumerate_decomposable,
@@ -33,7 +34,7 @@ def make_stats(p, n=50, seed=0, standardize=True):
 def test_enumeration_counts_and_order():
     counts = {2: 2, 3: 8, 4: 61, 5: 822}
     for p, want in counts.items():
-        graphs = list(enumerate_decomposable(p))
+        graphs = [g for g, _ in enumerate_decomposable(p)]
         assert len(graphs) == want
         ids = [g.edges for g in graphs]
         assert ids == sorted(ids)
@@ -62,7 +63,7 @@ def test_exact_posterior_matches_direct_aggregation():
     stats = make_stats(3, n=35, seed=2)
     hp = Hyperparams(delta=1.5, tau=0.9, graph_prior="bernoulli", r=0.3)
     table = exact_posterior(stats, hp)
-    graphs = list(enumerate_decomposable(3))
+    graphs = [g for g, _ in enumerate_decomposable(3)]
     scores = np.array([
         log_marginal_likelihood(g, stats, hp) + log_graph_prior(g, hp)
         for g in graphs
@@ -162,6 +163,21 @@ def test_marginal_mle_p2_matches_direct_sum():
     a_best, b_best = np.unravel_index(flat, surface.log_lik.shape)
     assert surface.tau_hat == tau_grid[a_best]
     assert surface.r_hat == r_grid[b_best]
+
+
+def test_marginal_mle_p4_matches_per_graph_sum():
+    stats = make_stats(4, n=30, seed=12)
+    tau_grid = np.array([0.02, 0.3, 1.0, 7.5])
+    r_grid = np.array([0.05, 0.5, 0.9])
+    surface = exact_marginal_mle(stats, delta=2.0, tau_grid=tau_grid, r_grid=r_grid)
+    graphs = [g for g in (Graph(4, e) for e in range(1 << 6)) if is_decomposable(g)]
+    k = np.array([g.edge_count for g in graphs])
+    for a, tau in enumerate(tau_grid):
+        scorer = PosteriorScorer(stats, Hyperparams(delta=2.0, tau=float(tau)))
+        liks = np.array([scorer.log_lik(g) for g in graphs])
+        for b, r in enumerate(r_grid):
+            want = logsumexp(liks + k * np.log(r) + (6 - k) * np.log1p(-r))
+            assert surface.log_lik[a, b] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_marginal_mle_default_grids_and_cap():

@@ -12,6 +12,7 @@ from ebggm.graphs import (
     deletion_mask,
     edge_index,
     edge_pair,
+    enumerate_decomposable,
     graph_from_cliques,
     is_decomposable,
     legal_additions,
@@ -269,6 +270,40 @@ def test_random_decomposable_graph_is_decomposable():
     ps = rng.integers(2, 13, size=60)
     for p in ps:
         assert is_decomposable(random_decomposable_graph(int(p), rng))
+
+
+def test_scan_sequences_match_perfect_sequence():
+    for p in range(1, 7):
+        for g, seq in enumerate_decomposable(p):
+            want = perfect_sequence(g)
+            assert seq.clique_masks == want.clique_masks
+            assert seq.separator_masks == want.separator_masks
+
+
+def list_walk(p, rng, walk_steps):
+    """The add/delete walk as it was written over the legal-move lists."""
+    g = Graph(p)
+    for _ in range(walk_steps):
+        if rng.random() < 0.5:
+            moves = legal_additions(g)
+            if moves:
+                g = g.add_edge(*moves[int(rng.integers(len(moves)))])
+        else:
+            moves = legal_deletions(g)
+            if moves:
+                g = g.remove_edge(*moves[int(rng.integers(len(moves)))])
+    return g
+
+
+@pytest.mark.parametrize("p,seed,walk_steps", [
+    (1, 0, 4), (2, 1, 4), (5, 2, None), (9, 3, None), (9, 4, None), (25, 5, None),
+    (32, 6, 256)])
+def test_random_walk_matches_list_walk(p, seed, walk_steps):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        steps = 4 * n_candidate_edges(p) if walk_steps is None else walk_steps
+        assert random_decomposable_graph(p, rng, walk_steps) == list_walk(p, ref, steps)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_count_small_p():

@@ -200,7 +200,7 @@ def test_detailed_balance_exact_p3(kernel):
     stats = make_stats(3, n=50, seed=11)
     hp = Hyperparams(delta=1.0, tau=0.8, graph_prior="bernoulli", r=0.4)
     scorer = PosteriorScorer(stats, hp)
-    graphs = list(enumerate_decomposable(3))
+    graphs = [g for g, _ in enumerate_decomposable(3)]
     assert len(graphs) == 8
     scores = np.array([scorer.score(g) for g in graphs])
     probs = np.exp(scores - scores.max())
