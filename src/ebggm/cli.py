@@ -33,8 +33,7 @@ from .graphs import Graph, count_decomposable, edge_pair, id_width, \
     n_candidate_edges, named_graph, to_dot
 from .hiw import Hyperparams, PosteriorScorer, simulate_dataset
 from .saem import SaemConfig, run_saem
-from .sampler import (ChainState, KernelConfig, MoveCache, auto_kernel_mode,
-                      run_chain)
+from .sampler import KernelConfig, MoveCache, auto_kernel_mode, run_chain
 
 OUT_DIR_ENV = "EBGGM_OUT_DIR"
 MANIFEST = "manifest.txt"
@@ -53,24 +52,24 @@ class RunConfig:
     center: bool = True
     standardize: bool = True
     # model hyperparameters
-    delta: float = 1.0
-    phi_mode: str = "scaled_identity"
-    tau: float = 1.0
-    graph_prior: str = "bernoulli"
-    r: float = 0.5
+    delta: float = Hyperparams.delta
+    phi_mode: str = Hyperparams.phi_mode
+    tau: float = Hyperparams.tau
+    graph_prior: str = Hyperparams.graph_prior
+    r: float = Hyperparams.r
     # chain settings
     kernel: str = "auto"
-    weight_floor: float = 1e-12
+    weight_floor: float = KernelConfig.weight_floor
     n_steps: int = 100000
     n_burn: int = 10000
     # EM settings
-    n_iter: int = 300
-    n_unit: int = 100
-    m_first: int = 500
-    m_rest: int = 10
-    n_warm: int = 5
-    init_tau: float = 1e-3
-    init_r: float = 0.5
+    n_iter: int = SaemConfig.n_iter
+    n_unit: int = SaemConfig.n_unit
+    m_first: int = SaemConfig.m_first
+    m_rest: int = SaemConfig.m_rest
+    n_warm: int = SaemConfig.n_warm
+    init_tau: float = SaemConfig.init_tau
+    init_r: float = SaemConfig.init_r
     # simulate / count / report inputs
     p: int = 0
     graph: str = ""
@@ -212,26 +211,22 @@ def _write_report(out, p, pairs, top_k, stdout=None):
     """
     width = id_width(p)
     top = pairs[:top_k]
-    write_csv(_artifact(out, "top_graphs.csv"),
-              ("rank", "graph_id", "k_edges", "prob"),
-              ((rank + 1, format(gid, f"0{width}x"), gid.bit_count(), w)
-               for rank, (gid, w) in enumerate(top)))
     incl = _inclusion_probs(p, pairs)
-    write_csv(_artifact(out, "edge_marginals.csv"), ("i", "j", "prob"),
-              ((i + 1, j + 1, incl[k])
-               for k, (i, j) in ((k, edge_pair(p, k)) for k in range(len(incl)))))
-    lines = ["top graphs", "rank graph_id k_edges prob"]
-    for rank, (gid, w) in enumerate(top):
-        lines.append(f"{rank + 1} {format(gid, f'0{width}x')} "
-                     f"{gid.bit_count()} {fmt(w)}")
-    lines.append("")
-    lines.append("edge inclusion probabilities")
-    lines.append("i j prob")
-    for k in range(len(incl)):
-        i, j = edge_pair(p, k)
-        lines.append(f"{i + 1} {j + 1} {fmt(incl[k])}")
+    tables = (
+        ("top graphs", "top_graphs.csv", ("rank", "graph_id", "k_edges", "prob"),
+         [(rank + 1, format(gid, f"0{width}x"), gid.bit_count(), w)
+          for rank, (gid, w) in enumerate(top)]),
+        ("edge inclusion probabilities", "edge_marginals.csv", ("i", "j", "prob"),
+         [(i + 1, j + 1, incl[k])
+          for k, (i, j) in ((k, edge_pair(p, k)) for k in range(len(incl)))]),
+    )
+    blocks = []
+    for title, name, header, rows in tables:
+        write_csv(_artifact(out, name), header, rows)
+        blocks.append("".join(line + "\n" for line in (
+            title, " ".join(header), *(" ".join(map(fmt, row)) for row in rows))))
     with open(_artifact(out, "report.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(blocks))
     for rank, (gid, _) in enumerate(top):
         with open(_artifact(out, f"top_{rank + 1}.dot"), "w") as fh:
             fh.write(to_dot(Graph(p, gid), name=f"G{rank + 1}"))
@@ -294,13 +289,12 @@ def _cmd_sample(cfg, out):
     rng = np.random.default_rng(cfg.seed)
     scorer = PosteriorScorer(stats, hp)
     moves = MoveCache()
-    g0 = Graph(stats.p)
-    state = ChainState(g0, scorer.score(g0, moves.moves(g0)))
+    start = Graph(stats.p)
     if cfg.n_burn:
-        state, _ = run_chain(state, cfg.n_burn, stats, hp, kernel, rng,
+        start, _ = run_chain(start, cfg.n_burn, stats, hp, kernel, rng,
                              scorer=scorer, moves=moves)
-    state, log = run_chain(state, cfg.n_steps, stats, hp, kernel, rng,
-                           scorer=scorer, moves=moves)
+    _, log = run_chain(start, cfg.n_steps, stats, hp, kernel, rng,
+                       scorer=scorer, moves=moves)
     write_visit_log(_artifact(out, "visits.csv"), log)
     write_acceptance_trace(_artifact(out, "acceptance.csv"), log)
     counts = Counter(log.graph_ids)
@@ -315,16 +309,17 @@ def _cmd_sample(cfg, out):
 
 def _cmd_fit(cfg, out):
     _require(cfg, "data", "CSV dataset path")
-    stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
-    mode = _resolve_kernel(cfg, stats)
-    kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
-    hp_base = Hyperparams(delta=cfg.delta, phi_mode="scaled_identity",
-                          tau=cfg.init_tau, graph_prior=cfg.graph_prior,
-                          r=cfg.init_r)
+    # SaemConfig first, so that a bad init_tau or init_r is named as such
     saem_cfg = SaemConfig(n_iter=cfg.n_iter, n_unit=cfg.n_unit,
                           m_first=cfg.m_first, m_rest=cfg.m_rest,
                           n_warm=cfg.n_warm, init_tau=cfg.init_tau,
                           init_r=cfg.init_r)
+    hp_base = Hyperparams(delta=cfg.delta, phi_mode="scaled_identity",
+                          tau=cfg.init_tau, graph_prior=cfg.graph_prior,
+                          r=cfg.init_r)
+    stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
+    mode = _resolve_kernel(cfg, stats)
+    kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
     rng = np.random.default_rng(cfg.seed)
     result = run_saem(stats, saem_cfg, hp_base, rng, kernel=kernel)
     write_saem_trace(_artifact(out, "saem_trace.csv"), result)

@@ -80,11 +80,7 @@ def fmt(value):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+    _write_lines(path, header, (",".join(map(fmt, row)) + "\r\n" for row in rows))
 
 
 def write_data_csv(path, data):
@@ -103,9 +99,10 @@ def _write_lines(path, header, lines):
 
 def write_visit_log(path, log):
     row = f"%d,%0{id_width(log.p)}x,%d,%r,%d\r\n"
+    ids = log.graph_ids
     _write_lines(path, ("step", "graph_id", "k_edges", "log_score", "accepted"),
-                 (row % t for t in zip(log.steps.tolist(), log.graph_ids,
-                                       log.k_edges.tolist(), log.log_scores.tolist(),
+                 (row % t for t in zip(log.steps.tolist(), ids, map(int.bit_count, ids),
+                                       map(float, log.log_scores),
                                        log.accepted.tolist())))
 
 

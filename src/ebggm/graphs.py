@@ -263,8 +263,7 @@ class PerfectSequence:
 
     clique_masks[0..k-1] satisfy the running intersection property; for
     i >= 1, separator_masks[i-1] = clique_masks[i] & (clique_masks[0] | ...
-    | clique_masks[i-1]).  The vertex-set views and the histories (index of
-    one earlier clique holding each separator) are derived on first use.
+    | clique_masks[i-1]).  The vertex-set views are derived on first use.
     """
 
     clique_masks: tuple
@@ -277,12 +276,6 @@ class PerfectSequence:
     @cached_property
     def separators(self):
         return tuple(frozenset(iter_bits(s)) for s in self.separator_masks)
-
-    @cached_property
-    def histories(self):
-        cms = self.clique_masks
-        return tuple(next(j for j in range(i + 1) if s & ~cms[j] == 0)
-                     for i, s in enumerate(self.separator_masks))
 
 
 def _sequence(order, earlier):

@@ -359,9 +359,6 @@ class PosteriorScorer:
         """Unnormalized log posterior of the graph (2 pi factor dropped)."""
         return self.log_lik(g, seq) + self._log_prior_k(g)
 
-    def log_marginal(self, g: Graph, seq=None):
-        return self.log_lik(g, seq) - self.stats.n * self.p / 2.0 * LOG_2PI
-
 
 def sample_invwishart(df, scale, rng):
     """Draw from the inverse Wishart via the Bartlett decomposition.

@@ -55,11 +55,17 @@ class SaemConfig:
 
     def __post_init__(self):
         if self.n_iter < 0 or not 0 <= self.n_unit < max(self.n_iter, 1):
-            raise ValueError("need 0 <= n_unit < n_iter")
-        if self.m_first < 1 or self.m_rest < 1 or self.n_warm < 0:
-            raise ValueError("chain step counts must be positive")
-        if not self.init_tau > 0 or not 0.0 < self.init_r < 1.0:
-            raise ValueError("init_tau must be positive and init_r in (0, 1)")
+            raise ValueError(f"need 0 <= n_unit < n_iter, got n_unit={self.n_unit}, "
+                             f"n_iter={self.n_iter}")
+        for name in ("m_first", "m_rest"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_warm < 0:
+            raise ValueError(f"n_warm must be nonnegative, got {self.n_warm}")
+        if not self.init_tau > 0:
+            raise ValueError(f"init_tau must be positive, got {self.init_tau}")
+        if not 0.0 < self.init_r < 1.0:
+            raise ValueError(f"init_r must lie in (0, 1), got {self.init_r}")
 
 
 def step_size(k, n_unit):
@@ -164,7 +170,8 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     scorer = PosteriorScorer(stats, hp)
     g0 = init_graph_backward(stats, hp, scorer)
     moves = MoveCache()
-    state = ChainState(g0, scorer.score(g0, moves.moves(g0)))
+    entry = moves.moves(g0)
+    state = ChainState(g0, scorer.score(g0, entry), entry)
     weights = edge_weights(stats, kernel) if kernel.mode != "add_delete" else None
     s = SufficientStats(0.0, 0.0, 0.0)
     trace = np.empty((cfg.n_iter, len(TRACE_COLUMNS)))
@@ -174,8 +181,7 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
         state, sigma = sample_graph_and_sigma(
             state, stats, hp, n_chain, rng, cfg=kernel,
             scorer=scorer, moves=moves, weights=weights)
-        entry = moves.moves(state.graph)
-        sample = compute_suff_stats(state.graph, sigma, entry)
+        sample = compute_suff_stats(state.graph, sigma, state.entry)
         s = sa_update(s, sample, step_size(k, cfg.n_unit))
         tau, r_new = m_step(s, hp_base.delta, p, m)
         if estimate_r:
@@ -187,6 +193,5 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
         trace[k - 1] = (k, tau, r, s.s1, s.s2, s.s3, accept_rate)
         hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
         scorer = PosteriorScorer(stats, hp)
-        state = ChainState(state.graph, scorer.score(state.graph, entry),
-                           state.step_index, state.accept_count)
+        state = replace(state, log_score=scorer.score(state.graph, state.entry))
     return SaemResult(tau=tau, r=r, trace=trace, final_state=state, init_graph=g0)

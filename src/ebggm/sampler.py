@@ -11,8 +11,9 @@ counts as a rejected step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import exp, log
+from operator import ne
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,8 @@ class KernelConfig:
 
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
-            raise ValueError(f"mode must be one of {KERNEL_MODES}")
+            raise ValueError(f"kernel mode must be one of {KERNEL_MODES}, "
+                             f"got {self.mode!r}")
         if not 0.0 < self.weight_floor <= 1.0:
             raise ValueError("weight_floor must lie in (0, 1]")
 
@@ -47,14 +49,6 @@ def auto_kernel_mode(stats: DatasetStats):
     except SingularScatterError:
         return "add_delete"
     return "alternate"
-
-
-@dataclass(frozen=True)
-class ChainState:
-    graph: Graph
-    log_score: float
-    step_index: int = 0
-    accept_count: int = 0
 
 
 class Moves(NamedTuple):
@@ -91,6 +85,17 @@ class MoveCache:
         return got
 
 
+@dataclass(frozen=True)
+class ChainState:
+    """Where a chain stands: its graph, that graph's score and Moves entry."""
+
+    graph: Graph
+    log_score: float
+    entry: Moves
+    step_index: int = 0
+    accept_count: int = 0
+
+
 def edge_weights(stats: DatasetStats, cfg: KernelConfig):
     """Clamped |K_ij| per edge slot and its reciprocal for deletions.
 
@@ -115,8 +120,8 @@ def _weight_total(weights, mask):
     return total
 
 
-def _propose(g: Graph, moves: MoveCache, weights, do_delete, rng):
-    """Add-delete move in the chosen direction.
+def _propose(g: Graph, here: Moves, moves: MoveCache, weights, do_delete, rng):
+    """Add-delete move from g, whose Moves entry is here, in the chosen direction.
 
     weights=None picks a legal move uniformly; otherwise weights is the
     (addition, deletion) pair from edge_weights, summed over candidate edges
@@ -124,7 +129,6 @@ def _propose(g: Graph, moves: MoveCache, weights, do_delete, rng):
     entry of the proposal), or None when the direction has no legal move.
     The log q-ratio is log q(reverse move) - log q(forward move).
     """
-    here = moves.moves(g)
     cand = here.deletions if do_delete else here.additions
     if not cand:
         return None
@@ -161,38 +165,55 @@ def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, moves: MoveCache
     proposes uniformly among the legal moves, edge_weights output biases the
     proposal toward large (additions) or small (deletions) |K_ij|.  A
     direction with no legal move is a null proposal and counts as a
-    rejected step.
+    rejected step.  Only the proposal is looked up in moves; the current
+    graph's entry comes with the state.
     """
     do_delete = rng.random() < 0.5
-    proposal = _propose(state.graph, moves, weights, do_delete, rng)
+    proposal = _propose(state.graph, state.entry, moves, weights, do_delete, rng)
+    step = state.step_index + 1
     if proposal is not None:
         gp, _, log_q_ratio, entry = proposal
         score = scorer.score(gp, entry)
         log_alpha = score - state.log_score + log_q_ratio
         if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-            return ChainState(gp, score, state.step_index + 1, state.accept_count + 1)
-    return replace(state, step_index=state.step_index + 1)
+            return ChainState(gp, score, entry, step, state.accept_count + 1)
+    return ChainState(state.graph, state.log_score, state.entry, step,
+                      state.accept_count)
 
 
 @dataclass
 class ChainLog:
-    """Per-step visit record of one chain run."""
+    """Per-step visit record of one chain run: graph IDs and log scores.
+
+    start_step and start_id are the step index and graph ID before the
+    first logged step.  Every proposal flips one edge, so a step was
+    accepted exactly when its graph differs from the one before it.
+    """
 
     p: int
-    steps: np.ndarray
+    start_step: int
+    start_id: int
     graph_ids: list
-    k_edges: np.ndarray
-    log_scores: np.ndarray
-    accepted: np.ndarray
+    log_scores: list
 
     def __len__(self):
         return len(self.graph_ids)
 
+    @property
+    def steps(self):
+        return np.arange(self.start_step + 1, self.start_step + len(self) + 1)
+
+    @property
+    def accepted(self):
+        before = [self.start_id] + self.graph_ids
+        return np.fromiter(map(ne, self.graph_ids, before), dtype=bool,
+                           count=len(self))
+
     def running_acceptance(self):
-        return np.cumsum(self.accepted) / np.arange(1, len(self.accepted) + 1)
+        return np.cumsum(self.accepted) / np.arange(1, len(self) + 1)
 
     def acceptance_rate(self):
-        return float(np.mean(self.accepted)) if len(self.accepted) else 0.0
+        return float(np.mean(self.accepted)) if len(self) else 0.0
 
 
 def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
@@ -212,7 +233,8 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     if moves is None:
         moves = MoveCache()
     if isinstance(init, Graph):
-        state = ChainState(init, scorer.score(init, moves.moves(init)))
+        entry = moves.moves(init)
+        state = ChainState(init, scorer.score(init, entry), entry)
     else:
         state = init
     if cfg.mode == "add_delete":
@@ -221,22 +243,13 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
         if weights is None:
             weights = edge_weights(stats, cfg)
         by_parity = (None, weights) if cfg.mode == "alternate" else (weights, weights)
-    ids = []
-    ks = np.empty(n_steps, dtype=np.int64)
-    scores = np.empty(n_steps, dtype=float)
-    accepted = np.empty(n_steps, dtype=bool)
-    steps = np.empty(n_steps, dtype=np.int64)
-    for t in range(n_steps):
-        prev_accepts = state.accept_count
+    log = ChainLog(stats.p, state.step_index, state.graph.edges, [], [])
+    for _ in range(n_steps):
         state = mh_step(state, rng, scorer=scorer, moves=moves,
                         weights=by_parity[state.step_index % 2])
-        ids.append(state.graph.edges)
-        ks[t] = state.graph.edge_count
-        scores[t] = state.log_score
-        accepted[t] = state.accept_count > prev_accepts
-        steps[t] = state.step_index
-    return state, ChainLog(p=stats.p, steps=steps, graph_ids=ids,
-                           k_edges=ks, log_scores=scores, accepted=accepted)
+        log.graph_ids.append(state.graph.edges)
+        log.log_scores.append(state.log_score)
+    return state, log
 
 
 def sample_graph_and_sigma(state: ChainState, stats: DatasetStats, hp: Hyperparams,
@@ -248,11 +261,8 @@ def sample_graph_and_sigma(state: ChainState, stats: DatasetStats, hp: Hyperpara
     Returns (new ChainState, sigma).  The drawn sigma follows the
     graph-constrained law with degrees delta + n and scale Phi + scatter.
     """
-    if moves is None:
-        moves = MoveCache()
     state, _ = run_chain(state, M, stats, hp, cfg or KernelConfig(), rng,
                          scorer=scorer, moves=moves, weights=weights)
     post_scale = phi_matrix(hp, stats) + stats.scatter
-    sigma = sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng,
-                       moves.moves(state.graph))
-    return state, sigma
+    return state, sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng,
+                             state.entry)

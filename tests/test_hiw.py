@@ -208,8 +208,6 @@ def test_scorer_matches_slow_path():
             g = random_decomposable_graph(5, rng)
             assert scorer.score(g) == pytest.approx(
                 log_posterior_score(g, stats_, hp), rel=1e-10, abs=1e-10)
-            assert scorer.log_marginal(g) == pytest.approx(
-                log_marginal_likelihood(g, stats_, hp), rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["standardized", "raw", "n_below_p"])

@@ -78,7 +78,7 @@ def test_uniform_proposal_ratio_from_empty():
     g = Graph(3, 0)
     moves = MoveCache()
     rng = ScriptedRng(ints=[1])
-    gp, (i, j), log_q, entry = _propose(g, moves, None, False, rng)
+    gp, (i, j), log_q, entry = _propose(g, moves.moves(g), moves, None, False, rng)
     assert gp.edge_count == 1
     assert gp.has_edge(i, j)
     assert (i, j) == (0, 2)  # the second of the three additions
@@ -88,8 +88,9 @@ def test_uniform_proposal_ratio_from_empty():
 
 def test_uniform_proposal_none_without_moves():
     moves = MoveCache()
-    assert _propose(Graph(3, 0), moves, None, True, ScriptedRng()) is None
-    assert _propose(Graph.complete(3), moves, None, False, ScriptedRng()) is None
+    empty, full = Graph(3, 0), Graph.complete(3)
+    assert _propose(empty, moves.moves(empty), moves, None, True, ScriptedRng()) is None
+    assert _propose(full, moves.moves(full), moves, None, False, ScriptedRng()) is None
 
 
 def test_null_step_counts_as_rejection():
@@ -97,7 +98,7 @@ def test_null_step_counts_as_rejection():
     hp = Hyperparams(delta=1.0, tau=1.0)
     scorer = PosteriorScorer(stats, hp)
     g = Graph(3, 0)
-    state = ChainState(g, scorer.score(g))
+    state = ChainState(g, scorer.score(g), MoveCache().moves(g))
     # random() = 0.4 forces the delete direction, which is empty here.
     out = mh_step(state, ScriptedRng(randoms=[0.4]), scorer=scorer,
                   moves=MoveCache())
@@ -106,7 +107,7 @@ def test_null_step_counts_as_rejection():
     assert out.accept_count == state.accept_count
 
     full = Graph.complete(3)
-    state = ChainState(full, scorer.score(full))
+    state = ChainState(full, scorer.score(full), MoveCache().moves(full))
     out = mh_step(state, ScriptedRng(randoms=[0.6]), scorer=scorer,
                   moves=MoveCache())
     assert out.graph == full
@@ -133,6 +134,38 @@ def test_move_cache_matches_fresh_computation():
             # Second lookup hits the memo and returns the identical object.
             assert cache.moves(g) is cache.moves(Graph(p, edges))
         assert checked > 0
+
+
+def test_move_cache_asked_once_per_proposal_and_start(monkeypatch, move_lookups):
+    # The current graph's Moves entry rides on the chain state, so the cache
+    # is asked once per chain start and once per non-null proposal.
+    import ebggm.saem as saem_mod
+    from ebggm import SaemConfig, run_saem
+
+    made = move_lookups.made
+    stats = make_stats(3, n=40, seed=2)
+    hp = Hyperparams(delta=1.0, tau=0.5)
+    scorer = PosteriorScorer(stats, hp)
+    moves = move_lookups.cache()
+    rng = np.random.default_rng(9)
+    cfg = KernelConfig(mode="alternate")
+    state, _ = run_chain(Graph(3, 0), 300, stats, hp, cfg, rng, scorer=scorer,
+                         moves=moves)
+    assert len(made) == 300 and not all(made)  # p=3 chains hit null proposals
+    assert moves.calls == 1 + sum(made)
+    # A chain resumed from a state, and the HIW draw after it, ask nothing more.
+    made.clear()
+    moves.calls = 0
+    state, _ = run_chain(state, 50, stats, hp, cfg, rng, scorer=scorer, moves=moves)
+    sample_graph_and_sigma(state, stats, hp, 40, rng, cfg, scorer=scorer, moves=moves)
+    assert moves.calls == sum(made)
+    # SAEM: one start for the whole fit.
+    made.clear()
+    monkeypatch.setattr(saem_mod, "MoveCache", move_lookups.cache)
+    run_saem(stats, SaemConfig(n_iter=12, n_unit=4, m_first=20, m_rest=5, n_warm=2),
+             Hyperparams(delta=1.0, tau=1.0), rng, kernel=cfg)
+    assert len(made) == 2 * 20 + 10 * 5
+    assert move_lookups.caches[-1].calls == 1 + sum(made)
 
 
 def test_edge_weights_values_and_clamping():
@@ -224,7 +257,7 @@ def test_weighted_proposal_log_ratio_matches_hand_computation():
     moves = MoveCache()
     # Force the first candidate whose cumulative weight exceeds the target.
     rng = ScriptedRng(randoms=[0.0])
-    gp, (i, j), log_q, entry = _propose(g, moves, weights, False, rng)
+    gp, (i, j), log_q, entry = _propose(g, moves.moves(g), moves, weights, False, rng)
     assert entry is moves.moves(gp)
     k = edge_index(3, i, j)
     assert k == 0
@@ -248,7 +281,7 @@ def test_run_chain_is_deterministic():
     assert s1 == s2
     assert l1.graph_ids == l2.graph_ids
     assert np.array_equal(l1.accepted, l2.accepted)
-    assert np.array_equal(l1.k_edges, l2.k_edges)
+    assert [g.bit_count() for g in l1.graph_ids] == [g.bit_count() for g in l2.graph_ids]
     assert np.allclose(l1.log_scores, l2.log_scores, rtol=0, atol=0)
 
 
@@ -287,15 +320,12 @@ def test_run_chain_resumes_from_state():
 
 
 def test_chain_log_acceptance_helpers():
-    log = ChainLog(p=2, steps=np.arange(1, 5), graph_ids=[0, 1, 1, 0],
-                   k_edges=np.array([0, 1, 1, 0]),
-                   log_scores=np.zeros(4),
-                   accepted=np.array([True, False, True, True]))
+    log = ChainLog(p=2, start_step=0, start_id=0, graph_ids=[1, 1, 0, 1],
+                   log_scores=[0.0] * 4)
+    assert np.array_equal(log.accepted, [True, False, True, True])
     assert np.allclose(log.running_acceptance(), [1.0, 0.5, 2.0 / 3.0, 0.75])
     assert log.acceptance_rate() == pytest.approx(0.75)
-    empty = ChainLog(p=2, steps=np.empty(0, dtype=int), graph_ids=[],
-                     k_edges=np.empty(0, dtype=int), log_scores=np.empty(0),
-                     accepted=np.empty(0, dtype=bool))
+    empty = ChainLog(p=2, start_step=0, start_id=0, graph_ids=[], log_scores=[])
     assert empty.acceptance_rate() == 0.0
 
 
@@ -326,7 +356,7 @@ def test_alternate_kernel_switches_by_parity(monkeypatch):
     calls.clear()
     scorer = PosteriorScorer(stats, hp)
     g = Graph(3, 0)
-    state = ChainState(g, scorer.score(g), step_index=1)
+    state = ChainState(g, scorer.score(g), MoveCache().moves(g), step_index=1)
     run_chain(state, 2, stats, hp, cfg, np.random.default_rng(3))
     assert [mode for mode, _ in calls] == ["data_driven", "add_delete"]
 
@@ -339,7 +369,7 @@ def test_data_driven_step_runs_and_moves():
     moves = MoveCache()
     weights = edge_weights(stats, cfg)
     g = Graph(4, 0)
-    state = ChainState(g, scorer.score(g))
+    state = ChainState(g, scorer.score(g), moves.moves(g))
     rng = np.random.default_rng(17)
     seen = {g.edges}
     for _ in range(200):
@@ -372,7 +402,7 @@ def test_sample_graph_and_sigma_advances_and_respects_graph():
     hp = Hyperparams(delta=1.0, tau=1.0)
     scorer = PosteriorScorer(stats, hp)
     g = Graph.from_edge_list(4, [(0, 1), (1, 2)])
-    state = ChainState(g, scorer.score(g))
+    state = ChainState(g, scorer.score(g), MoveCache().moves(g))
     rng = np.random.default_rng(41)
     new_state, sigma = sample_graph_and_sigma(state, stats, hp, 30, rng,
                                               scorer=scorer)
@@ -401,7 +431,7 @@ def test_sample_graph_and_sigma_deterministic():
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(77)
-        state = ChainState(g, scorer.score(g))
+        state = ChainState(g, scorer.score(g), MoveCache().moves(g))
         state, sigma = sample_graph_and_sigma(state, stats, hp, 20, rng,
                                               scorer=scorer)
         draws.append((state.graph.edges, sigma))
