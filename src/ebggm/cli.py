@@ -33,7 +33,7 @@ from .graphs import Graph, count_decomposable, edge_pair, id_width, \
     n_candidate_edges, named_graph, to_dot
 from .hiw import Hyperparams, PosteriorScorer, simulate_dataset
 from .saem import SaemConfig, run_saem
-from .sampler import KernelConfig, MoveCache, auto_kernel_mode, run_chain
+from .sampler import KERNEL_MODES, KernelConfig, MoveCache, auto_kernel_mode, run_chain
 
 OUT_DIR_ENV = "EBGGM_OUT_DIR"
 MANIFEST = "manifest.txt"
@@ -87,13 +87,18 @@ class RunConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be at least 1, got {self.top_k}")
-        for name in ("n_steps", "n_burn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, "
-                                 f"got {getattr(self, name)}")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"--kernel must be one of {KERNELS}, got {self.kernel!r}")
+        if not 0.0 < self.weight_floor <= 1.0:
+            raise ValueError(f"--weight-floor must lie in (0, 1], got {self.weight_floor}")
+        if self.n_steps < 1:
+            raise ValueError(f"--n-steps must be at least 1, got {self.n_steps}")
+        if self.n_burn < 0:
+            raise ValueError(f"--n-burn must be nonnegative, got {self.n_burn}")
 
 
 COMMANDS = ("fit", "sample", "exact", "count", "simulate", "report")
+KERNELS = ("auto", *KERNEL_MODES)
 _HINTS = typing.get_type_hints(RunConfig)
 
 
@@ -272,8 +277,9 @@ def _cmd_simulate(cfg, out):
 
 def _cmd_exact(cfg, out):
     _require(cfg, "data", "CSV dataset path")
+    hp = _hyperparams(cfg)
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
-    table = exact_posterior(stats, _hyperparams(cfg))
+    table = exact_posterior(stats, hp)
     write_posterior_csv(_artifact(out, "posterior.csv"), table)
     pairs = list(zip(table.graph_ids, table.probs.tolist()))
     _write_report(out, stats.p, pairs, cfg.top_k, stdout=sys.stdout)
@@ -282,10 +288,10 @@ def _cmd_exact(cfg, out):
 
 def _cmd_sample(cfg, out):
     _require(cfg, "data", "CSV dataset path")
+    hp = _hyperparams(cfg)
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
     mode = _resolve_kernel(cfg, stats)
     kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
-    hp = _hyperparams(cfg)
     rng = np.random.default_rng(cfg.seed)
     scorer = PosteriorScorer(stats, hp)
     moves = MoveCache()

@@ -58,9 +58,9 @@ def exact_posterior(stats: DatasetStats, hp: Hyperparams):
     scorer = PosteriorScorer(stats, hp)
     ids = []
     scores = []
-    for g, seq in enumerate_decomposable(p):
+    for g in enumerate_decomposable(p):
         ids.append(g.edges)
-        scores.append(scorer.score(g, seq))
+        scores.append(scorer.score(g))
     scores = np.asarray(scores)
     log_norm = float(logsumexp(scores))
     probs = np.exp(scores - log_norm)
@@ -110,17 +110,18 @@ def exact_marginal_mle(stats: DatasetStats, delta, tau_grid=None, r_grid=None):
     # log_lik of graph a is incidence[a] @ (term of each vertex subset): +1
     # per clique, -1 per nonempty separator.  A tau then costs one term per
     # distinct subset instead of one sum per graph.
-    masks = sorted({mask for _, seq in graphs
+    seqs = [g.sequence for g in graphs]
+    masks = sorted({mask for seq in seqs
                     for mask in seq.clique_masks + seq.separator_masks} - {0})
     column = {mask: c for c, mask in enumerate(masks)}
     incidence = np.zeros((len(graphs), len(masks)))
-    for a, (_, seq) in enumerate(graphs):
+    for a, seq in enumerate(seqs):
         for cm in seq.clique_masks:
             incidence[a, column[cm]] += 1.0
         for sm in seq.separator_masks:
             if sm:
                 incidence[a, column[sm]] -= 1.0
-    k_edges = np.array([g.edge_count for g, _ in graphs])
+    k_edges = np.array([g.edge_count for g in graphs])
     m = n_candidate_edges(p)
     hp0 = Hyperparams(delta=delta, tau=1.0, graph_prior="bernoulli", r=0.5)
     surface = np.empty((len(tau_grid), len(r_grid)))

@@ -11,13 +11,14 @@ Decomposability is detected with maximum cardinality search: the reverse of
 an MCS visit order is a perfect elimination order exactly when the graph is
 chordal, which for undirected Gaussian models is the same as decomposable.
 One search also yields the perfect clique sequence, and the legal add and
-delete moves follow from its cliques and separators as edge bitmasks.
+delete moves follow from its cliques and separators as edge bitmasks.  A
+Graph builds its sequence and move masks on first use and keeps them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import NotDecomposableError, TooLargeError
 
@@ -73,12 +74,20 @@ def iter_bits(mask):
         mask ^= b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable undirected graph on vertices 0..p-1 with bitset edges."""
+    """Immutable undirected graph on vertices 0..p-1 with bitset edges.
+
+    Its perfect sequence and legal-move masks are built on first use and kept
+    in slots outside equality, unset until then so that a Graph is cheap to
+    make; on a non-chordal graph they raise NotDecomposableError.
+    """
 
     p: int
     edges: int = 0
+    _sequence: PerfectSequence = field(init=False, repr=False, compare=False)
+    _additions: int = field(init=False, repr=False, compare=False)
+    _deletions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # normalize numpy integer inputs so bit tricks work on plain ints
@@ -94,10 +103,37 @@ class Graph:
         """Number of candidate edges p*(p-1)/2."""
         return n_candidate_edges(self.p)
 
-    @cached_property
+    @property
     def adjacency(self):
         """Per-vertex neighbor bitmasks."""
         return _adjacency(self.p, self.edges)
+
+    @property
+    def sequence(self):
+        """PerfectSequence of the graph, from one maximum cardinality search."""
+        try:
+            return self._sequence
+        except AttributeError:
+            object.__setattr__(self, "_sequence", perfect_sequence(self))
+            return self._sequence
+
+    @property
+    def additions(self):
+        """Edge bitmask of the insertions that keep the graph decomposable."""
+        try:
+            return self._additions
+        except AttributeError:
+            object.__setattr__(self, "_additions", addition_mask(self))
+            return self._additions
+
+    @property
+    def deletions(self):
+        """Edge bitmask of the removals that keep the graph decomposable."""
+        try:
+            return self._deletions
+        except AttributeError:
+            object.__setattr__(self, "_deletions", deletion_mask(self))
+            return self._deletions
 
     @property
     def edge_count(self):
@@ -157,6 +193,9 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(p={self.p}, id={self.id_hex!r})"
+
+    def __reduce__(self):  # copies carry the edges; the rest is rebuilt on use
+        return Graph, (self.p, self.edges)
 
 
 def graph_from_cliques(p, cliques):
@@ -257,23 +296,23 @@ def is_decomposable(g: Graph):
     return _mcs(g.p, g.adjacency) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerfectSequence:
     """Maximal cliques in a perfect order plus their separators, as bitmasks.
 
     clique_masks[0..k-1] satisfy the running intersection property; for
     i >= 1, separator_masks[i-1] = clique_masks[i] & (clique_masks[0] | ...
-    | clique_masks[i-1]).  The vertex-set views are derived on first use.
+    | clique_masks[i-1]).  The vertex-set views are derived on each access.
     """
 
     clique_masks: tuple
     separator_masks: tuple
 
-    @cached_property
+    @property
     def cliques(self):
         return tuple(frozenset(iter_bits(c)) for c in self.clique_masks)
 
-    @cached_property
+    @property
     def separators(self):
         return tuple(frozenset(iter_bits(s)) for s in self.separator_masks)
 
@@ -324,16 +363,14 @@ def _pairs(p, mask):
     return [table[k] for k in iter_bits(mask)]
 
 
-def deletion_mask(g: Graph, seq: PerfectSequence | None = None):
+def deletion_mask(g: Graph):
     """Edge bitmask of the removals that keep the graph decomposable.
 
     An edge is removable exactly when it lies in a single maximal clique.
     """
-    if seq is None:
-        seq = perfect_sequence(g)
     off = _row_offsets(g.p)
     once = twice = 0
-    for c in seq.clique_masks:
+    for c in g.sequence.clique_masks:
         e = 0
         rest = c
         while rest:
@@ -346,7 +383,7 @@ def deletion_mask(g: Graph, seq: PerfectSequence | None = None):
     return once & ~twice
 
 
-def addition_mask(g: Graph, seq: PerfectSequence | None = None):
+def addition_mask(g: Graph):
     """Edge bitmask of the insertions that keep the graph decomposable.
 
     For chordal g, adding (x, y) stays chordal iff S = N(x) & N(y)
@@ -356,9 +393,7 @@ def addition_mask(g: Graph, seq: PerfectSequence | None = None):
     every vertex x with S + x complete (x in C - S for a clique C holding
     S) may join every such vertex y in another component.
     """
-    if seq is None:
-        seq = perfect_sequence(g)
-    p, adj = g.p, g.adjacency
+    p, adj, seq = g.p, g.adjacency, g.sequence
     partner = [0] * p
     for s in set(seq.separator_masks):
         joinable = 0
@@ -391,14 +426,14 @@ def addition_mask(g: Graph, seq: PerfectSequence | None = None):
     return mask
 
 
-def legal_deletions(g: Graph, seq: PerfectSequence | None = None):
+def legal_deletions(g: Graph):
     """Edges (i, j) whose removal keeps the graph decomposable, in edge order."""
-    return _pairs(g.p, deletion_mask(g, seq))
+    return _pairs(g.p, g.deletions)
 
 
-def legal_additions(g: Graph, seq: PerfectSequence | None = None):
+def legal_additions(g: Graph):
     """Non-edges (i, j) whose insertion keeps the graph decomposable, in edge order."""
-    return _pairs(g.p, addition_mask(g, seq))
+    return _pairs(g.p, g.additions)
 
 
 def nth_bit(mask, r):
@@ -418,9 +453,7 @@ def random_decomposable_graph(p, rng, walk_steps=None):
     if walk_steps is None:
         walk_steps = 4 * n_candidate_edges(p)
     for _ in range(walk_steps):
-        add = rng.random() < 0.5
-        seq = perfect_sequence(g)
-        cand = addition_mask(g, seq) if add else deletion_mask(g, seq)
+        cand = g.additions if rng.random() < 0.5 else g.deletions
         if cand:
             k = nth_bit(cand, int(rng.integers(cand.bit_count())))
             g = Graph(p, g.edges ^ (1 << k))
@@ -462,11 +495,12 @@ def _decomposable_edge_sets(p):
 
 
 def enumerate_decomposable(p):
-    """Yield (graph, perfect sequence) for every decomposable graph on p
-    vertices, in ascending ID order; each sequence comes from the MCS that
-    recognised the graph as chordal."""
-    return ((Graph(p, edges), _sequence(*found))
-            for edges, found in _decomposable_edge_sets(p))
+    """Yield every decomposable graph on p vertices in ascending ID order,
+    each holding the sequence of the MCS that recognised it as chordal."""
+    for edges, found in _decomposable_edge_sets(p):
+        g = Graph(p, edges)
+        object.__setattr__(g, "_sequence", _sequence(*found))
+        yield g
 
 
 def count_decomposable(p):

@@ -138,16 +138,10 @@ def _index(mask):
     return np.fromiter(iter_bits(mask), dtype=np.intp)
 
 
-def phi_matrix(hp: Hyperparams, stats: DatasetStats | None = None, p: int | None = None):
+def phi_matrix(hp: Hyperparams, stats: DatasetStats):
     """Materialize the prior scale matrix Phi for the given mode."""
     if hp.phi_mode == "scaled_identity":
-        if p is None:
-            if stats is None:
-                raise ValueError("need stats or p to size Phi")
-            p = stats.p
-        return hp.tau * np.eye(p)
-    if stats is None:
-        raise ValueError("empirical_gprior mode needs dataset stats")
+        return hp.tau * np.eye(stats.p)
     return stats.scatter / stats.n
 
 
@@ -260,12 +254,11 @@ def log_posterior_score(g: Graph, stats: DatasetStats, hp: Hyperparams, seq=None
 class PosteriorScorer:
     """Cached posterior scorer bound to one (stats, hyperparams) pair.
 
-    A graph's score is a sum of clique and separator terms over its perfect
-    sequence, so callers that hold the sequence (or a MoveCache entry) pass
-    it in rather than having it recomputed.  A term comes in closed form
-    from the block's scatter eigenvalues lam (DatasetStats.spectrum, shared
-    by every scorer on the same stats, whatever tau), since Phi_C and
-    Phi_C + S_C are both functions of S_C:
+    A graph's score is a sum of clique and separator terms over the perfect
+    sequence the Graph keeps.  A term comes in closed form from the block's
+    scatter eigenvalues lam (DatasetStats.spectrum, shared by every scorer
+    on the same stats, whatever tau), since Phi_C and Phi_C + S_C are both
+    functions of S_C:
 
       scaled_identity   log det Phi_C = q log tau
                         log det(Phi_C + S_C) = sum log(tau + lam)
@@ -330,15 +323,9 @@ class PosteriorScorer:
         self._terms[mask] = t
         return t
 
-    def log_lik(self, g: Graph, seq=None):
-        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph.
-
-        seq is the graph's PerfectSequence, or anything else carrying its
-        clique_masks and separator_masks (a MoveCache entry); without it
-        the sequence is computed here.
-        """
-        if seq is None:
-            seq = perfect_sequence(g)
+    def log_lik(self, g: Graph):
+        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph."""
+        seq = g.sequence
         val = 0.0
         for cm in seq.clique_masks:
             val += self.term(cm)
@@ -355,9 +342,9 @@ class PosteriorScorer:
             self._priors[k] = val
         return val
 
-    def score(self, g: Graph, seq=None):
+    def score(self, g: Graph):
         """Unnormalized log posterior of the graph (2 pi factor dropped)."""
-        return self.log_lik(g, seq) + self._log_prior_k(g)
+        return self.log_lik(g) + self._log_prior_k(g)
 
 
 def sample_invwishart(df, scale, rng):
@@ -383,19 +370,16 @@ def sample_invwishart(df, scale, rng):
     return half @ half.T
 
 
-def sample_hiw(g: Graph, delta, phi, rng, seq=None):
+def sample_hiw(g: Graph, delta, phi, rng):
     """Draw a covariance matrix whose inverse respects the graph's zeros.
 
     Walks a perfect clique order: the first clique block is inverse Wishart,
     and each later clique draws its residual block and regression onto the
     separator, then extends the matrix so that the new vertices are
     conditionally independent of everything earlier given the separator.
-    seq is the graph's PerfectSequence or anything else carrying its
-    clique_masks and separator_masks (a MoveCache entry).
     """
     phi = np.asarray(phi, dtype=float)
-    if seq is None:
-        seq = perfect_sequence(g)
+    seq = g.sequence
     sigma = np.zeros((g.p, g.p))
     placed = 0
     for cm, sm in zip(seq.clique_masks, (0, *seq.separator_masks)):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateStatsError, NonFiniteError
-from .graphs import Graph, legal_deletions, perfect_sequence
+from .graphs import Graph, legal_deletions
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import (
     ChainState,
@@ -75,15 +75,13 @@ def step_size(k, n_unit):
     return 1.0 if k <= n_unit else 1.0 / (k - n_unit)
 
 
-def compute_suff_stats(g: Graph, sigma, seq=None):
+def compute_suff_stats(g: Graph, sigma):
     """Sufficient statistics of one (graph, covariance) draw.
 
     s1 = sum |C|^2 - sum |S|^2 over the perfect sequence, s2 = tr(sigma^-1),
-    s3 = number of edges.  seq is the graph's PerfectSequence or anything
-    else carrying its clique_masks and separator_masks (a MoveCache entry).
+    s3 = number of edges.
     """
-    if seq is None:
-        seq = perfect_sequence(g)
+    seq = g.sequence
     s1 = float(sum(c.bit_count() ** 2 for c in seq.clique_masks)
                - sum(s.bit_count() ** 2 for s in seq.separator_masks))
     lo = np.linalg.cholesky(np.asarray(sigma, dtype=float))
@@ -170,8 +168,8 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     scorer = PosteriorScorer(stats, hp)
     g0 = init_graph_backward(stats, hp, scorer)
     moves = MoveCache()
-    entry = moves.moves(g0)
-    state = ChainState(g0, scorer.score(g0, entry), entry)
+    g0 = moves.moves(g0)
+    state = ChainState(g0, scorer.score(g0))
     weights = edge_weights(stats, kernel) if kernel.mode != "add_delete" else None
     s = SufficientStats(0.0, 0.0, 0.0)
     trace = np.empty((cfg.n_iter, len(TRACE_COLUMNS)))
@@ -181,7 +179,7 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
         state, sigma = sample_graph_and_sigma(
             state, stats, hp, n_chain, rng, cfg=kernel,
             scorer=scorer, moves=moves, weights=weights)
-        sample = compute_suff_stats(state.graph, sigma, state.entry)
+        sample = compute_suff_stats(state.graph, sigma)
         s = sa_update(s, sample, step_size(k, cfg.n_unit))
         tau, r_new = m_step(s, hp_base.delta, p, m)
         if estimate_r:
@@ -193,5 +191,5 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
         trace[k - 1] = (k, tau, r, s.s1, s.s2, s.s3, accept_rate)
         hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
         scorer = PosteriorScorer(stats, hp)
-        state = replace(state, log_score=scorer.score(state.graph, state.entry))
+        state = replace(state, log_score=scorer.score(state.graph))
     return SaemResult(tau=tau, r=r, trace=trace, final_state=state, init_graph=g0)

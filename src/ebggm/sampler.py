@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log
 from operator import ne
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularScatterError
-from .graphs import (Graph, addition_mask, deletion_mask, edge_pair, iter_bits,
-                     nth_bit, perfect_sequence)
+from .graphs import Graph, edge_pair, iter_bits, nth_bit
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
@@ -51,47 +49,24 @@ def auto_kernel_mode(stats: DatasetStats):
     return "alternate"
 
 
-class Moves(NamedTuple):
-    """Legal moves of one graph as edge bitmasks, plus its perfect sequence.
-
-    The clique and separator masks are all the scorer needs, so a Moves
-    entry can stand in for a PerfectSequence when scoring.
-    """
-
-    additions: int
-    deletions: int
-    clique_masks: tuple
-    separator_masks: tuple
-
-
 class MoveCache:
-    """Memo of legal moves per graph; legality does not depend on the model.
-
-    Each entry costs one maximum cardinality search: a few ints per graph.
-    """
+    """One Graph per distinct graph, so that a graph the chain revisits
+    brings the perfect sequence and move masks it built before."""
 
     def __init__(self):
         self._memo = {}
 
     def moves(self, g: Graph):
-        """Moves entry of g (raises NotDecomposableError if g is not chordal)."""
-        key = (g.p, g.edges)
-        got = self._memo.get(key)
-        if got is None:
-            seq = perfect_sequence(g)
-            got = Moves(addition_mask(g, seq), deletion_mask(g, seq),
-                        seq.clique_masks, seq.separator_masks)
-            self._memo[key] = got
-        return got
+        """The memo's Graph equal to g, which is g itself the first time."""
+        return self._memo.setdefault(g, g)
 
 
 @dataclass(frozen=True)
 class ChainState:
-    """Where a chain stands: its graph, that graph's score and Moves entry."""
+    """Where a chain stands: its graph and that graph's score."""
 
     graph: Graph
     log_score: float
-    entry: Moves
     step_index: int = 0
     accept_count: int = 0
 
@@ -120,16 +95,16 @@ def _weight_total(weights, mask):
     return total
 
 
-def _propose(g: Graph, here: Moves, moves: MoveCache, weights, do_delete, rng):
-    """Add-delete move from g, whose Moves entry is here, in the chosen direction.
+def _propose(g: Graph, moves: MoveCache, weights, do_delete, rng):
+    """Add-delete move from g in the chosen direction.
 
     weights=None picks a legal move uniformly; otherwise weights is the
     (addition, deletion) pair from edge_weights, summed over candidate edges
-    in ascending edge order.  Returns (proposal, (i, j), log q-ratio, Moves
-    entry of the proposal), or None when the direction has no legal move.
-    The log q-ratio is log q(reverse move) - log q(forward move).
+    in ascending edge order.  Returns (proposal, (i, j), log q-ratio), the
+    proposal being the memo's Graph, or None when the direction has no legal
+    move.  The log q-ratio is log q(reverse move) - log q(forward move).
     """
-    cand = here.deletions if do_delete else here.additions
+    cand = g.deletions if do_delete else g.additions
     if not cand:
         return None
     if weights is None:
@@ -145,16 +120,15 @@ def _propose(g: Graph, here: Moves, moves: MoveCache, weights, do_delete, rng):
             if acc >= target:
                 k = kk
                 break
-    gp = Graph(g.p, g.edges ^ (1 << k))
-    there = moves.moves(gp)
-    reverse = there.additions if do_delete else there.deletions
+    gp = moves.moves(Graph(g.p, g.edges ^ (1 << k)))
+    reverse = gp.additions if do_delete else gp.deletions
     if weights is None:
         log_q_ratio = log(cand.bit_count()) - log(reverse.bit_count())
     else:
         log_q_fwd = log(w_fwd[k]) - log(total_fwd)
         log_q_rev = log(w_rev[k]) - log(_weight_total(w_rev, reverse))
         log_q_ratio = log_q_rev - log_q_fwd
-    return gp, edge_pair(g.p, k), log_q_ratio, there
+    return gp, edge_pair(g.p, k), log_q_ratio
 
 
 def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, moves: MoveCache,
@@ -166,19 +140,18 @@ def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, moves: MoveCache
     proposal toward large (additions) or small (deletions) |K_ij|.  A
     direction with no legal move is a null proposal and counts as a
     rejected step.  Only the proposal is looked up in moves; the current
-    graph's entry comes with the state.
+    graph keeps its own moves.
     """
     do_delete = rng.random() < 0.5
-    proposal = _propose(state.graph, state.entry, moves, weights, do_delete, rng)
+    proposal = _propose(state.graph, moves, weights, do_delete, rng)
     step = state.step_index + 1
     if proposal is not None:
-        gp, _, log_q_ratio, entry = proposal
-        score = scorer.score(gp, entry)
+        gp, _, log_q_ratio = proposal
+        score = scorer.score(gp)
         log_alpha = score - state.log_score + log_q_ratio
         if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-            return ChainState(gp, score, entry, step, state.accept_count + 1)
-    return ChainState(state.graph, state.log_score, state.entry, step,
-                      state.accept_count)
+            return ChainState(gp, score, step, state.accept_count + 1)
+    return ChainState(state.graph, state.log_score, step, state.accept_count)
 
 
 @dataclass
@@ -233,8 +206,8 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     if moves is None:
         moves = MoveCache()
     if isinstance(init, Graph):
-        entry = moves.moves(init)
-        state = ChainState(init, scorer.score(init, entry), entry)
+        init = moves.moves(init)
+        state = ChainState(init, scorer.score(init))
     else:
         state = init
     if cfg.mode == "add_delete":
@@ -264,5 +237,4 @@ def sample_graph_and_sigma(state: ChainState, stats: DatasetStats, hp: Hyperpara
     state, _ = run_chain(state, M, stats, hp, cfg or KernelConfig(), rng,
                          scorer=scorer, moves=moves, weights=weights)
     post_scale = phi_matrix(hp, stats) + stats.scatter
-    return state, sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng,
-                             state.entry)
+    return state, sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng)

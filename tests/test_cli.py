@@ -530,20 +530,29 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
     # Count with a vertex count below 1.
     assert main(["count", "--p", "-1", "--out-dir", out]) == 2
     assert capsys.readouterr().err.strip() == "error: p must be at least 1, got -1"
-    # Negative chain lengths name their option.
-    for flag, value in (("--n-steps", "-1"), ("--n-burn", "-3")):
-        assert main(["sample", "--data", str(tmp_path / "missing.csv"), flag, value,
-                     "--out-dir", out]) == 2
-        assert capsys.readouterr().err.strip() == \
-            f"error: {flag} must be nonnegative, got {value}"
+    # Bad sample and exact settings name their option before the (missing)
+    # data file is read.
+    missing = str(tmp_path / "missing.csv")
+    kernels = "('auto', 'add_delete', 'data_driven', 'alternate')"
+    for cmd, args, msg in (
+            ("sample", ("--n-steps", "-1"), "--n-steps must be at least 1, got -1"),
+            ("sample", ("--n-steps", "0"), "--n-steps must be at least 1, got 0"),
+            ("sample", ("--n-burn", "-3"), "--n-burn must be nonnegative, got -3"),
+            ("sample", ("--kernel", "swap"), f"--kernel must be one of {kernels}, got 'swap'"),
+            ("sample", ("--weight-floor", "0"), "--weight-floor must lie in (0, 1], got 0.0"),
+            ("sample", ("--tau", "0"), "tau must be positive, got 0.0"),
+            ("sample", ("--r", "2"), "r must lie in (0, 1), got 2.0"),
+            ("exact", ("--tau", "0"), "tau must be positive, got 0.0"),
+            ("exact", ("--r", "2"), "r must lie in (0, 1), got 2.0")):
+        assert main([cmd, "--data", missing, *args, "--out-dir", out]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {msg}"
     # Bad fit settings name their field and value.
-    modes = "('add_delete', 'data_driven', 'alternate')"
     for args, msg in (
             (("--n-iter", "50"), "need 0 <= n_unit < n_iter, got n_unit=100, n_iter=50"),
             (("--m-rest", "0"), "m_rest must be at least 1, got 0"),
             (("--n-warm", "-1"), "n_warm must be nonnegative, got -1"),
             (("--init-tau", "0"), "init_tau must be positive, got 0.0"),
-            (("--kernel", "swap"), f"kernel mode must be one of {modes}, got 'swap'")):
+            (("--kernel", "swap"), f"--kernel must be one of {kernels}, got 'swap'")):
         assert main(["fit", "--data", small_csv, *args, "--out-dir", out]) == 2
         assert capsys.readouterr().err.strip() == f"error: {msg}"
     # Report on a table without a graph_id column.

@@ -74,6 +74,29 @@ def test_graph_edge_ops():
     assert g.neighbors(0) == (1,)
 
 
+def test_graph_keeps_decomposition_outside_identity():
+    import copy
+    import dataclasses
+    import pickle
+
+    g = bench9_graph()
+    fresh = Graph(9, g.edges)
+    for built in (False, True):
+        if built:
+            assert (g.sequence, g.additions, g.deletions) == (
+                perfect_sequence(fresh), addition_mask(fresh), deletion_mask(fresh))
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g
+            assert twin.sequence == perfect_sequence(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = 0
+    cycle = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for name in ("sequence", "additions", "deletions"):
+        with pytest.raises(NotDecomposableError):
+            getattr(cycle, name)
+
+
 def test_complete_and_empty():
     assert Graph.complete(5).edge_count == 10
     assert Graph(5).edge_count == 0
@@ -274,8 +297,8 @@ def test_random_decomposable_graph_is_decomposable():
 
 def test_scan_sequences_match_perfect_sequence():
     for p in range(1, 7):
-        for g, seq in enumerate_decomposable(p):
-            want = perfect_sequence(g)
+        for g in enumerate_decomposable(p):
+            seq, want = g.sequence, perfect_sequence(g)
             assert seq.clique_masks == want.clique_masks
             assert seq.separator_masks == want.separator_masks
 

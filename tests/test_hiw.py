@@ -271,9 +271,9 @@ def test_phi_matrix_modes():
     y = rng.standard_normal((20, 3))
     stats_ = DatasetStats.from_data(y, standardize=False)
     np.testing.assert_allclose(
-        phi_matrix(Hyperparams(tau=2.5), p=3), 2.5 * np.eye(3))
+        phi_matrix(Hyperparams(tau=2.5), stats_), 2.5 * np.eye(3))
     np.testing.assert_allclose(
-        phi_matrix(Hyperparams(phi_mode="empirical_gprior"), stats=stats_),
+        phi_matrix(Hyperparams(phi_mode="empirical_gprior"), stats_),
         stats_.scatter / stats_.n)
 
 
@@ -385,16 +385,6 @@ def test_hiw_clique_inverse_moments():
         want = (delta + q - 1) * np.linalg.inv(phi[idx])
         got = total / draws
         np.testing.assert_allclose(got, want, rtol=0.08, atol=0.05)
-
-
-def test_hiw_respects_perfect_sequence_argument():
-    rng1 = np.random.default_rng(16)
-    rng2 = np.random.default_rng(16)
-    g = graph_from_cliques(4, [(0, 1, 2), (2, 3)])
-    phi = np.eye(4) * 0.7
-    s1 = sample_hiw(g, 2.0, phi, rng1)
-    s2 = sample_hiw(g, 2.0, phi, rng2, seq=perfect_sequence(g))
-    np.testing.assert_allclose(s1, s2)
 
 
 def _reference_invwishart(df, scale, rng):

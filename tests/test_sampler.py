@@ -52,8 +52,8 @@ def move_triples(p, mask):
 
 def cached_triples(moves, g):
     """(additions, deletions) of g from the cache, as triples."""
-    entry = moves.moves(g)
-    return move_triples(g.p, entry.additions), move_triples(g.p, entry.deletions)
+    kept = moves.moves(g)
+    return move_triples(g.p, kept.additions), move_triples(g.p, kept.deletions)
 
 
 def make_stats(p, n=40, seed=0):
@@ -78,19 +78,19 @@ def test_uniform_proposal_ratio_from_empty():
     g = Graph(3, 0)
     moves = MoveCache()
     rng = ScriptedRng(ints=[1])
-    gp, (i, j), log_q, entry = _propose(g, moves.moves(g), moves, None, False, rng)
+    gp, (i, j), log_q = _propose(g, moves, None, False, rng)
     assert gp.edge_count == 1
     assert gp.has_edge(i, j)
     assert (i, j) == (0, 2)  # the second of the three additions
-    assert entry is moves.moves(gp)
+    assert gp is moves.moves(Graph(3, gp.edges))
     assert log_q == pytest.approx(math.log(3.0), abs=1e-15)
 
 
 def test_uniform_proposal_none_without_moves():
     moves = MoveCache()
     empty, full = Graph(3, 0), Graph.complete(3)
-    assert _propose(empty, moves.moves(empty), moves, None, True, ScriptedRng()) is None
-    assert _propose(full, moves.moves(full), moves, None, False, ScriptedRng()) is None
+    assert _propose(empty, moves, None, True, ScriptedRng()) is None
+    assert _propose(full, moves, None, False, ScriptedRng()) is None
 
 
 def test_null_step_counts_as_rejection():
@@ -98,7 +98,7 @@ def test_null_step_counts_as_rejection():
     hp = Hyperparams(delta=1.0, tau=1.0)
     scorer = PosteriorScorer(stats, hp)
     g = Graph(3, 0)
-    state = ChainState(g, scorer.score(g), MoveCache().moves(g))
+    state = ChainState(g, scorer.score(g))
     # random() = 0.4 forces the delete direction, which is empty here.
     out = mh_step(state, ScriptedRng(randoms=[0.4]), scorer=scorer,
                   moves=MoveCache())
@@ -107,7 +107,7 @@ def test_null_step_counts_as_rejection():
     assert out.accept_count == state.accept_count
 
     full = Graph.complete(3)
-    state = ChainState(full, scorer.score(full), MoveCache().moves(full))
+    state = ChainState(full, scorer.score(full))
     out = mh_step(state, ScriptedRng(randoms=[0.6]), scorer=scorer,
                   moves=MoveCache())
     assert out.graph == full
@@ -136,8 +136,53 @@ def test_move_cache_matches_fresh_computation():
         assert checked > 0
 
 
+def test_graph_builds_its_sequence_once(monkeypatch):
+    # Scoring, the HIW draw, the SAEM statistics and both move masks of one
+    # Graph share a single maximum cardinality search; the exhaustive layer
+    # runs none beyond its scan, and a memo hit is the graph built before.
+    import ebggm.graphs as graphs_mod
+    from ebggm import compute_suff_stats, exact_posterior, sample_hiw
+    from ebggm.graphs import addition_mask, deletion_mask
+
+    calls = []
+    orig = graphs_mod.perfect_sequence
+
+    def spy(g, *args, **kwargs):
+        calls.append(g.edges)
+        return orig(g, *args, **kwargs)
+
+    monkeypatch.setattr(graphs_mod, "perfect_sequence", spy)
+    stats = make_stats(4, n=60, seed=3)
+    hp = Hyperparams(delta=1.0, tau=0.5)
+    scorer = PosteriorScorer(stats, hp)
+    g = Graph.from_edge_list(4, [(0, 1), (1, 2), (1, 3)])
+    score = scorer.score(g)
+    sigma = sample_hiw(g, 3.0, np.eye(4), np.random.default_rng(4))
+    suff = compute_suff_stats(g, sigma)
+    adds, dels = g.additions, g.deletions
+    assert calls == [g.edges]
+    fresh = Graph(4, g.edges)
+    assert (adds, dels) == (addition_mask(fresh), deletion_mask(fresh))
+    assert score == scorer.score(fresh)
+    assert suff == compute_suff_stats(fresh, sigma)
+
+    calls.clear()
+    table = exact_posterior(stats, hp)
+    assert calls == []
+    assert len(table.graph_ids) == 61
+
+    moves = MoveCache()
+    first = moves.moves(Graph(4, g.edges))
+    first.sequence
+    calls.clear()
+    assert moves.moves(Graph(4, g.edges)) is first
+    assert moves.moves(first) is first
+    moves.moves(Graph(4, g.edges)).sequence
+    assert calls == []
+
+
 def test_move_cache_asked_once_per_proposal_and_start(monkeypatch, move_lookups):
-    # The current graph's Moves entry rides on the chain state, so the cache
+    # The chain state's graph keeps its own moves, so the cache
     # is asked once per chain start and once per non-null proposal.
     import ebggm.saem as saem_mod
     from ebggm import SaemConfig, run_saem
@@ -233,7 +278,7 @@ def test_detailed_balance_exact_p3(kernel):
     stats = make_stats(3, n=50, seed=11)
     hp = Hyperparams(delta=1.0, tau=0.8, graph_prior="bernoulli", r=0.4)
     scorer = PosteriorScorer(stats, hp)
-    graphs = [g for g, _ in enumerate_decomposable(3)]
+    graphs = list(enumerate_decomposable(3))
     assert len(graphs) == 8
     scores = np.array([scorer.score(g) for g in graphs])
     probs = np.exp(scores - scores.max())
@@ -257,8 +302,8 @@ def test_weighted_proposal_log_ratio_matches_hand_computation():
     moves = MoveCache()
     # Force the first candidate whose cumulative weight exceeds the target.
     rng = ScriptedRng(randoms=[0.0])
-    gp, (i, j), log_q, entry = _propose(g, moves.moves(g), moves, weights, False, rng)
-    assert entry is moves.moves(gp)
+    gp, (i, j), log_q = _propose(g, moves, weights, False, rng)
+    assert gp is moves.moves(Graph(3, gp.edges))
     k = edge_index(3, i, j)
     assert k == 0
     total_fwd = sum(add_w)
@@ -356,7 +401,7 @@ def test_alternate_kernel_switches_by_parity(monkeypatch):
     calls.clear()
     scorer = PosteriorScorer(stats, hp)
     g = Graph(3, 0)
-    state = ChainState(g, scorer.score(g), MoveCache().moves(g), step_index=1)
+    state = ChainState(g, scorer.score(g), step_index=1)
     run_chain(state, 2, stats, hp, cfg, np.random.default_rng(3))
     assert [mode for mode, _ in calls] == ["data_driven", "add_delete"]
 
@@ -369,7 +414,7 @@ def test_data_driven_step_runs_and_moves():
     moves = MoveCache()
     weights = edge_weights(stats, cfg)
     g = Graph(4, 0)
-    state = ChainState(g, scorer.score(g), moves.moves(g))
+    state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(17)
     seen = {g.edges}
     for _ in range(200):
@@ -402,7 +447,7 @@ def test_sample_graph_and_sigma_advances_and_respects_graph():
     hp = Hyperparams(delta=1.0, tau=1.0)
     scorer = PosteriorScorer(stats, hp)
     g = Graph.from_edge_list(4, [(0, 1), (1, 2)])
-    state = ChainState(g, scorer.score(g), MoveCache().moves(g))
+    state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(41)
     new_state, sigma = sample_graph_and_sigma(state, stats, hp, 30, rng,
                                               scorer=scorer)
@@ -431,7 +476,7 @@ def test_sample_graph_and_sigma_deterministic():
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(77)
-        state = ChainState(g, scorer.score(g), MoveCache().moves(g))
+        state = ChainState(g, scorer.score(g))
         state, sigma = sample_graph_and_sigma(state, stats, hp, 20, rng,
                                               scorer=scorer)
         draws.append((state.graph.edges, sigma))
