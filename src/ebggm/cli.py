@@ -31,9 +31,9 @@ from .errors import ChecksumError, EbggmError, ParseError
 from .exact import exact_posterior
 from .graphs import Graph, count_decomposable, edge_pair, id_width, \
     n_candidate_edges, named_graph, to_dot
-from .hiw import Hyperparams, PosteriorScorer, simulate_dataset
+from .hiw import Hyperparams, simulate_dataset
 from .saem import SaemConfig, run_saem
-from .sampler import KERNEL_MODES, KernelConfig, MoveCache, auto_kernel_mode, run_chain
+from .sampler import KERNEL_MODES, KernelConfig, auto_kernel_mode, run_chain
 
 OUT_DIR_ENV = "EBGGM_OUT_DIR"
 MANIFEST = "manifest.txt"
@@ -293,14 +293,10 @@ def _cmd_sample(cfg, out):
     mode = _resolve_kernel(cfg, stats)
     kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
     rng = np.random.default_rng(cfg.seed)
-    scorer = PosteriorScorer(stats, hp)
-    moves = MoveCache()
     start = Graph(stats.p)
     if cfg.n_burn:
-        start, _ = run_chain(start, cfg.n_burn, stats, hp, kernel, rng,
-                             scorer=scorer, moves=moves)
-    _, log = run_chain(start, cfg.n_steps, stats, hp, kernel, rng,
-                       scorer=scorer, moves=moves)
+        start, _ = run_chain(start, cfg.n_burn, stats, hp, kernel, rng)
+    _, log = run_chain(start, cfg.n_steps, stats, hp, kernel, rng)
     write_visit_log(_artifact(out, "visits.csv"), log)
     write_acceptance_trace(_artifact(out, "acceptance.csv"), log)
     counts = Counter(log.graph_ids)
@@ -361,6 +357,8 @@ def _pairs_from_table(path, p):
 def _cmd_report(cfg, out):
     _require(cfg, "table", "posterior or visit-log CSV")
     _require(cfg, "p", "number of vertices the table refers to")
+    if not 1 <= cfg.p <= 32:
+        raise ValueError(f"--p must be in 1..32, got {cfg.p}")
     pairs = _pairs_from_table(cfg.table, cfg.p)
     _write_report(out, cfg.p, pairs, cfg.top_k, stdout=sys.stdout)
     return cfg, {"table_sha256": sha256_of(cfg.table)}

@@ -52,9 +52,11 @@ class Hyperparams:
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.phi_mode not in PHI_MODES:
-            raise ValueError(f"phi_mode must be one of {PHI_MODES}")
+            raise ValueError(f"phi_mode must be one of {PHI_MODES}, "
+                             f"got {self.phi_mode!r}")
         if self.graph_prior not in GRAPH_PRIORS:
-            raise ValueError(f"graph_prior must be one of {GRAPH_PRIORS}")
+            raise ValueError(f"graph_prior must be one of {GRAPH_PRIORS}, "
+                             f"got {self.graph_prior!r}")
         if self.phi_mode == "scaled_identity" and not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.graph_prior == "bernoulli" and not 0.0 < self.r < 1.0:

@@ -22,9 +22,8 @@ from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import (
     ChainState,
     KernelConfig,
-    MoveCache,
     auto_kernel_mode,
-    edge_weights,
+    run_chain,
     sample_graph_and_sigma,
 )
 
@@ -126,15 +125,13 @@ def init_graph_backward(stats: DatasetStats, hp: Hyperparams, scorer=None):
     g = Graph.complete(stats.p)
     best = scorer.score(g)
     while True:
-        candidates = legal_deletions(g)
+        candidates = [g.remove_edge(i, j) for i, j in legal_deletions(g)]
         if not candidates:
             return g
-        scored = [(scorer.score(g.remove_edge(i, j)), i, j) for i, j in candidates]
-        top, i, j = max(scored)
+        top, t = max((scorer.score(h), t) for t, h in enumerate(candidates))
         if top <= best:
             return g
-        g = g.remove_edge(i, j)
-        best = top
+        g, best = candidates[t], top
 
 
 @dataclass
@@ -165,20 +162,14 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     m = Graph(p).m
     tau, r = cfg.init_tau, cfg.init_r
     hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
-    scorer = PosteriorScorer(stats, hp)
-    g0 = init_graph_backward(stats, hp, scorer)
-    moves = MoveCache()
-    g0 = moves.moves(g0)
-    state = ChainState(g0, scorer.score(g0))
-    weights = edge_weights(stats, kernel) if kernel.mode != "add_delete" else None
+    g0 = init_graph_backward(stats, hp)
+    state, accepted = g0, 0
     s = SufficientStats(0.0, 0.0, 0.0)
     trace = np.empty((cfg.n_iter, len(TRACE_COLUMNS)))
     for k in range(1, cfg.n_iter + 1):
         n_chain = cfg.m_first if k <= cfg.n_warm else cfg.m_rest
-        before = (state.accept_count, state.step_index)
-        state, sigma = sample_graph_and_sigma(
-            state, stats, hp, n_chain, rng, cfg=kernel,
-            scorer=scorer, moves=moves, weights=weights)
+        state, sigma = sample_graph_and_sigma(state, stats, hp, n_chain, rng,
+                                              cfg=kernel)
         sample = compute_suff_stats(state.graph, sigma)
         s = sa_update(s, sample, step_size(k, cfg.n_unit))
         tau, r_new = m_step(s, hp_base.delta, p, m)
@@ -186,10 +177,10 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
             r = r_new
         if not all(map(isfinite, (tau, r, *s.as_tuple()))):
             raise NonFiniteError(f"estimate left the finite range at iteration {k}")
-        accept_rate = (state.accept_count - before[0]) / max(
-            state.step_index - before[1], 1)
+        accept_rate = (state.accept_count - accepted) / n_chain
+        accepted = state.accept_count
         trace[k - 1] = (k, tau, r, s.s1, s.s2, s.s3, accept_rate)
         hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
-        scorer = PosteriorScorer(stats, hp)
-        state = replace(state, log_score=scorer.score(state.graph))
+    # Zero steps: the chain's state scored under the fitted (tau, r).
+    state, _ = run_chain(state, 0, stats, hp, kernel, rng)
     return SaemResult(tau=tau, r=r, trace=trace, final_state=state, init_graph=g0)

@@ -11,7 +11,7 @@ counts as a rejected step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import exp, log
 from operator import ne
 
@@ -63,12 +63,14 @@ class MoveCache:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Where a chain stands: its graph and that graph's score."""
+    """Where a chain stands: its graph, that graph's score, and the move
+    memo the chain has filled so far (outside equality and repr)."""
 
     graph: Graph
     log_score: float
     step_index: int = 0
     accept_count: int = 0
+    moves: MoveCache = field(default_factory=MoveCache, compare=False, repr=False)
 
 
 def edge_weights(stats: DatasetStats, cfg: KernelConfig):
@@ -131,18 +133,18 @@ def _propose(g: Graph, moves: MoveCache, weights, do_delete, rng):
     return gp, edge_pair(g.p, k), log_q_ratio
 
 
-def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, moves: MoveCache,
-            weights=None):
+def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):
     """One add-delete Metropolis-Hastings step.
 
     The direction is add or delete with probability 1/2 each; weights=None
     proposes uniformly among the legal moves, edge_weights output biases the
     proposal toward large (additions) or small (deletions) |K_ij|.  A
     direction with no legal move is a null proposal and counts as a
-    rejected step.  Only the proposal is looked up in moves; the current
-    graph keeps its own moves.
+    rejected step.  Only the proposal is looked up in the state's move memo,
+    which the next state carries on; the current graph keeps its own moves.
     """
     do_delete = rng.random() < 0.5
+    moves = state.moves
     proposal = _propose(state.graph, moves, weights, do_delete, rng)
     step = state.step_index + 1
     if proposal is not None:
@@ -150,8 +152,8 @@ def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, moves: MoveCache
         score = scorer.score(gp)
         log_alpha = score - state.log_score + log_q_ratio
         if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-            return ChainState(gp, score, step, state.accept_count + 1)
-    return ChainState(state.graph, state.log_score, step, state.accept_count)
+            return ChainState(gp, score, step, state.accept_count + 1, moves)
+    return ChainState(state.graph, state.log_score, step, state.accept_count, moves)
 
 
 @dataclass
@@ -190,51 +192,46 @@ class ChainLog:
 
 
 def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
-              cfg: KernelConfig, rng, *, scorer=None, moves=None, weights=None):
+              cfg: KernelConfig, rng):
     """Run the configured kernel for n_steps and log every visited state.
 
-    init may be a Graph or a ChainState (the latter resumes step parity and
-    acceptance counts).  weights are the edge_weights of stats under cfg,
-    computed here when not given.  Under alternate an even step_index
-    proposes uniformly and an odd one uses the weights.  Returns (final
-    ChainState, ChainLog).
+    init may be a Graph, which starts a fresh move memo, or a ChainState,
+    whose memo, step parity and acceptance count carry on.  Either way the
+    start graph is scored under hp, so a state reached under other
+    hyperparameters resumes correctly.  Under alternate an even step_index
+    proposes uniformly and an odd one uses the edge_weights of stats.
+    Returns (final ChainState, ChainLog).
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    if scorer is None:
-        scorer = PosteriorScorer(stats, hp)
-    if moves is None:
-        moves = MoveCache()
+    scorer = PosteriorScorer(stats, hp)
     if isinstance(init, Graph):
-        init = moves.moves(init)
-        state = ChainState(init, scorer.score(init))
-    else:
-        state = init
+        moves = MoveCache()
+        init = ChainState(moves.moves(init), 0.0, moves=moves)
+    state = replace(init, log_score=scorer.score(init.graph))
     if cfg.mode == "add_delete":
         by_parity = (None, None)
     else:
-        if weights is None:
-            weights = edge_weights(stats, cfg)
+        weights = edge_weights(stats, cfg)
         by_parity = (None, weights) if cfg.mode == "alternate" else (weights, weights)
     log = ChainLog(stats.p, state.step_index, state.graph.edges, [], [])
     for _ in range(n_steps):
-        state = mh_step(state, rng, scorer=scorer, moves=moves,
+        state = mh_step(state, rng, scorer=scorer,
                         weights=by_parity[state.step_index % 2])
         log.graph_ids.append(state.graph.edges)
         log.log_scores.append(state.log_score)
     return state, log
 
 
-def sample_graph_and_sigma(state: ChainState, stats: DatasetStats, hp: Hyperparams,
-                           M, rng, cfg: KernelConfig | None = None, *,
-                           scorer=None, moves=None, weights=None):
-    """Advance the graph chain M steps, then draw a covariance from its
-    conjugate posterior on the final graph.
+def sample_graph_and_sigma(state, stats: DatasetStats, hp: Hyperparams,
+                           M, rng, cfg: KernelConfig | None = None):
+    """Advance the graph chain M steps from state (a Graph or a ChainState,
+    as for run_chain), then draw a covariance from its conjugate posterior
+    on the final graph.
 
     Returns (new ChainState, sigma).  The drawn sigma follows the
     graph-constrained law with degrees delta + n and scale Phi + scatter.
     """
-    state, _ = run_chain(state, M, stats, hp, cfg or KernelConfig(), rng,
-                         scorer=scorer, moves=moves, weights=weights)
+    state, _ = run_chain(state, M, stats, hp, cfg or KernelConfig(), rng)
     post_scale = phi_matrix(hp, stats) + stats.scatter
     return state, sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng)

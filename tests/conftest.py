@@ -47,6 +47,20 @@ def bones_surrogate():
     return DatasetStats.from_data(data, center=True, standardize=True)
 
 
+@pytest.fixture(scope="session")
+def figure1_stats():
+    """The benchmark's figure1 dataset (seed 5, index 0): 100 rows drawn
+    around a bench9 covariance, built as perfbench/inputs.py builds it."""
+    from ebggm.graphs import bench9_graph
+    from ebggm.hiw import sample_hiw
+
+    sigma = sample_hiw(bench9_graph(), 1.0, 0.03 * np.eye(9),
+                       np.random.default_rng([0, 0]))
+    rows = np.random.default_rng([0, 1, 5, 0]).standard_normal((100, 9))
+    return DatasetStats.from_data(rows @ np.linalg.cholesky(sigma).T,
+                                  center=True, standardize=True)
+
+
 def classic_csv(name):
     """Path of a user-supplied classic dataset, or None if not provided."""
     path = os.path.join(DATA_DIR, name)

@@ -9,7 +9,7 @@ import pytest
 
 from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, ParseError, SaemConfig,
                    cli, exact_posterior, n_candidate_edges, random_decomposable_graph,
-                   run_chain, run_saem)
+                   run_chain, run_saem, sampler)
 from ebggm.cli import (
     RunConfig,
     config_from_manifest,
@@ -464,11 +464,12 @@ def test_cli_sample_looks_up_moves_once_per_proposal(tmp_path, capsys, small_csv
                                                      monkeypatch, move_lookups):
     # Burn-in and main run share one start; the cache sees nothing but that
     # start and the non-null proposals.
-    monkeypatch.setattr(cli, "MoveCache", move_lookups.cache)
+    monkeypatch.setattr(sampler, "MoveCache", move_lookups.cache)
     assert main(["sample", "--data", small_csv, "--n-steps", "300", "--n-burn", "100",
                  "--seed", "2", "--out-dir", str(tmp_path / "s")]) == 0
     capsys.readouterr()
     assert len(move_lookups.made) == 400
+    assert len(move_lookups.caches) == 1
     assert move_lookups.caches[0].calls == 1 + sum(move_lookups.made)
 
 
@@ -542,10 +543,18 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
             ("sample", ("--weight-floor", "0"), "--weight-floor must lie in (0, 1], got 0.0"),
             ("sample", ("--tau", "0"), "tau must be positive, got 0.0"),
             ("sample", ("--r", "2"), "r must lie in (0, 1), got 2.0"),
+            ("sample", ("--graph-prior", "foo"), "graph_prior must be one of "
+             "('bernoulli', 'beta_binomial', 'uniform'), got 'foo'"),
             ("exact", ("--tau", "0"), "tau must be positive, got 0.0"),
-            ("exact", ("--r", "2"), "r must lie in (0, 1), got 2.0")):
+            ("exact", ("--r", "2"), "r must lie in (0, 1), got 2.0"),
+            ("exact", ("--phi-mode", "foo"), "phi_mode must be one of "
+             "('scaled_identity', 'empirical_gprior'), got 'foo'")):
         assert main([cmd, "--data", missing, *args, "--out-dir", out]) == 2
         assert capsys.readouterr().err.strip() == f"error: {msg}"
+    # A report --p outside 1..32 is named before the (missing) table is read.
+    for p in ("40", "-2"):
+        assert main(["report", "--table", missing, "--p", p, "--out-dir", out]) == 2
+        assert capsys.readouterr().err.strip() == f"error: --p must be in 1..32, got {p}"
     # Bad fit settings name their field and value.
     for args, msg in (
             (("--n-iter", "50"), "need 0 <= n_unit < n_iter, got n_unit=100, n_iter=50"),

@@ -150,6 +150,30 @@ def test_init_graph_backward_is_local_optimum():
         assert scorer.score(g.remove_edge(i, j)) <= score
 
 
+def test_init_graph_backward_searches_each_graph_once(monkeypatch, figure1_stats):
+    # The greedy step keeps the candidate it scored, so each distinct graph
+    # costs one maximum cardinality search.
+    import ebggm.graphs as graphs_mod
+
+    calls, scored = [], set()
+    orig_mcs, orig_score = graphs_mod.perfect_sequence, PosteriorScorer.score
+
+    def spy_mcs(g, *args, **kwargs):
+        calls.append(g.edges)
+        return orig_mcs(g, *args, **kwargs)
+
+    def spy_score(self, g):
+        scored.add(g.edges)
+        return orig_score(self, g)
+
+    monkeypatch.setattr(graphs_mod, "perfect_sequence", spy_mcs)
+    monkeypatch.setattr(PosteriorScorer, "score", spy_score)
+    g = init_graph_backward(figure1_stats, Hyperparams(delta=1.0, tau=1e-3))
+    assert g.edge_count < Graph.complete(9).edge_count
+    assert len(calls) == len(scored)
+    assert set(calls) == scored
+
+
 def test_run_saem_zero_iterations():
     stats = make_stats(3, n=40, seed=5)
     cfg = SaemConfig(n_iter=0, n_unit=0, init_tau=0.02, init_r=0.4)

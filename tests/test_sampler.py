@@ -1,6 +1,7 @@
 """Tests for the Metropolis-Hastings graph kernels and chain runner."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,16 +101,14 @@ def test_null_step_counts_as_rejection():
     g = Graph(3, 0)
     state = ChainState(g, scorer.score(g))
     # random() = 0.4 forces the delete direction, which is empty here.
-    out = mh_step(state, ScriptedRng(randoms=[0.4]), scorer=scorer,
-                  moves=MoveCache())
+    out = mh_step(state, ScriptedRng(randoms=[0.4]), scorer=scorer)
     assert out.graph == g
     assert out.step_index == state.step_index + 1
     assert out.accept_count == state.accept_count
 
     full = Graph.complete(3)
     state = ChainState(full, scorer.score(full))
-    out = mh_step(state, ScriptedRng(randoms=[0.6]), scorer=scorer,
-                  moves=MoveCache())
+    out = mh_step(state, ScriptedRng(randoms=[0.6]), scorer=scorer)
     assert out.graph == full
     assert out.accept_count == state.accept_count
 
@@ -184,32 +183,34 @@ def test_graph_builds_its_sequence_once(monkeypatch):
 def test_move_cache_asked_once_per_proposal_and_start(monkeypatch, move_lookups):
     # The chain state's graph keeps its own moves, so the cache
     # is asked once per chain start and once per non-null proposal.
-    import ebggm.saem as saem_mod
+    import ebggm.sampler as sampler_mod
     from ebggm import SaemConfig, run_saem
 
+    monkeypatch.setattr(sampler_mod, "MoveCache", move_lookups.cache)
     made = move_lookups.made
     stats = make_stats(3, n=40, seed=2)
     hp = Hyperparams(delta=1.0, tau=0.5)
-    scorer = PosteriorScorer(stats, hp)
-    moves = move_lookups.cache()
     rng = np.random.default_rng(9)
     cfg = KernelConfig(mode="alternate")
-    state, _ = run_chain(Graph(3, 0), 300, stats, hp, cfg, rng, scorer=scorer,
-                         moves=moves)
+    state, _ = run_chain(Graph(3, 0), 300, stats, hp, cfg, rng)
+    moves, = move_lookups.caches
+    assert state.moves is moves
     assert len(made) == 300 and not all(made)  # p=3 chains hit null proposals
     assert moves.calls == 1 + sum(made)
-    # A chain resumed from a state, and the HIW draw after it, ask nothing more.
+    # A chain resumed from a state, and the HIW draw after it, ask nothing more
+    # and keep the state's cache.
     made.clear()
     moves.calls = 0
-    state, _ = run_chain(state, 50, stats, hp, cfg, rng, scorer=scorer, moves=moves)
-    sample_graph_and_sigma(state, stats, hp, 40, rng, cfg, scorer=scorer, moves=moves)
+    state, _ = run_chain(state, 50, stats, hp, cfg, rng)
+    state, _ = sample_graph_and_sigma(state, stats, hp, 40, rng, cfg)
     assert moves.calls == sum(made)
+    assert state.moves is moves and len(move_lookups.caches) == 1
     # SAEM: one start for the whole fit.
     made.clear()
-    monkeypatch.setattr(saem_mod, "MoveCache", move_lookups.cache)
     run_saem(stats, SaemConfig(n_iter=12, n_unit=4, m_first=20, m_rest=5, n_warm=2),
              Hyperparams(delta=1.0, tau=1.0), rng, kernel=cfg)
     assert len(made) == 2 * 20 + 10 * 5
+    assert len(move_lookups.caches) == 2
     assert move_lookups.caches[-1].calls == 1 + sum(made)
 
 
@@ -355,13 +356,34 @@ def test_run_chain_resumes_from_state():
     stats = make_stats(3, n=30, seed=4)
     hp = Hyperparams(delta=1.0, tau=1.0)
     cfg = KernelConfig()
-    scorer = PosteriorScorer(stats, hp)
     rng = np.random.default_rng(5)
-    state, _ = run_chain(Graph(3, 0), 50, stats, hp, cfg, rng, scorer=scorer)
-    resumed, log = run_chain(state, 25, stats, hp, cfg, rng, scorer=scorer)
+    state, _ = run_chain(Graph(3, 0), 50, stats, hp, cfg, rng)
+    resumed, log = run_chain(state, 25, stats, hp, cfg, rng)
     assert resumed.step_index == 75
     assert len(log) == 25
     assert resumed.accept_count >= state.accept_count
+
+
+def test_resumed_chain_scores_its_start_under_new_hyperparameters(figure1_stats):
+    # A state reached under one tau and resumed under another behaves as if
+    # its score had been recomputed first; its memo, parity and counts carry on.
+    stats = figure1_stats
+    cfg = KernelConfig(mode="alternate")
+    state, _ = run_chain(Graph(9), 2000, stats, Hyperparams(delta=1.0, tau=0.25), cfg,
+                         np.random.default_rng(1))
+    hp_new = Hyperparams(delta=1.0, tau=0.01)
+    rescored = replace(state, log_score=PosteriorScorer(stats, hp_new).score(state.graph))
+    assert rescored.log_score != state.log_score
+    resumed, log = run_chain(state, 3000, stats, hp_new, cfg, np.random.default_rng(2))
+    _, want = run_chain(rescored, 3000, stats, hp_new, cfg, np.random.default_rng(2))
+    assert log.graph_ids == want.graph_ids
+    assert log.log_scores == want.log_scores
+    assert resumed.moves is state.moves
+    assert resumed.step_index == 5000
+    assert resumed.accept_count == state.accept_count + int(log.accepted.sum())
+    # A zero-step run only rescores.
+    same, empty = run_chain(state, 0, stats, hp_new, cfg, np.random.default_rng(3))
+    assert same == rescored and len(empty) == 0
 
 
 def test_chain_log_acceptance_helpers():
@@ -411,14 +433,13 @@ def test_data_driven_step_runs_and_moves():
     hp = Hyperparams(delta=1.0, tau=0.5)
     cfg = KernelConfig(mode="data_driven")
     scorer = PosteriorScorer(stats, hp)
-    moves = MoveCache()
     weights = edge_weights(stats, cfg)
     g = Graph(4, 0)
     state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(17)
     seen = {g.edges}
     for _ in range(200):
-        state = mh_step(state, rng, scorer=scorer, moves=moves, weights=weights)
+        state = mh_step(state, rng, scorer=scorer, weights=weights)
         seen.add(state.graph.edges)
     assert state.step_index == 200
     assert len(seen) > 1
@@ -449,16 +470,14 @@ def test_sample_graph_and_sigma_advances_and_respects_graph():
     g = Graph.from_edge_list(4, [(0, 1), (1, 2)])
     state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(41)
-    new_state, sigma = sample_graph_and_sigma(state, stats, hp, 30, rng,
-                                              scorer=scorer)
+    new_state, sigma = sample_graph_and_sigma(state, stats, hp, 30, rng)
     assert new_state.step_index == 30
     assert sigma.shape == (4, 4)
     assert np.allclose(sigma, sigma.T)
     assert np.all(np.linalg.eigvalsh(sigma) > 0)
     # Zero M leaves the graph alone; the draw obeys that graph's zeros.
     rng = np.random.default_rng(42)
-    same_state, sigma = sample_graph_and_sigma(state, stats, hp, 0, rng,
-                                               scorer=scorer)
+    same_state, sigma = sample_graph_and_sigma(state, stats, hp, 0, rng)
     assert same_state.graph == g
     prec = np.linalg.inv(sigma)
     scale = np.max(np.abs(prec))
@@ -477,8 +496,7 @@ def test_sample_graph_and_sigma_deterministic():
     for _ in range(2):
         rng = np.random.default_rng(77)
         state = ChainState(g, scorer.score(g))
-        state, sigma = sample_graph_and_sigma(state, stats, hp, 20, rng,
-                                              scorer=scorer)
+        state, sigma = sample_graph_and_sigma(state, stats, hp, 20, rng)
         draws.append((state.graph.edges, sigma))
     assert draws[0][0] == draws[1][0]
     assert np.array_equal(draws[0][1], draws[1][1])
