@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import NotDecomposableError, TooLargeError
 
 
@@ -72,6 +74,17 @@ def iter_bits(mask):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def bit_positions(mask):
+    """Positions of the set bits of mask, lowest first, as an index array.
+
+    Its cost hardly grows with the bit count, which suits long edge masks;
+    for a vertex set of a few bits np.fromiter over iter_bits is cheaper.
+    """
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8),
+                                        bitorder="little"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,21 +376,27 @@ def _pairs(p, mask):
     return [table[k] for k in iter_bits(mask)]
 
 
+def clique_edge_mask(p, vertices):
+    """Edge bitmask of every pair inside the vertex set given as a bitmask."""
+    off = _row_offsets(p)
+    e = 0
+    rest = vertices
+    while rest:
+        b = rest & -rest
+        x = b.bit_length() - 1
+        e |= (vertices >> (x + 1)) << off[x]
+        rest ^= b
+    return e
+
+
 def deletion_mask(g: Graph):
     """Edge bitmask of the removals that keep the graph decomposable.
 
     An edge is removable exactly when it lies in a single maximal clique.
     """
-    off = _row_offsets(g.p)
     once = twice = 0
     for c in g.sequence.clique_masks:
-        e = 0
-        rest = c
-        while rest:
-            b = rest & -rest
-            x = b.bit_length() - 1
-            e |= (c >> (x + 1)) << off[x]
-            rest ^= b
+        e = clique_edge_mask(g.p, c)
         twice |= once & e
         once |= e
     return once & ~twice

@@ -24,7 +24,7 @@ from .errors import (
     SingularScatterError,
     ZeroVarianceError,
 )
-from .graphs import Graph, iter_bits, perfect_sequence
+from .graphs import Graph, iter_bits, n_candidate_edges, perfect_sequence
 
 LOG_2PI = log(2.0 * pi)
 
@@ -231,8 +231,10 @@ def log_graph_prior(g: Graph, hp: Hyperparams):
     family, matching the estimation target of the stochastic EM driver).
     beta_binomial: -log C(m, k).  uniform: 0.
     """
-    k = g.edge_count
-    m = g.m
+    return _log_prior_of_count(g.edge_count, g.m, hp)
+
+
+def _log_prior_of_count(k, m, hp):
     if hp.graph_prior == "bernoulli":
         return k * log(hp.r) + (m - k) * log(1.0 - hp.r)
     if hp.graph_prior == "beta_binomial":
@@ -336,17 +338,17 @@ class PosteriorScorer:
                 val -= self.term(sm)
         return val
 
-    def _log_prior_k(self, g: Graph):
-        k = g.edge_count
-        val = self._priors.get(k)
+    def log_prior(self, n_edges):
+        """log_graph_prior of any graph with n_edges edges, memoized per count."""
+        val = self._priors.get(n_edges)
         if val is None:
-            val = log_graph_prior(g, self.hp)
-            self._priors[k] = val
+            val = _log_prior_of_count(n_edges, n_candidate_edges(self.p), self.hp)
+            self._priors[n_edges] = val
         return val
 
     def score(self, g: Graph):
         """Unnormalized log posterior of the graph (2 pi factor dropped)."""
-        return self.log_lik(g) + self._log_prior_k(g)
+        return self.log_lik(g) + self.log_prior(g.edge_count)
 
 
 def sample_invwishart(df, scale, rng):

@@ -18,10 +18,13 @@ from operator import ne
 import numpy as np
 
 from .errors import SingularScatterError
-from .graphs import Graph, edge_pair, iter_bits, nth_bit
+from .graphs import Graph, bit_positions, clique_edge_mask, edge_pair, nth_bit
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
+# relative slack on the pre-test's bound on log alpha; it covers the rounding
+# of a local score change against a difference of two full scores
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ class MoveCache:
         """The memo's Graph equal to g, which is g itself the first time."""
         return self._memo.setdefault(g, g)
 
+    def __contains__(self, g: Graph):
+        return g in self._memo
+
 
 @dataclass(frozen=True)
 class ChainState:
@@ -78,6 +84,7 @@ def edge_weights(stats: DatasetStats, cfg: KernelConfig):
 
     All weights land in [weight_floor, 1/weight_floor]; if every entry hits
     the floor the kernel degrades to uniform selection by construction.
+    Returns the (addition, deletion) pair as float arrays indexed by slot.
     """
     k_mat = stats.inv_empirical
     p = stats.p
@@ -87,50 +94,99 @@ def edge_weights(stats: DatasetStats, cfg: KernelConfig):
         for j in range(i + 1, p):
             add_w.append(min(max(abs(float(k_mat[i, j])), lo), hi))
     del_w = [1.0 / w for w in add_w]
-    return tuple(add_w), tuple(del_w)
+    return np.array(add_w), np.array(del_w)
 
 
-def _weight_total(weights, mask):
-    total = 0.0
-    for k in iter_bits(mask):
-        total += weights[k]
-    return total
+def _weight_sums(weights, mask):
+    """Running sums of weights over the set bits of mask, lowest bit first,
+    with those bit positions.  Each sum adds one weight to the one before,
+    so the last is the total a loop over the bits would give."""
+    pos = bit_positions(mask)
+    return np.cumsum(weights[pos]), pos
 
 
-def _propose(g: Graph, moves: MoveCache, weights, do_delete, rng):
-    """Add-delete move from g in the chosen direction.
+def _log_q_rev(weights, do_delete, k, mask):
+    """log probability of moving back by slot k when mask holds the reverse
+    moves: uniform when weights is None, else by the reverse direction's
+    weights."""
+    if weights is None:
+        return -log(mask.bit_count())
+    w_rev = weights[0] if do_delete else weights[1]
+    return log(w_rev[k]) - log(_weight_sums(w_rev, mask)[0][-1])
+
+
+def _draw_move(g: Graph, weights, do_delete, rng):
+    """Forward half of an add-delete proposal from g in the chosen direction.
 
     weights=None picks a legal move uniformly; otherwise weights is the
-    (addition, deletion) pair from edge_weights, summed over candidate edges
-    in ascending edge order.  Returns (proposal, (i, j), log q-ratio), the
-    proposal being the memo's Graph, or None when the direction has no legal
-    move.  The log q-ratio is log q(reverse move) - log q(forward move).
+    (addition, deletion) pair from edge_weights, and the move is the first
+    candidate, in ascending edge order, whose running weight reaches a
+    uniform target.  Returns (edge slot k, log q(forward move)), or None
+    when the direction has no legal move.
     """
     cand = g.deletions if do_delete else g.additions
     if not cand:
         return None
     if weights is None:
-        k = nth_bit(cand, int(rng.integers(cand.bit_count())))
-    else:
-        w_rev, w_fwd = weights if do_delete else weights[::-1]
-        total_fwd = _weight_total(w_fwd, cand)
-        target = rng.random() * total_fwd
-        acc = 0.0
-        k = cand.bit_length() - 1
-        for kk in iter_bits(cand):
-            acc += w_fwd[kk]
-            if acc >= target:
-                k = kk
-                break
+        n = cand.bit_count()
+        return nth_bit(cand, int(rng.integers(n))), -log(n)
+    w_fwd = weights[1] if do_delete else weights[0]
+    sums, pos = _weight_sums(w_fwd, cand)
+    total = sums[-1]
+    k = int(pos[min(sums.searchsorted(rng.random() * total), len(pos) - 1)])
+    return k, log(w_fwd[k]) - log(total)
+
+
+def _propose(g: Graph, moves: MoveCache, weights, do_delete, k):
+    """Exact half of the proposal that flips slot k of g: the memo's Graph
+    for the proposal and log q(reverse move) from its legal-move mask."""
     gp = moves.moves(Graph(g.p, g.edges ^ (1 << k)))
     reverse = gp.additions if do_delete else gp.deletions
-    if weights is None:
-        log_q_ratio = log(cand.bit_count()) - log(reverse.bit_count())
+    return gp, _log_q_rev(weights, do_delete, k, reverse)
+
+
+def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
+    """Upper bound on log alpha + log q(forward move) for flipping slot k of
+    g, read off g alone.
+
+    The score change is local (Giudici and Green 1999), with t the
+    scorer's term and t(empty) = 0.  Deleting (x, y) from its one clique C,
+    with S = C - {x, y}, changes it by t(C-x) + t(C-y) - t(C) - t(S);
+    adding it with S = N(x) & N(y) and K = S + {x, y} by
+    t(K) + t(S) - t(S+x) - t(S+y).  log q(reverse move) is bounded through
+    a subset of the reverse moves that always holds the flipped edge.
+    After a deletion every legal addition of g away from x and y stays
+    legal: its common neighbours are kept, and removing an edge joins no
+    components.  After an addition every legal deletion of g outside K
+    stays legal: K is the one new clique, and a clique it absorbs holds
+    only edges of K.
+    """
+    p, term = g.p, scorer.term
+    x, y = edge_pair(p, k)
+    bx, by = 1 << x, 1 << y
+    cliques = g.sequence.clique_masks
+    if do_delete:
+        c = next(c for c in cliques if c & bx and c & by)
+        s = c ^ bx ^ by
+        change = (term(c ^ bx) + term(c ^ by) - term(c)
+                  - (term(s) if s else 0.0))
+        lower = g.additions & clique_edge_mask(p, ((1 << p) - 1) ^ bx ^ by)
+        n_edges = g.edge_count - 1
     else:
-        log_q_fwd = log(w_fwd[k]) - log(total_fwd)
-        log_q_rev = log(w_rev[k]) - log(_weight_total(w_rev, reverse))
-        log_q_ratio = log_q_rev - log_q_fwd
-    return gp, edge_pair(g.p, k), log_q_ratio
+        near_x = near_y = 0
+        for c in cliques:
+            if c & bx:
+                near_x |= c
+            if c & by:
+                near_y |= c
+        s = near_x & near_y
+        new_clique = s | bx | by
+        change = (term(new_clique) + (term(s) if s else 0.0)
+                  - term(s | bx) - term(s | by))
+        lower = g.deletions & ~clique_edge_mask(p, new_clique)
+        n_edges = g.edge_count + 1
+    change += scorer.log_prior(n_edges) - scorer.log_prior(g.edge_count)
+    return change + _log_q_rev(weights, do_delete, k, lower | 1 << k)
 
 
 def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):
@@ -140,20 +196,30 @@ def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):
     proposes uniformly among the legal moves, edge_weights output biases the
     proposal toward large (additions) or small (deletions) |K_ij|.  A
     direction with no legal move is a null proposal and counts as a
-    rejected step.  Only the proposal is looked up in the state's move memo,
-    which the next state carries on; the current graph keeps its own moves.
+    rejected step.
+
+    The uniform u of the accept test is drawn right after the move.  A
+    bound on log alpha from the current graph alone (_log_alpha_bound)
+    rejects most proposals before the proposal graph is built; the rest
+    are looked up in the state's move memo, which the next state carries
+    on, and scored exactly against the same u.
     """
     do_delete = rng.random() < 0.5
-    moves = state.moves
-    proposal = _propose(state.graph, moves, weights, do_delete, rng)
+    g, moves = state.graph, state.moves
     step = state.step_index + 1
-    if proposal is not None:
-        gp, _, log_q_ratio = proposal
-        score = scorer.score(gp)
-        log_alpha = score - state.log_score + log_q_ratio
-        if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-            return ChainState(gp, score, step, state.accept_count + 1, moves)
-    return ChainState(state.graph, state.log_score, step, state.accept_count, moves)
+    drawn = _draw_move(g, weights, do_delete, rng)
+    if drawn is not None:
+        k, log_q_fwd = drawn
+        u = rng.random()
+        bound = (_log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
+                 + BOUND_SLACK * (1.0 + abs(state.log_score)))
+        if bound >= 0.0 or u < exp(bound):
+            gp, log_q_rev = _propose(g, moves, weights, do_delete, k)
+            score = scorer.score(gp)
+            log_alpha = score - state.log_score + (log_q_rev - log_q_fwd)
+            if u < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
+                return ChainState(gp, score, step, state.accept_count + 1, moves)
+    return ChainState(g, state.log_score, step, state.accept_count, moves)
 
 
 @dataclass
@@ -206,8 +272,9 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     scorer = PosteriorScorer(stats, hp)
     if isinstance(init, Graph):
-        moves = MoveCache()
-        init = ChainState(moves.moves(init), 0.0, moves=moves)
+        init = ChainState(init, 0.0, moves=MoveCache())
+    if init.graph not in init.moves:  # a fresh or hand-built start
+        init = replace(init, graph=init.moves.moves(init.graph))
     state = replace(init, log_score=scorer.score(init.graph))
     if cfg.mode == "add_delete":
         by_parity = (None, None)

@@ -78,11 +78,13 @@ class CountingMoveCache(MoveCache):
 
 
 class MoveLookups:
-    """The counting caches made through cache(), and per proposal whether
-    it was non-null (made)."""
+    """The counting caches made through cache(); per drawn proposal whether
+    it was non-null (made), and how many proposals the pre-test passed on
+    to the exact test (looked_up), each of which asks the cache once."""
 
     def __init__(self):
         self.made = []
+        self.looked_up = 0
         self.caches = []
 
     def cache(self):
@@ -92,16 +94,22 @@ class MoveLookups:
 
 @pytest.fixture()
 def move_lookups(monkeypatch):
-    """MoveLookups whose `made` list is fed by a spy on sampler._propose."""
+    """MoveLookups fed by spies on sampler._draw_move (made) and on the
+    exact path, sampler._propose (looked_up)."""
     import ebggm.sampler as sampler_mod
 
     got = MoveLookups()
-    orig = sampler_mod._propose
+    draw, propose = sampler_mod._draw_move, sampler_mod._propose
 
-    def spy(*args):
-        out = orig(*args)
+    def spy_draw(*args):
+        out = draw(*args)
         got.made.append(out is not None)
         return out
 
-    monkeypatch.setattr(sampler_mod, "_propose", spy)
+    def spy_propose(*args):
+        got.looked_up += 1
+        return propose(*args)
+
+    monkeypatch.setattr(sampler_mod, "_draw_move", spy_draw)
+    monkeypatch.setattr(sampler_mod, "_propose", spy_propose)
     return got

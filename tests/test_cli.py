@@ -463,14 +463,14 @@ def test_cli_rerun_warns_on_version_drift(tmp_path, capsys):
 def test_cli_sample_looks_up_moves_once_per_proposal(tmp_path, capsys, small_csv,
                                                      monkeypatch, move_lookups):
     # Burn-in and main run share one start; the cache sees nothing but that
-    # start and the non-null proposals.
+    # start and the proposals the pre-test passes on.
     monkeypatch.setattr(sampler, "MoveCache", move_lookups.cache)
     assert main(["sample", "--data", small_csv, "--n-steps", "300", "--n-burn", "100",
                  "--seed", "2", "--out-dir", str(tmp_path / "s")]) == 0
     capsys.readouterr()
     assert len(move_lookups.made) == 400
     assert len(move_lookups.caches) == 1
-    assert move_lookups.caches[0].calls == 1 + sum(move_lookups.made)
+    assert move_lookups.caches[0].calls == 1 + move_lookups.looked_up
 
 
 def test_cli_report_from_visit_log(tmp_path, capsys, small_csv):

@@ -1,0 +1,268 @@
+"""The MH pre-test: its bound on log alpha, and chains that match the
+step without it draw for draw."""
+
+from math import exp, log
+
+import numpy as np
+import pytest
+
+from ebggm import (
+    ChainState,
+    DatasetStats,
+    Graph,
+    Hyperparams,
+    KernelConfig,
+    MoveCache,
+    PosteriorScorer,
+    edge_weights,
+    enumerate_decomposable,
+    log_posterior_score,
+    random_decomposable_graph,
+    run_chain,
+    sample_hiw,
+)
+from ebggm.graphs import edge_pair, nth_bit
+from ebggm.sampler import _log_alpha_bound
+
+
+# --------------------------------------------------------------- reference
+# The step before the pre-test: select, look up, score, then draw u.  It
+# walks the candidate bits one at a time and sums weights in a plain loop.
+
+def ref_iter_bits(mask):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def ref_weight_total(weights, mask):
+    total = 0.0
+    for k in ref_iter_bits(mask):
+        total += weights[k]
+    return total
+
+
+def ref_propose(g, moves, weights, do_delete, rng):
+    cand = g.deletions if do_delete else g.additions
+    if not cand:
+        return None
+    if weights is None:
+        k = nth_bit(cand, int(rng.integers(cand.bit_count())))
+    else:
+        w_rev, w_fwd = weights if do_delete else weights[::-1]
+        total_fwd = ref_weight_total(w_fwd, cand)
+        target = rng.random() * total_fwd
+        acc = 0.0
+        k = cand.bit_length() - 1
+        for kk in ref_iter_bits(cand):
+            acc += w_fwd[kk]
+            if acc >= target:
+                k = kk
+                break
+    gp = moves.moves(Graph(g.p, g.edges ^ (1 << k)))
+    reverse = gp.additions if do_delete else gp.deletions
+    if weights is None:
+        log_q_ratio = log(cand.bit_count()) - log(reverse.bit_count())
+    else:
+        log_q_fwd = log(w_fwd[k]) - log(total_fwd)
+        log_q_rev = log(w_rev[k]) - log(ref_weight_total(w_rev, reverse))
+        log_q_ratio = log_q_rev - log_q_fwd
+    return gp, edge_pair(g.p, k), log_q_ratio
+
+
+def ref_mh_step(state, rng, *, scorer, weights=None):
+    do_delete = rng.random() < 0.5
+    moves = state.moves
+    proposal = ref_propose(state.graph, moves, weights, do_delete, rng)
+    step = state.step_index + 1
+    if proposal is not None:
+        gp, _, log_q_ratio = proposal
+        score = scorer.score(gp)
+        log_alpha = score - state.log_score + log_q_ratio
+        if rng.random() < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
+            return ChainState(gp, score, step, state.accept_count + 1, moves)
+    return ChainState(state.graph, state.log_score, step, state.accept_count, moves)
+
+
+def ref_chain(stats, hp, mode, n_steps, seed):
+    scorer = PosteriorScorer(stats, hp)
+    weights = None
+    if mode != "add_delete":
+        weights = tuple(tuple(w.tolist()) for w in edge_weights(stats, KernelConfig(mode)))
+    by_parity = {"add_delete": (None, None), "data_driven": (weights, weights),
+                 "alternate": (None, weights)}[mode]
+    rng = np.random.default_rng(seed)
+    g = Graph(stats.p)
+    state = ChainState(g, scorer.score(g))
+    ids, scores = [], []
+    for _ in range(n_steps):
+        state = ref_mh_step(state, rng, scorer=scorer,
+                            weights=by_parity[state.step_index % 2])
+        ids.append(state.graph.edges)
+        scores.append(state.log_score)
+    return ids, scores, state.accept_count, rng.bit_generator.state
+
+
+def model_stats(p, n, seed):
+    """n rows drawn around the covariance of a random decomposable graph."""
+    rng = np.random.default_rng([seed, p])
+    g = random_decomposable_graph(p, rng)
+    sigma = sample_hiw(g, 1.0, 0.03 * np.eye(p), rng)
+    rows = rng.standard_normal((n, p)) @ np.linalg.cholesky(sigma).T
+    return DatasetStats.from_data(rows, center=True, standardize=True)
+
+
+@pytest.fixture(scope="module")
+def stats_by_p(figure1_stats):
+    return {5: model_stats(5, 100, 3), 9: figure1_stats, 25: model_stats(25, 200, 1)}
+
+
+@pytest.mark.parametrize("mode", ["add_delete", "data_driven", "alternate"])
+@pytest.mark.parametrize("p,tau,r", [(5, 0.5, 0.5), (9, 0.25, 0.4), (25, 0.5, 0.2)])
+def test_chain_matches_reference_step(stats_by_p, p, tau, r, mode):
+    stats = stats_by_p[p]
+    hp = Hyperparams(delta=1.0, tau=tau, r=r)
+    want_ids, want_scores, want_accepts, want_rng = ref_chain(stats, hp, mode, 3000, 7)
+    rng = np.random.default_rng(7)
+    state, log_ = run_chain(Graph(p), 3000, stats, hp, KernelConfig(mode), rng)
+    assert log_.graph_ids == want_ids
+    assert log_.log_scores == want_scores
+    assert state.accept_count == want_accepts
+    assert rng.bit_generator.state == want_rng
+
+
+# ------------------------------------------------------------ bound oracle
+
+def plain_weight_total(weights, mask):
+    total = 0.0
+    for k in range(mask.bit_length()):
+        if mask >> k & 1:
+            total += float(weights[k])
+    return total
+
+
+def plain_log_q(weights, k, mask):
+    if weights is None:
+        return -log(mask.bit_count())
+    return log(weights[k]) - log(plain_weight_total(weights, mask))
+
+
+HYPERPARAMS = (
+    Hyperparams(delta=1.0, phi_mode="scaled_identity", tau=0.4, graph_prior="bernoulli",
+                r=0.3),
+    Hyperparams(delta=2.0, tau=1.5, graph_prior="beta_binomial"),
+    Hyperparams(delta=1.0, phi_mode="empirical_gprior", graph_prior="uniform"),
+)
+
+
+def max_bound_excess(graphs, flips, stats, hps=HYPERPARAMS):
+    """Largest exact log alpha minus the bound (both net of the forward
+    log q), in units of 1 + |score|, over the given flips of each graph,
+    both kernels and every hyperparameter set in hps; and the number of
+    flips times kernels times hyperparameter sets."""
+    add_w, del_w = edge_weights(stats, KernelConfig("data_driven"))
+    kernels = (None, (add_w, del_w))
+    worst, n = -np.inf, 0
+    for hp in hps:
+        scorer = PosteriorScorer(stats, hp)
+        exact = {}
+
+        def score(edges):
+            if edges not in exact:
+                exact[edges] = log_posterior_score(Graph(stats.p, edges), stats, hp)
+            return exact[edges]
+
+        for g in graphs:
+            fresh = Graph(g.p, g.edges)
+            for do_delete, k in flips(fresh):
+                gp = Graph(g.p, g.edges ^ (1 << k))
+                cand = fresh.deletions if do_delete else fresh.additions
+                reverse = gp.additions if do_delete else gp.deletions
+                change = score(gp.edges) - score(g.edges)
+                for weights in kernels:
+                    w_fwd = w_rev = None
+                    if weights is not None:
+                        w_fwd, w_rev = (del_w, add_w) if do_delete else (add_w, del_w)
+                    log_q_fwd = plain_log_q(w_fwd, k, cand)
+                    want = change + plain_log_q(w_rev, k, reverse) - log_q_fwd
+                    bound = _log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
+                    worst = max(worst, (want - bound) / (1.0 + abs(score(g.edges))))
+                    n += 1
+    return worst, n
+
+
+def all_flips(g):
+    for do_delete, mask in ((False, g.additions), (True, g.deletions)):
+        for k in range(mask.bit_length()):
+            if mask >> k & 1:
+                yield do_delete, k
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_bound_holds_for_every_flip_of_every_small_graph(p):
+    stats = model_stats(p, 40, 11)
+    worst, n = max_bound_excess(list(enumerate_decomposable(p)), all_flips, stats)
+    assert n > 0
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("p", [25, 32])
+def test_bound_holds_on_random_large_graphs(p):
+    # The functional score takes tens of milliseconds at p=32, so each graph
+    # gets one hyperparameter set, in turn, and three flips per direction.
+    stats = model_stats(p, 80, 12)
+    rng = np.random.default_rng([12, p])
+    graphs = [random_decomposable_graph(p, rng, walk_steps=p * (p - 1) // 2)
+              for _ in range(30)]
+
+    def some_flips(g):
+        for do_delete, mask in ((False, g.additions), (True, g.deletions)):
+            for _ in range(min(3, mask.bit_count())):
+                yield do_delete, nth_bit(mask, int(rng.integers(mask.bit_count())))
+
+    found = [max_bound_excess(graphs[i::3], some_flips, stats, (hp,))
+             for i, hp in enumerate(HYPERPARAMS)]
+    assert sum(n for _, n in found) > 30 * 2 * 3
+    assert max(worst for worst, _ in found) <= 1e-9
+
+
+# ---------------------------------------------------------- start and memo
+
+@pytest.mark.parametrize("start", ["graph", "state"])
+def test_chain_start_searches_once_per_memo_entry(monkeypatch, start):
+    # A hand-built state's graph joins its memo, so a return to the start
+    # finds the graph searched before.
+    import ebggm.graphs as graphs_mod
+
+    calls = []
+    orig = graphs_mod.perfect_sequence
+
+    def spy(g, *args, **kwargs):
+        calls.append(g.edges)
+        return orig(g, *args, **kwargs)
+
+    monkeypatch.setattr(graphs_mod, "perfect_sequence", spy)
+    stats = DatasetStats.from_data(np.random.default_rng(4).standard_normal((60, 5)))
+    init = Graph(5) if start == "graph" else ChainState(Graph(5), 0.0)
+    state, _ = run_chain(init, 2000, stats, Hyperparams(tau=0.5), KernelConfig(),
+                         np.random.default_rng(1))
+    assert len(calls) == len(state.moves._memo) > 1
+    assert Graph(5) in state.moves
+
+
+def test_memo_holds_looked_up_graphs_only(figure1_stats):
+    state, log_ = run_chain(Graph(9), 30000, figure1_stats,
+                            Hyperparams(tau=0.25, r=0.4), KernelConfig("alternate"),
+                            np.random.default_rng(3))
+    assert len(set(log_.graph_ids)) == 3232
+    assert state.accept_count == 6782
+    assert len(state.moves._memo) <= 3531
+
+
+def test_move_cache_membership():
+    moves = MoveCache()
+    g = Graph(4, 5)
+    assert g not in moves
+    assert moves.moves(g) is g
+    assert Graph(4, 5) in moves

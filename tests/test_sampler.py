@@ -26,7 +26,8 @@ from ebggm import (
     simulate_dataset,
 )
 from ebggm.errors import NotDecomposableError
-from ebggm.sampler import _propose
+from ebggm.graphs import edge_pair
+from ebggm.sampler import _draw_move, _propose
 
 
 class ScriptedRng:
@@ -79,19 +80,20 @@ def test_uniform_proposal_ratio_from_empty():
     g = Graph(3, 0)
     moves = MoveCache()
     rng = ScriptedRng(ints=[1])
-    gp, (i, j), log_q = _propose(g, moves, None, False, rng)
+    k, log_q_fwd = _draw_move(g, None, False, rng)
+    gp, log_q_rev = _propose(g, moves, None, False, k)
+    i, j = edge_pair(3, k)
     assert gp.edge_count == 1
     assert gp.has_edge(i, j)
     assert (i, j) == (0, 2)  # the second of the three additions
     assert gp is moves.moves(Graph(3, gp.edges))
-    assert log_q == pytest.approx(math.log(3.0), abs=1e-15)
+    assert log_q_rev - log_q_fwd == pytest.approx(math.log(3.0), abs=1e-15)
 
 
 def test_uniform_proposal_none_without_moves():
-    moves = MoveCache()
     empty, full = Graph(3, 0), Graph.complete(3)
-    assert _propose(empty, moves, None, True, ScriptedRng()) is None
-    assert _propose(full, moves, None, False, ScriptedRng()) is None
+    assert _draw_move(empty, None, True, ScriptedRng()) is None
+    assert _draw_move(full, None, False, ScriptedRng()) is None
 
 
 def test_null_step_counts_as_rejection():
@@ -181,8 +183,8 @@ def test_graph_builds_its_sequence_once(monkeypatch):
 
 
 def test_move_cache_asked_once_per_proposal_and_start(monkeypatch, move_lookups):
-    # The chain state's graph keeps its own moves, so the cache
-    # is asked once per chain start and once per non-null proposal.
+    # The chain state's graph keeps its own moves, so the cache is asked
+    # once per chain start and once per proposal the pre-test passes on.
     import ebggm.sampler as sampler_mod
     from ebggm import SaemConfig, run_saem
 
@@ -196,22 +198,37 @@ def test_move_cache_asked_once_per_proposal_and_start(monkeypatch, move_lookups)
     moves, = move_lookups.caches
     assert state.moves is moves
     assert len(made) == 300 and not all(made)  # p=3 chains hit null proposals
-    assert moves.calls == 1 + sum(made)
+    assert moves.calls == 1 + move_lookups.looked_up
     # A chain resumed from a state, and the HIW draw after it, ask nothing more
     # and keep the state's cache.
     made.clear()
-    moves.calls = 0
+    moves.calls = move_lookups.looked_up = 0
     state, _ = run_chain(state, 50, stats, hp, cfg, rng)
     state, _ = sample_graph_and_sigma(state, stats, hp, 40, rng, cfg)
-    assert moves.calls == sum(made)
+    assert len(made) == 90
+    assert moves.calls == move_lookups.looked_up
     assert state.moves is moves and len(move_lookups.caches) == 1
     # SAEM: one start for the whole fit.
     made.clear()
+    move_lookups.looked_up = 0
     run_saem(stats, SaemConfig(n_iter=12, n_unit=4, m_first=20, m_rest=5, n_warm=2),
              Hyperparams(delta=1.0, tau=1.0), rng, kernel=cfg)
     assert len(made) == 2 * 20 + 10 * 5
     assert len(move_lookups.caches) == 2
-    assert move_lookups.caches[-1].calls == 1 + sum(made)
+    assert move_lookups.caches[-1].calls == 1 + move_lookups.looked_up
+
+
+def test_pretest_rejects_before_the_lookup(monkeypatch, move_lookups, figure1_stats):
+    # Most proposals are rejected from the current graph alone, so the
+    # cache sees fewer lookups than there are non-null proposals.
+    import ebggm.sampler as sampler_mod
+
+    monkeypatch.setattr(sampler_mod, "MoveCache", move_lookups.cache)
+    state, _ = run_chain(Graph(9), 2000, figure1_stats, Hyperparams(tau=0.25, r=0.4),
+                         KernelConfig(mode="alternate"), np.random.default_rng(4))
+    assert len(move_lookups.made) == 2000
+    assert state.moves.calls == 1 + move_lookups.looked_up
+    assert state.moves.calls < sum(move_lookups.made)
 
 
 def test_edge_weights_values_and_clamping():
@@ -303,9 +320,10 @@ def test_weighted_proposal_log_ratio_matches_hand_computation():
     moves = MoveCache()
     # Force the first candidate whose cumulative weight exceeds the target.
     rng = ScriptedRng(randoms=[0.0])
-    gp, (i, j), log_q = _propose(g, moves, weights, False, rng)
+    k, log_q_fwd = _draw_move(g, weights, False, rng)
+    gp, log_q_rev = _propose(g, moves, weights, False, k)
+    log_q = log_q_rev - log_q_fwd
     assert gp is moves.moves(Graph(3, gp.edges))
-    k = edge_index(3, i, j)
     assert k == 0
     total_fwd = sum(add_w)
     # From a one-edge graph the only deletion is that edge.
