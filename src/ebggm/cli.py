@@ -265,8 +265,9 @@ def _cmd_simulate(cfg, out):
                          "was given")
     if cfg.n < 1:
         raise ValueError(f"--n must be at least 1, got {cfg.n}")
+    hp = Hyperparams(delta=cfg.delta, tau=cfg.tau)
     rng = np.random.default_rng(cfg.seed)
-    data, _ = simulate_dataset(g, cfg.tau, cfg.delta, cfg.n, rng)
+    data, _ = simulate_dataset(g, hp.tau, hp.delta, cfg.n, rng)
     data_path = _artifact(out, "data.csv")
     write_data_csv(data_path, data)
     with open(_artifact(out, "truth.dot"), "w") as fh:

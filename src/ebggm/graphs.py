@@ -12,7 +12,8 @@ an MCS visit order is a perfect elimination order exactly when the graph is
 chordal, which for undirected Gaussian models is the same as decomposable.
 One search also yields the perfect clique sequence, and the legal add and
 delete moves follow from its cliques and separators as edge bitmasks.  A
-Graph builds its sequence and move masks on first use and keeps them.
+Graph builds its adjacency, sequence and move masks on first use and keeps
+them.
 """
 
 from __future__ import annotations
@@ -91,13 +92,15 @@ def bit_positions(mask):
 class Graph:
     """Immutable undirected graph on vertices 0..p-1 with bitset edges.
 
-    Its perfect sequence and legal-move masks are built on first use and kept
-    in slots outside equality, unset until then so that a Graph is cheap to
-    make; on a non-chordal graph they raise NotDecomposableError.
+    Its adjacency, perfect sequence and legal-move masks are built on first
+    use and kept in slots outside equality, unset until then so that a Graph
+    is cheap to make; on a non-chordal graph the last three raise
+    NotDecomposableError.
     """
 
     p: int
     edges: int = 0
+    _adjacency: tuple = field(init=False, repr=False, compare=False)
     _sequence: PerfectSequence = field(init=False, repr=False, compare=False)
     _additions: int = field(init=False, repr=False, compare=False)
     _deletions: int = field(init=False, repr=False, compare=False)
@@ -119,7 +122,11 @@ class Graph:
     @property
     def adjacency(self):
         """Per-vertex neighbor bitmasks."""
-        return _adjacency(self.p, self.edges)
+        try:
+            return self._adjacency
+        except AttributeError:
+            object.__setattr__(self, "_adjacency", _adjacency(self.p, self.edges))
+            return self._adjacency
 
     @property
     def sequence(self):
@@ -179,8 +186,7 @@ class Graph:
         return tuple(iter_bits(self.adjacency[v]))
 
     def edge_list(self):
-        table = _pair_table(self.p)
-        return [table[k] for k in iter_bits(self.edges)]
+        return _pairs(self.p, self.edges)
 
     @property
     def id_hex(self):

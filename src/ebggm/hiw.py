@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lgamma, log, log1p, pi, sqrt
+from math import isfinite, lgamma, log, log1p, pi, sqrt
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -24,7 +24,7 @@ from .errors import (
     SingularScatterError,
     ZeroVarianceError,
 )
-from .graphs import Graph, iter_bits, n_candidate_edges, perfect_sequence
+from .graphs import Graph, edge_pair, iter_bits, n_candidate_edges
 
 LOG_2PI = log(2.0 * pi)
 
@@ -51,6 +51,8 @@ class Hyperparams:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if not isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if self.phi_mode not in PHI_MODES:
             raise ValueError(f"phi_mode must be one of {PHI_MODES}, "
                              f"got {self.phi_mode!r}")
@@ -59,6 +61,8 @@ class Hyperparams:
                              f"got {self.graph_prior!r}")
         if self.phi_mode == "scaled_identity" and not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.phi_mode == "scaled_identity" and not isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if self.graph_prior == "bernoulli" and not 0.0 < self.r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
 
@@ -196,7 +200,7 @@ def log_hiw_constant(g: Graph, delta, phi, seq=None):
     if phi.shape != (g.p, g.p):
         raise ValueError(f"Phi must be {g.p} x {g.p}, got {phi.shape}")
     if seq is None:
-        seq = perfect_sequence(g)
+        seq = g.sequence
     out = 0.0
     for c in seq.cliques:
         idx = sorted(c)
@@ -209,18 +213,20 @@ def log_hiw_constant(g: Graph, delta, phi, seq=None):
     return out
 
 
+def _log_h_ratio(g, stats, hp, seq):
+    """log h(delta, Phi) - log h(delta + n, Phi + scatter) of the graph."""
+    phi = phi_matrix(hp, stats)
+    return (log_hiw_constant(g, hp.delta, phi, seq)
+            - log_hiw_constant(g, hp.delta + stats.n, phi + stats.scatter, seq))
+
+
 def log_marginal_likelihood(g: Graph, stats: DatasetStats, hp: Hyperparams, seq=None):
     """Log marginal density of the data given the graph, covariance integrated out.
 
     Equals log h(delta, Phi) - log h(delta + n, Phi + scatter) - (n p / 2) log 2 pi,
     where h is the graph-wide prior normalizing constant.  Zero when n = 0.
     """
-    if seq is None:
-        seq = perfect_sequence(g)
-    phi = phi_matrix(hp, stats)
-    left = log_hiw_constant(g, hp.delta, phi, seq)
-    right = log_hiw_constant(g, hp.delta + stats.n, phi + stats.scatter, seq)
-    return left - right - stats.n * g.p / 2.0 * LOG_2PI
+    return _log_h_ratio(g, stats, hp, seq) - stats.n * g.p / 2.0 * LOG_2PI
 
 
 def log_graph_prior(g: Graph, hp: Hyperparams):
@@ -247,12 +253,7 @@ def log_posterior_score(g: Graph, stats: DatasetStats, hp: Hyperparams, seq=None
 
     score = log h(delta, Phi) - log h(delta + n, Phi + scatter) + log prior(g).
     """
-    if seq is None:
-        seq = perfect_sequence(g)
-    phi = phi_matrix(hp, stats)
-    left = log_hiw_constant(g, hp.delta, phi, seq)
-    right = log_hiw_constant(g, hp.delta + stats.n, phi + stats.scatter, seq)
-    return left - right + log_graph_prior(g, hp)
+    return _log_h_ratio(g, stats, hp, seq) + log_graph_prior(g, hp)
 
 
 class PosteriorScorer:
@@ -349,6 +350,24 @@ class PosteriorScorer:
     def score(self, g: Graph):
         """Unnormalized log posterior of the graph (2 pi factor dropped)."""
         return self.log_lik(g) + self.log_prior(g.edge_count)
+
+    def flip_change(self, g: Graph, k):
+        """Score change from flipping edge slot k, a legal move of g.
+
+        With (x, y) at slot k, S = N(x) & N(y) and t = term (t(empty) = 0),
+        an addition changes log_lik by t(S+x+y) + t(S) - t(S+x) - t(S+y)
+        (Giudici and Green 1999).  A removable edge lies in one maximal
+        clique C, which holds the triangle of x, y and any common neighbour,
+        so S = C - {x, y} and a deletion changes log_lik by minus the same.
+        The log prior change of the edge count is added."""
+        x, y = edge_pair(self.p, k)
+        adj, bx, by = g.adjacency, 1 << x, 1 << y
+        s = adj[x] & adj[y]
+        term = self.term
+        change = (term(s | bx | by) + (term(s) if s else 0.0)
+                  - term(s | bx) - term(s | by))
+        n, sign = g.edge_count, (-1 if g.edges >> k & 1 else 1)
+        return sign * change + (self.log_prior(n + sign) - self.log_prior(n))
 
 
 def sample_invwishart(df, scale, rng):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateStatsError, NonFiniteError
-from .graphs import Graph, legal_deletions
+from .graphs import Graph, iter_bits
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import (
     ChainState,
@@ -63,6 +63,8 @@ class SaemConfig:
             raise ValueError(f"n_warm must be nonnegative, got {self.n_warm}")
         if not self.init_tau > 0:
             raise ValueError(f"init_tau must be positive, got {self.init_tau}")
+        if not isfinite(self.init_tau):
+            raise ValueError(f"init_tau must be finite, got {self.init_tau}")
         if not 0.0 < self.init_r < 1.0:
             raise ValueError(f"init_r must lie in (0, 1), got {self.init_r}")
 
@@ -114,24 +116,19 @@ def m_step(s: SufficientStats, delta, p, m):
     return tau, r
 
 
-def init_graph_backward(stats: DatasetStats, hp: Hyperparams, scorer=None):
-    """Greedy backward selection from the complete graph.
-
-    Removes the legal edge that most improves the posterior score until no
-    removal improves it; used to initialize the SAEM graph chain.
-    """
-    if scorer is None:
-        scorer = PosteriorScorer(stats, hp)
+def init_graph_backward(stats: DatasetStats, hp: Hyperparams):
+    """Greedy backward selection from the complete graph, which starts the
+    SAEM chain: remove the legal edge whose removal most raises the score
+    (PosteriorScorer.flip_change; ties go to the largest edge slot) until no
+    removal raises it."""
+    scorer = PosteriorScorer(stats, hp)
     g = Graph.complete(stats.p)
-    best = scorer.score(g)
-    while True:
-        candidates = [g.remove_edge(i, j) for i, j in legal_deletions(g)]
-        if not candidates:
-            return g
-        top, t = max((scorer.score(h), t) for t, h in enumerate(candidates))
-        if top <= best:
-            return g
-        g, best = candidates[t], top
+    while g.deletions:
+        gain, k = max((scorer.flip_change(g, j), j) for j in iter_bits(g.deletions))
+        if gain <= 0:
+            break
+        g = Graph(g.p, g.edges ^ (1 << k))
+    return g
 
 
 @dataclass
@@ -155,10 +152,12 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     """
     if hp_base.phi_mode != "scaled_identity":
         raise ValueError("the EM drives tau, so phi_mode must be scaled_identity")
+    p = stats.p
+    if p < 2:
+        raise ValueError(f"SAEM needs at least 2 variables, got p={p}")
     if kernel is None:
         kernel = KernelConfig(mode=auto_kernel_mode(stats))
     estimate_r = hp_base.graph_prior == "bernoulli"
-    p = stats.p
     m = Graph(p).m
     tau, r = cfg.init_tau, cfg.init_r
     hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))

@@ -146,47 +146,22 @@ def _propose(g: Graph, moves: MoveCache, weights, do_delete, k):
 
 
 def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
-    """Upper bound on log alpha + log q(forward move) for flipping slot k of
-    g, read off g alone.
-
-    The score change is local (Giudici and Green 1999), with t the
-    scorer's term and t(empty) = 0.  Deleting (x, y) from its one clique C,
-    with S = C - {x, y}, changes it by t(C-x) + t(C-y) - t(C) - t(S);
-    adding it with S = N(x) & N(y) and K = S + {x, y} by
-    t(K) + t(S) - t(S+x) - t(S+y).  log q(reverse move) is bounded through
-    a subset of the reverse moves that always holds the flipped edge.
-    After a deletion every legal addition of g away from x and y stays
-    legal: its common neighbours are kept, and removing an edge joins no
-    components.  After an addition every legal deletion of g outside K
-    stays legal: K is the one new clique, and a clique it absorbs holds
-    only edges of K.
+    """Upper bound on log alpha + log q(forward move) for flipping slot
+    k = (x, y) of g, read off g alone: scorer.flip_change plus log q(reverse
+    move) over a subset of the reverse moves that holds slot k.  After a
+    deletion every legal addition of g away from x and y stays legal (its
+    common neighbours stay, and no components join); after an addition
+    every legal deletion of g outside the one new clique N(x) & N(y) + x + y
+    does (a clique that it absorbs holds only edges of the new clique).
     """
-    p, term = g.p, scorer.term
-    x, y = edge_pair(p, k)
+    x, y = edge_pair(g.p, k)
     bx, by = 1 << x, 1 << y
-    cliques = g.sequence.clique_masks
     if do_delete:
-        c = next(c for c in cliques if c & bx and c & by)
-        s = c ^ bx ^ by
-        change = (term(c ^ bx) + term(c ^ by) - term(c)
-                  - (term(s) if s else 0.0))
-        lower = g.additions & clique_edge_mask(p, ((1 << p) - 1) ^ bx ^ by)
-        n_edges = g.edge_count - 1
+        lower = g.additions & clique_edge_mask(g.p, ((1 << g.p) - 1) ^ bx ^ by)
     else:
-        near_x = near_y = 0
-        for c in cliques:
-            if c & bx:
-                near_x |= c
-            if c & by:
-                near_y |= c
-        s = near_x & near_y
-        new_clique = s | bx | by
-        change = (term(new_clique) + (term(s) if s else 0.0)
-                  - term(s | bx) - term(s | by))
-        lower = g.deletions & ~clique_edge_mask(p, new_clique)
-        n_edges = g.edge_count + 1
-    change += scorer.log_prior(n_edges) - scorer.log_prior(g.edge_count)
-    return change + _log_q_rev(weights, do_delete, k, lower | 1 << k)
+        adj = g.adjacency
+        lower = g.deletions & ~clique_edge_mask(g.p, adj[x] & adj[y] | bx | by)
+    return scorer.flip_change(g, k) + _log_q_rev(weights, do_delete, k, lower | 1 << k)
 
 
 def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):

@@ -548,8 +548,19 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
             ("exact", ("--tau", "0"), "tau must be positive, got 0.0"),
             ("exact", ("--r", "2"), "r must lie in (0, 1), got 2.0"),
             ("exact", ("--phi-mode", "foo"), "phi_mode must be one of "
-             "('scaled_identity', 'empirical_gprior'), got 'foo'")):
+             "('scaled_identity', 'empirical_gprior'), got 'foo'"),
+            ("sample", ("--tau", "inf"), "tau must be finite, got inf"),
+            ("sample", ("--delta", "inf"), "delta must be finite, got inf"),
+            ("exact", ("--tau", "inf"), "tau must be finite, got inf"),
+            ("exact", ("--delta", "inf"), "delta must be finite, got inf")):
         assert main([cmd, "--data", missing, *args, "--out-dir", out]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {msg}"
+    # Bad simulate settings are named before anything is drawn.
+    for args, msg in (
+            (("--tau", "-1"), "tau must be positive, got -1.0"),
+            (("--delta", "0"), "delta must be positive, got 0.0"),
+            (("--tau", "inf"), "tau must be finite, got inf")):
+        assert main(["simulate", "--graph", "bench9", *args, "--out-dir", out]) == 2
         assert capsys.readouterr().err.strip() == f"error: {msg}"
     # A report --p outside 1..32 is named before the (missing) table is read.
     for p in ("40", "-2"):
@@ -561,9 +572,16 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
             (("--m-rest", "0"), "m_rest must be at least 1, got 0"),
             (("--n-warm", "-1"), "n_warm must be nonnegative, got -1"),
             (("--init-tau", "0"), "init_tau must be positive, got 0.0"),
+            (("--init-tau", "inf"), "init_tau must be finite, got inf"),
+            (("--delta", "inf"), "delta must be finite, got inf"),
             (("--kernel", "swap"), f"--kernel must be one of {kernels}, got 'swap'")):
         assert main(["fit", "--data", small_csv, *args, "--out-dir", out]) == 2
         assert capsys.readouterr().err.strip() == f"error: {msg}"
+    # SAEM on one column names p.
+    one = write(tmp_path / "one.csv", "x1\n0.3\n-1.2\n0.8\n")
+    assert main(["fit", "--data", one, "--out-dir", out]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: SAEM needs at least 2 variables, got p=1"
     # Report on a table without a graph_id column.
     table = write(tmp_path / "t.csv", "a,b\n1,2\n")
     assert main(["report", "--table", table, "--p", "3",

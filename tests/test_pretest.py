@@ -160,7 +160,9 @@ def max_bound_excess(graphs, flips, stats, hps=HYPERPARAMS):
     """Largest exact log alpha minus the bound (both net of the forward
     log q), in units of 1 + |score|, over the given flips of each graph,
     both kernels and every hyperparameter set in hps; and the number of
-    flips times kernels times hyperparameter sets."""
+    flips times kernels times hyperparameter sets.  Along the way each
+    flip's PosteriorScorer.flip_change must equal the difference of the
+    two functional scores within 1e-9 (1 + |score|)."""
     add_w, del_w = edge_weights(stats, KernelConfig("data_driven"))
     kernels = (None, (add_w, del_w))
     worst, n = -np.inf, 0
@@ -180,6 +182,8 @@ def max_bound_excess(graphs, flips, stats, hps=HYPERPARAMS):
                 cand = fresh.deletions if do_delete else fresh.additions
                 reverse = gp.additions if do_delete else gp.deletions
                 change = score(gp.edges) - score(g.edges)
+                scale = 1.0 + abs(score(g.edges))
+                assert abs(scorer.flip_change(g, k) - change) <= 1e-9 * scale
                 for weights in kernels:
                     w_fwd = w_rev = None
                     if weights is not None:
@@ -187,7 +191,7 @@ def max_bound_excess(graphs, flips, stats, hps=HYPERPARAMS):
                     log_q_fwd = plain_log_q(w_fwd, k, cand)
                     want = change + plain_log_q(w_rev, k, reverse) - log_q_fwd
                     bound = _log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
-                    worst = max(worst, (want - bound) / (1.0 + abs(score(g.edges))))
+                    worst = max(worst, (want - bound) / scale)
                     n += 1
     return worst, n
 

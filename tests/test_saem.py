@@ -141,8 +141,8 @@ def test_m_step_maximizes_complete_data_objective():
 def test_init_graph_backward_is_local_optimum():
     stats = make_stats(5, n=120, seed=3)
     hp = Hyperparams(delta=1.0, tau=0.5, graph_prior="bernoulli", r=0.3)
+    g = init_graph_backward(stats, hp)
     scorer = PosteriorScorer(stats, hp)
-    g = init_graph_backward(stats, hp, scorer)
     assert g.p == 5
     score = scorer.score(g)
     assert score >= scorer.score(Graph.complete(5))
@@ -151,11 +151,12 @@ def test_init_graph_backward_is_local_optimum():
 
 
 def test_init_graph_backward_searches_each_graph_once(monkeypatch, figure1_stats):
-    # The greedy step keeps the candidate it scored, so each distinct graph
-    # costs one maximum cardinality search.
+    # Candidates are scored from the current graph, so the greedy start
+    # makes no full score and searches only the graphs it moves through:
+    # the complete graph, then one per edge it removes.
     import ebggm.graphs as graphs_mod
 
-    calls, scored = [], set()
+    calls, scored = [], []
     orig_mcs, orig_score = graphs_mod.perfect_sequence, PosteriorScorer.score
 
     def spy_mcs(g, *args, **kwargs):
@@ -163,15 +164,52 @@ def test_init_graph_backward_searches_each_graph_once(monkeypatch, figure1_stats
         return orig_mcs(g, *args, **kwargs)
 
     def spy_score(self, g):
-        scored.add(g.edges)
+        scored.append(g.edges)
         return orig_score(self, g)
 
     monkeypatch.setattr(graphs_mod, "perfect_sequence", spy_mcs)
     monkeypatch.setattr(PosteriorScorer, "score", spy_score)
     g = init_graph_backward(figure1_stats, Hyperparams(delta=1.0, tau=1e-3))
-    assert g.edge_count < Graph.complete(9).edge_count
-    assert len(calls) == len(scored)
-    assert set(calls) == scored
+    n_steps = Graph.complete(9).edge_count - g.edge_count
+    assert n_steps > 0
+    assert scored == []
+    assert len(calls) == len(set(calls)) == 1 + n_steps
+    assert calls[0] == Graph.complete(9).edges and calls[-1] == g.edges
+
+
+def ref_init_graph_backward(stats, hp):
+    """The greedy start before it scored candidates from the current graph:
+    each legal deletion is built as a Graph of its own and scored in full."""
+    scorer = PosteriorScorer(stats, hp)
+    g = Graph.complete(stats.p)
+    best = scorer.score(g)
+    while True:
+        candidates = [g.remove_edge(i, j) for i, j in legal_deletions(g)]
+        if not candidates:
+            return g
+        top, t = max((scorer.score(h), t) for t, h in enumerate(candidates))
+        if top <= best:
+            return g
+        g, best = candidates[t], top
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.05, 1.0])
+def test_init_graph_backward_matches_full_scoring_on_figure1(figure1_stats, tau):
+    hp = Hyperparams(delta=1.0, tau=tau)
+    g = init_graph_backward(figure1_stats, hp)
+    assert g == ref_init_graph_backward(figure1_stats, hp)
+    assert 0 < g.edge_count < Graph.complete(9).edge_count
+
+
+@pytest.mark.parametrize("p", [12, 16])
+def test_init_graph_backward_matches_full_scoring_on_correlated_data(p):
+    rng = np.random.default_rng([21, p])
+    mix = np.eye(p) + (rng.random((p, p)) < 0.2) * rng.standard_normal((p, p))
+    stats = DatasetStats.from_data(rng.standard_normal((3 * p, p)) @ mix)
+    for hp in (Hyperparams(delta=1.0, tau=1e-3), Hyperparams(delta=2.0, tau=0.3, r=0.3)):
+        g = init_graph_backward(stats, hp)
+        assert g == ref_init_graph_backward(stats, hp)
+        assert 0 < g.edge_count < Graph.complete(p).edge_count
 
 
 def test_run_saem_zero_iterations():
