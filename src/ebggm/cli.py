@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dataio import (fmt, ingest_csv, read_manifest, read_posterior_csv,
@@ -146,8 +145,7 @@ def verify_inputs(cfg, mapping):
 
 
 def _library_versions():
-    return {"package_version": __version__, "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__}
+    return {"package_version": __version__, "numpy_version": np.__version__}
 
 
 def _warn_version_drift(mapping, stream):

@@ -13,7 +13,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import ParseError
-from .graphs import Graph, id_width
+from .graphs import id_width, n_candidate_edges
 from .hiw import DatasetStats
 from .saem import TRACE_COLUMNS
 
@@ -128,7 +128,8 @@ def read_posterior_csv(path, p):
     probability, which must be finite and nonnegative; a visit log
     (write_visit_log) gives each graph's visit count.  Graphs come in order
     of first appearance.  Every graph_id must have the hex width of a
-    p-vertex ID, so a table written for another p is rejected.
+    p-vertex ID and no edge beyond p's, so a table written for another p is
+    rejected, with its row.
     """
     width = id_width(p)
     weights = {}
@@ -153,13 +154,14 @@ def read_posterior_csv(path, p):
                                    if id_width(q) == len(text)) or "no p"
                 raise ParseError(f"{path}: row {rownum}: graph_id {text!r} has "
                                  f"{len(text)} hex digits, as for {fits}, not p={p}")
+            if gid >> n_candidate_edges(p):  # a ValueError, as Graph(p, gid) raises
+                raise ValueError(f"{path}: row {rownum}: graph_id {text!r} is "
+                                 f"out of range for p={p}")
             if not (isfinite(w) and w >= 0.0):
                 raise ParseError(
                     f"{path}: row {rownum}, column {pr_col + 1}: probability "
                     f"{cells[pr_col].strip()!r} is not finite and nonnegative")
             weights[gid] = weights.get(gid, 0.0) + w
-    for gid in weights:
-        Graph(p, gid)  # validates the ID against p
     return list(weights.items())
 
 

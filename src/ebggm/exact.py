@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import MismatchedModelError, TooLargeError
 from .graphs import Graph, enumerate_decomposable, n_candidate_edges
@@ -22,6 +21,24 @@ from .sampler import ChainLog
 
 _POSTERIOR_CAP_P = 6
 _MLE_CAP_P = 5
+
+
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) along axis (all of a when None).
+
+    The maximal terms are taken out of the sum, so that
+    log sum exp(a) = a_max + log(count) + log1p(s / count), where count is the
+    number of terms equal to a_max and s sums exp(a - a_max) over the rest
+    (Blanchard, Higham and Higham 2021, IMA J. Numer. Anal. 41(4)); this is
+    the form scipy.special.logsumexp takes.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    count = np.sum(top, axis=axis, keepdims=True, dtype=float)
+    rest = np.sum(np.exp(np.where(top, -np.inf, a - a_max)), axis=axis, keepdims=True)
+    out = np.log1p(rest / count) + np.log(count) + a_max
+    return out.item() if axis is None else np.squeeze(out, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -62,7 +79,7 @@ def exact_posterior(stats: DatasetStats, hp: Hyperparams):
         ids.append(g.edges)
         scores.append(scorer.score(g))
     scores = np.asarray(scores)
-    log_norm = float(logsumexp(scores))
+    log_norm = _logsumexp(scores)
     probs = np.exp(scores - log_norm)
     order = np.argsort(-probs, kind="stable")
     return PosteriorTable(
@@ -132,7 +149,7 @@ def exact_marginal_mle(stats: DatasetStats, delta, tau_grid=None, r_grid=None):
         liks = incidence @ np.array([scorer.term(mask) for mask in masks])
         # logsumexp over graphs of lik + k log r + (m - k) log(1 - r)
         stacked = liks[:, None] + np.outer(k_edges, log_r) + np.outer(m - k_edges, log_1mr)
-        surface[a] = logsumexp(stacked, axis=0)
+        surface[a] = _logsumexp(stacked, axis=0)
     a_best, b_best = np.unravel_index(np.argmax(surface), surface.shape)
     return MarginalSurface(
         tau_grid=tau_grid,

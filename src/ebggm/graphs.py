@@ -395,17 +395,27 @@ def clique_edge_mask(p, vertices):
     return e
 
 
+@lru_cache(maxsize=None)
+def incident_edge_masks(p):
+    """Edge bitmask of the candidate edges at each vertex."""
+    return tuple(sum(1 << k for k, pair in enumerate(_pair_table(p)) if v in pair)
+                 for v in range(p))
+
+
 def deletion_mask(g: Graph):
     """Edge bitmask of the removals that keep the graph decomposable.
 
     An edge is removable exactly when it lies in a single maximal clique.
+    An edge in two cliques lies in a separator of the perfect sequence (the
+    later clique meets the earlier ones in its separator), and an edge in a
+    separator lies in its clique and in an earlier one that holds it; so
+    the removable edges are those inside no separator.
     """
-    once = twice = 0
-    for c in g.sequence.clique_masks:
-        e = clique_edge_mask(g.p, c)
-        twice |= once & e
-        once |= e
-    return once & ~twice
+    shared = 0
+    for s in set(g.sequence.separator_masks):
+        if s & (s - 1):  # two or more vertices
+            shared |= clique_edge_mask(g.p, s)
+    return g.edges & ~shared
 
 
 def addition_mask(g: Graph):

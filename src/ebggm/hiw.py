@@ -16,7 +16,6 @@ from functools import cached_property
 from math import isfinite, lgamma, log, log1p, pi, sqrt
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DomainError,
@@ -100,8 +99,7 @@ class DatasetStats:
             raise SingularScatterError(
                 f"scatter matrix is singular (n={self.n}, p={self.p})"
             ) from exc
-        eye = np.eye(self.p)
-        half = solve_triangular(lo, eye, lower=True)
+        half = np.linalg.inv(lo)
         return half.T @ half
 
     def spectrum(self, mask):
@@ -389,7 +387,7 @@ def sample_invwishart(df, scale, rng):
     for i in range(q):
         bart[i, i] = sqrt(rng.chisquare(df - i))
         bart[i, :i] = rng.standard_normal(i)
-    half = solve_triangular(bart, lo.T, lower=True, check_finite=False).T
+    half = np.linalg.solve(bart, lo.T).T
     return half @ half.T
 
 
@@ -423,8 +421,7 @@ def sample_hiw(g: Graph, delta, phi, rng):
             prr_s = (prr_s + prr_s.T) / 2.0
             u_blk = sample_invwishart(df, prr_s, rng)
             # regression rows have covariance pss^-1, columns the drawn residual
-            a_half = solve_triangular(lss, np.eye(len(sv)), lower=True,
-                                      check_finite=False).T
+            a_half = np.linalg.inv(lss).T
             c_half = np.linalg.cholesky(u_blk)
             noise = rng.standard_normal((len(sv), len(res)))
             b_reg = m_reg + a_half @ noise @ c_half.T

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from math import isfinite
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateStatsError, NonFiniteError
 from .graphs import Graph, iter_bits
@@ -86,7 +85,7 @@ def compute_suff_stats(g: Graph, sigma):
     s1 = float(sum(c.bit_count() ** 2 for c in seq.clique_masks)
                - sum(s.bit_count() ** 2 for s in seq.separator_masks))
     lo = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-    half = solve_triangular(lo, np.eye(g.p), lower=True)
+    half = np.linalg.inv(lo)
     s2 = float(np.sum(half * half))
     return SufficientStats(s1=s1, s2=s2, s3=float(g.edge_count))
 

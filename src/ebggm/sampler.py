@@ -18,7 +18,8 @@ from operator import ne
 import numpy as np
 
 from .errors import SingularScatterError
-from .graphs import Graph, bit_positions, clique_edge_mask, edge_pair, nth_bit
+from .graphs import (Graph, bit_positions, clique_edge_mask, edge_pair,
+                     incident_edge_masks, nth_bit)
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
@@ -155,11 +156,11 @@ def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
     does (a clique that it absorbs holds only edges of the new clique).
     """
     x, y = edge_pair(g.p, k)
-    bx, by = 1 << x, 1 << y
     if do_delete:
-        lower = g.additions & clique_edge_mask(g.p, ((1 << g.p) - 1) ^ bx ^ by)
+        star = incident_edge_masks(g.p)
+        lower = g.additions & ~(star[x] | star[y])
     else:
-        adj = g.adjacency
+        adj, bx, by = g.adjacency, 1 << x, 1 << y
         lower = g.deletions & ~clique_edge_mask(g.p, adj[x] & adj[y] | bx | by)
     return scorer.flip_change(g, k) + _log_q_rev(weights, do_delete, k, lower | 1 << k)
 

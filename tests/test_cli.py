@@ -3,6 +3,8 @@
 import csv
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -460,6 +462,63 @@ def test_cli_rerun_warns_on_version_drift(tmp_path, capsys):
                        os.path.join(out_b, "counts.txt"), shallow=False)
 
 
+def test_cli_rerun_ignores_recorded_scipy_version(tmp_path, capsys):
+    # Manifests written before numpy became the only dependency carry a
+    # scipy_version; a rerun neither needs scipy nor warns about it.
+    out_a = str(tmp_path / "a")
+    assert main(["count", "--p", "3", "--out-dir", out_a]) == 0
+    path = os.path.join(out_a, "manifest.txt")
+    mapping = read_manifest(path)
+    assert "scipy_version" not in mapping
+    mapping["scipy_version"] = "0.0.1"
+    write_manifest(path, mapping)
+    capsys.readouterr()
+
+    assert main(["rerun", path, "--out-dir", str(tmp_path / "b")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.strip() == "p=3 total=8 decomposable=8"
+
+
+NO_SCIPY_SCRIPT = """
+import os, sys
+import ebggm, ebggm.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+sys.modules["scipy"] = None  # any later scipy import fails
+out = sys.argv[1]
+data = os.path.join(out, "sim", "data.csv")
+small = os.path.join(out, "small", "data.csv")
+runs = [
+    ["simulate", "--graph", "bench9", "--n", "60", "--seed", "2", "--out-dir", out + "/sim"],
+    ["simulate", "--graph", "complete", "--p", "4", "--n", "40", "--seed", "3",
+     "--out-dir", out + "/small"],
+    ["fit", "--data", data, "--n-iter", "4", "--n-unit", "2", "--m-first", "20",
+     "--m-rest", "10", "--n-warm", "10", "--out-dir", out + "/fit"],
+    ["sample", "--data", data, "--kernel", "alternate", "--n-steps", "200",
+     "--n-burn", "20", "--out-dir", out + "/sample"],
+    ["exact", "--data", small, "--out-dir", out + "/exact"],
+    ["report", "--table", out + "/exact/posterior.csv", "--p", "4",
+     "--out-dir", out + "/report"],
+    ["count", "--p", "4", "--out-dir", out + "/count"],
+    ["rerun", out + "/sample/manifest.txt", "--out-dir", out + "/rerun"],
+]
+for argv in runs:
+    assert ebggm.cli.main(argv) == 0, argv
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert filecmp.cmp(tmp_path / "sample" / "visits.csv",
+                       tmp_path / "rerun" / "visits.csv", shallow=False)
+
+
 def test_cli_sample_looks_up_moves_once_per_proposal(tmp_path, capsys, small_csv,
                                                      monkeypatch, move_lookups):
     # Burn-in and main run share one start; the cache sees nothing but that
@@ -587,6 +646,12 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
     assert main(["report", "--table", table, "--p", "3",
                  "--out-dir", out]) == 2
     assert "graph_id" in capsys.readouterr().err
+    # Report on a graph ID with an edge beyond those of p.
+    table = write(tmp_path / "f.csv", "graph_id,prob\nf,1.0\n")
+    assert main(["report", "--table", table, "--p", "3",
+                 "--out-dir", out]) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: {table}: row 2: graph_id 'f' is out of range for p=3"
     # Missing required --data aborts argument parsing.
     with pytest.raises(SystemExit):
         main(["sample"])

@@ -22,6 +22,7 @@ from ebggm import (
     n_candidate_edges,
     simulate_dataset,
 )
+from ebggm.exact import _logsumexp
 
 
 def make_stats(p, n=50, seed=0, standardize=True):
@@ -29,6 +30,24 @@ def make_stats(p, n=50, seed=0, standardize=True):
     g = Graph.from_edge_list(p, [(i, i + 1) for i in range(p - 1)]) if p > 1 else Graph(1, 0)
     raw, _ = simulate_dataset(g, tau=1.0, delta=3.0, n=n, rng=rng)
     return DatasetStats.from_data(raw, center=True, standardize=standardize)
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(8)
+    cases = [np.array([3.5]),
+             np.array([-2.0, 7.25, 7.25, 1.0, 7.25]),  # ties at the maximum
+             np.full(6, -40.0),
+             rng.uniform(-500.0, 500.0, 200),  # a spread of 1e3
+             -rng.exponential(300.0, 1000)]
+    for a in cases:
+        got = _logsumexp(a)
+        assert isinstance(got, float)
+        np.testing.assert_allclose(got, logsumexp(a), rtol=1e-14)
+    b = rng.uniform(-500.0, 500.0, (300, 7))
+    b[:4, 2] = b[:, 2].max()
+    got = _logsumexp(b, axis=0)
+    assert got.shape == (7,)
+    np.testing.assert_allclose(got, logsumexp(b, axis=0), rtol=1e-14)
 
 
 def test_enumeration_counts_and_order():

@@ -16,6 +16,7 @@ from ebggm.graphs import (
     edge_pair,
     enumerate_decomposable,
     graph_from_cliques,
+    incident_edge_masks,
     is_decomposable,
     legal_additions,
     legal_deletions,
@@ -298,6 +299,36 @@ def test_deletions_are_single_clique_edges():
     # (1,2) is in both maximal cliques, every other edge in exactly one
     assert (1, 2) not in dels
     assert sorted(dels) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+
+def clique_count_deletion_mask(g):
+    """Reference: the edges that lie in exactly one maximal clique."""
+    once = twice = 0
+    for c in g.sequence.clique_masks:
+        e = clique_edge_mask(g.p, c)
+        twice |= once & e
+        once |= e
+    return once & ~twice
+
+
+def test_deletion_mask_matches_clique_counting():
+    for p in range(1, 7):
+        for g in enumerate_decomposable(p):
+            assert deletion_mask(g) == clique_count_deletion_mask(g), g
+    rng = np.random.default_rng(45)
+    for p in (25, 32):
+        for _ in range(30):
+            g = random_decomposable_graph(p, rng)
+            assert deletion_mask(g) == clique_count_deletion_mask(g), g
+
+
+def test_incident_edge_masks():
+    for p in (1, 2, 5, 32):
+        everyone = (1 << p) - 1
+        for v, star in enumerate(incident_edge_masks(p)):
+            assert star == clique_edge_mask(p, everyone) & ~clique_edge_mask(
+                p, everyone ^ 1 << v)
+            assert star.bit_count() == p - 1
 
 
 def test_additions_connect_components():

@@ -387,8 +387,13 @@ def test_hiw_clique_inverse_moments():
         np.testing.assert_allclose(got, want, rtol=0.08, atol=0.05)
 
 
-def _reference_invwishart(df, scale, rng):
-    """Reference sample_invwishart: one scalar RNG call per Bartlett entry."""
+def _scipy_lower_solve(lo, b):
+    return solve_triangular(lo, b, lower=True)
+
+
+def _reference_invwishart(df, scale, rng, lower_solve):
+    """Reference sample_invwishart: one scalar RNG call per Bartlett entry;
+    lower_solve(lo, b) solves lo x = b for a lower triangular lo."""
     q = scale.shape[0]
     lo = np.linalg.cholesky(scale)
     bart = np.zeros((q, q))
@@ -396,25 +401,25 @@ def _reference_invwishart(df, scale, rng):
         bart[i, i] = np.sqrt(rng.chisquare(df - i))
         for j in range(i):
             bart[i, j] = rng.standard_normal()
-    half = solve_triangular(bart, lo.T, lower=True).T
+    half = lower_solve(bart, lo.T).T
     return half @ half.T
 
 
-def _reference_hiw(g, delta, phi, rng):
+def _reference_hiw(g, delta, phi, rng, lower_solve):
     """Reference sample_hiw: np.ix_ blocks, a sorted list of placed vertices
     and the first clique drawn on its own."""
     seq = perfect_sequence(g)
     sigma = np.zeros((g.p, g.p))
     first = list(iter_bits(seq.clique_masks[0]))
     sigma[np.ix_(first, first)] = _reference_invwishart(
-        delta + len(first) - 1, phi[np.ix_(first, first)], rng)
+        delta + len(first) - 1, phi[np.ix_(first, first)], rng, lower_solve)
     placed = list(first)
     for cm, sm in zip(seq.clique_masks[1:], seq.separator_masks):
         res = list(iter_bits(cm & ~sm))
         df = delta + cm.bit_count() - 1
         if not sm:
             sigma[np.ix_(res, res)] = _reference_invwishart(
-                df, phi[np.ix_(res, res)], rng)
+                df, phi[np.ix_(res, res)], rng, lower_solve)
             placed.extend(res)
             placed.sort()
             continue
@@ -426,8 +431,8 @@ def _reference_hiw(g, delta, phi, rng):
         m_reg = np.linalg.solve(pss, psr)
         prr_s = prr - psr.T @ m_reg
         prr_s = (prr_s + prr_s.T) / 2.0
-        u_blk = _reference_invwishart(df, prr_s, rng)
-        a_half = solve_triangular(lss, np.eye(len(sv)), lower=True).T
+        u_blk = _reference_invwishart(df, prr_s, rng, lower_solve)
+        a_half = lower_solve(lss, np.eye(len(sv))).T
         c_half = np.linalg.cholesky(u_blk)
         b_reg = m_reg + a_half @ rng.standard_normal((len(sv), len(res))) @ c_half.T
         cross = b_reg.T @ sigma[np.ix_(sv, placed)]
@@ -440,17 +445,22 @@ def _reference_hiw(g, delta, phi, rng):
 
 
 def test_hiw_draw_is_bit_identical_to_reference():
+    # The reference solves its triangular systems with np.linalg.solve, as
+    # sample_hiw does, and must match bit for bit; with scipy's
+    # solve_triangular it must match to rounding.
     grng = np.random.default_rng(22)
     cases = [Graph(1), bench9_graph(), random_decomposable_graph(25, grng),
              graph_from_cliques(8, [(0, 1, 2), (3, 4), (5,), (6, 7)])]
     for g in cases:
         a = grng.standard_normal((g.p + 2, g.p))
         for delta, phi in ((1.0, 0.03 * np.eye(g.p)), (40.5, a.T @ a + np.eye(g.p))):
-            rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+            rng, ref_rng, tri_rng = (np.random.default_rng(23) for _ in range(3))
             for _ in range(3):
                 got = sample_hiw(g, delta, phi, rng)
-                want = _reference_hiw(g, delta, phi, ref_rng)
+                want = _reference_hiw(g, delta, phi, ref_rng, np.linalg.solve)
                 assert np.array_equal(got, want)
+                tri = _reference_hiw(g, delta, phi, tri_rng, _scipy_lower_solve)
+                assert np.max(np.abs(got - tri)) <= 1e-12 * np.max(np.abs(tri))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
