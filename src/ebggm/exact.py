@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MismatchedModelError, TooLargeError
-from .graphs import Graph, enumerate_decomposable, n_candidate_edges
+from .graphs import Graph, elimination_families, n_candidate_edges
+from .graphs import enumerate_decomposable  # noqa: F401, perfbench/spans.py wraps it here
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import ChainLog
 
@@ -39,6 +40,23 @@ def _logsumexp(a, axis=None):
     rest = np.sum(np.exp(np.where(top, -np.inf, a - a_max)), axis=axis, keepdims=True)
     out = np.log1p(rest / count) + np.log(count) + a_max
     return out.item() if axis is None else np.squeeze(out, axis=axis)
+
+
+def _decomposable_families(p):
+    """(ids, fams, edge counts) of every decomposable graph on p vertices,
+    ascending ids; fams[v] holds each graph's M_v (elimination_families)."""
+    ids, fams = zip(*elimination_families(p))
+    ids = np.concatenate(ids)
+    return ids, np.concatenate(fams, axis=1), np.array([e.bit_count() for e in ids.tolist()])
+
+
+def _family_log_liks(scorer, fams):
+    """PosteriorScorer.log_lik of every graph: the marginal likelihood factorises
+    over the families of a perfect elimination order as over cliques and
+    separators, so it is the sum over v of t(M_v + v) - t(M_v), t(empty) = 0."""
+    terms = np.array([0.0] + [scorer.term(s) for s in range(1, 1 << len(fams))])
+    own = (1 << np.arange(len(fams), dtype=np.uint8))[:, None]
+    return (terms[fams | own] - terms[fams]).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -73,19 +91,15 @@ def exact_posterior(stats: DatasetStats, hp: Hyperparams):
     if p > _POSTERIOR_CAP_P:
         raise TooLargeError(f"exact posterior capped at p={_POSTERIOR_CAP_P}, got {p}")
     scorer = PosteriorScorer(stats, hp)
-    ids = []
-    scores = []
-    for g in enumerate_decomposable(p):
-        ids.append(g.edges)
-        scores.append(scorer.score(g))
-    scores = np.asarray(scores)
+    ids, fams, k_edges = _decomposable_families(p)
+    scores = _family_log_liks(scorer, fams) + [scorer.log_prior(k) for k in k_edges.tolist()]
     log_norm = _logsumexp(scores)
     probs = np.exp(scores - log_norm)
     order = np.argsort(-probs, kind="stable")
     return PosteriorTable(
         p=p,
         hp=hp,
-        graph_ids=tuple(int(ids[i]) for i in order),
+        graph_ids=tuple(ids[order].tolist()),
         probs=probs[order],
         log_scores=scores[order],
         log_norm=log_norm,
@@ -123,30 +137,14 @@ def exact_marginal_mle(stats: DatasetStats, delta, tau_grid=None, r_grid=None):
         raise TooLargeError(f"exact marginal MLE capped at p={_MLE_CAP_P}, got {p}")
     tau_grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
     r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    graphs = list(enumerate_decomposable(p))
-    # log_lik of graph a is incidence[a] @ (term of each vertex subset): +1
-    # per clique, -1 per nonempty separator.  A tau then costs one term per
-    # distinct subset instead of one sum per graph.
-    seqs = [g.sequence for g in graphs]
-    masks = sorted({mask for seq in seqs
-                    for mask in seq.clique_masks + seq.separator_masks} - {0})
-    column = {mask: c for c, mask in enumerate(masks)}
-    incidence = np.zeros((len(graphs), len(masks)))
-    for a, seq in enumerate(seqs):
-        for cm in seq.clique_masks:
-            incidence[a, column[cm]] += 1.0
-        for sm in seq.separator_masks:
-            if sm:
-                incidence[a, column[sm]] -= 1.0
-    k_edges = np.array([g.edge_count for g in graphs])
+    _, fams, k_edges = _decomposable_families(p)
     m = n_candidate_edges(p)
     hp0 = Hyperparams(delta=delta, tau=1.0, graph_prior="bernoulli", r=0.5)
     surface = np.empty((len(tau_grid), len(r_grid)))
     log_r = np.log(r_grid)
     log_1mr = np.log1p(-r_grid)
     for a, tau in enumerate(tau_grid):
-        scorer = PosteriorScorer(stats, replace(hp0, tau=float(tau)))
-        liks = incidence @ np.array([scorer.term(mask) for mask in masks])
+        liks = _family_log_liks(PosteriorScorer(stats, replace(hp0, tau=float(tau))), fams)
         # logsumexp over graphs of lik + k log r + (m - k) log(1 - r)
         stacked = liks[:, None] + np.outer(k_edges, log_r) + np.outer(m - k_edges, log_1mr)
         surface[a] = _logsumexp(stacked, axis=0)

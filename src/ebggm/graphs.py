@@ -336,8 +336,17 @@ class PerfectSequence:
         return tuple(frozenset(iter_bits(s)) for s in self.separator_masks)
 
 
-def _sequence(order, earlier):
-    """PerfectSequence of a chordal graph from its MCS (order, earlier)."""
+def perfect_sequence(g: Graph, tie_rng=None):
+    """Perfect clique sequence of a decomposable graph.
+
+    Raises NotDecomposableError when the graph is not chordal.  With
+    tie_rng, MCS ties are randomized; any resulting sequence is perfect and
+    the separator multiset does not change.
+    """
+    found = _mcs(g.p, g.adjacency, tie_rng)
+    if found is None:
+        raise NotDecomposableError(f"graph {g.id_hex} (p={g.p}) is not decomposable")
+    order, earlier = found
     # In an MCS order candidate k = earlier[k] + order[k] is a maximal
     # clique unless the next vertex extends it, i.e. earlier[k+1] equals it.
     cliques = []
@@ -352,19 +361,6 @@ def _sequence(order, earlier):
         seps.append(c & seen)
         seen |= c
     return PerfectSequence(clique_masks=tuple(cliques), separator_masks=tuple(seps))
-
-
-def perfect_sequence(g: Graph, tie_rng=None):
-    """Perfect clique sequence of a decomposable graph.
-
-    Raises NotDecomposableError when the graph is not chordal.  With
-    tie_rng, MCS ties are randomized; any resulting sequence is perfect and
-    the separator multiset does not change.
-    """
-    found = _mcs(g.p, g.adjacency, tie_rng)
-    if found is None:
-        raise NotDecomposableError(f"graph {g.id_hex} (p={g.p}) is not decomposable")
-    return _sequence(*found)
 
 
 @lru_cache(maxsize=None)
@@ -495,52 +491,58 @@ def random_decomposable_graph(p, rng, walk_steps=None):
     return g
 
 
-_SCAN_CAP_P = 8
+def elimination_families(p):
+    """Every decomposable graph on p vertices with a perfect elimination order.
 
-
-def _decomposable_edge_sets(p):
-    """(edge bitset, MCS result) of every decomposable graph on p vertices.
-
-    Bitsets come in ascending order, each with the (order, earlier) of the
-    maximum cardinality search that found it chordal.  Capped at p=8 (2^28
-    graphs); the p=8 scan takes on the order of an hour in pure Python.
-    Going from bitset t-1 to t flips the edges set in t ^ (t-1), two on
-    average, so one adjacency is kept and updated rather than rebuilt for
-    every graph.
+    Yields (ids, fams) per block of 2^20 edge bitsets, ascending: ids
+    (uint32) are the block's chordal bitsets, and fams[v] (uint8, shape
+    (p, len(ids))) is the mask M_v of the neighbours of v left when v was
+    eliminated.  A graph is chordal exactly when removing simplicial
+    vertices, whose neighbours are pairwise adjacent, in any order empties
+    it (Fulkerson and Gross 1965).  Each of up to p rounds visits v =
+    0..p-1 and removes v from every bitset of the block where it is left
+    and simplicial, as one lookup of the edge mask of its live neighbours
+    decides.  Capped at p=8: the p=8 count takes about 50 s and 104 MB.
     """
     if p < 1:
         raise ValueError(f"p must be at least 1, got {p}")
-    if p > _SCAN_CAP_P:
-        raise TooLargeError(f"decomposable-graph scan capped at p={_SCAN_CAP_P}, "
-                            f"got {p}")
-    table = _pair_table(p)
-    adj = [0] * p
-    yield 0, _mcs(p, adj)  # the empty graph
-    for t in range(1, 1 << n_candidate_edges(p)):
-        flip = t ^ (t - 1)
-        while flip:
-            b = flip & -flip
-            i, j = table[b.bit_length() - 1]
-            adj[i] ^= 1 << j
-            adj[j] ^= 1 << i
-            flip ^= b
-        found = _mcs(p, adj)
-        if found is not None:
-            yield t, found
+    if p > 8:  # edge bitsets fit in uint32 and vertex masks in uint8
+        raise TooLargeError(f"decomposable-graph enumeration capped at p=8, got {p}")
+    em = np.array([clique_edge_mask(p, s) for s in range(1 << p)], dtype=np.uint32)
+    size = min(1 << n_candidate_edges(p), 1 << 20)
+    low = np.arange(size, dtype=np.uint32)
+    low_adj = np.zeros((p, size), np.uint8)  # adjacency of the low edge bits
+    for k, (i, j) in enumerate(_pair_table(p)[:size.bit_length() - 1]):
+        bit = (low >> k & 1).astype(np.uint8)
+        low_adj[i] |= bit << j
+        low_adj[j] |= bit << i
+    for base in range(0, 1 << n_candidate_edges(p), size):
+        ids = low + base
+        adj = low_adj | np.array(_adjacency(p, base), np.uint8)[:, None]
+        alive = np.full(size, (1 << p) - 1, np.uint8)
+        fams = np.zeros((p, size), np.uint8)
+        for _ in range(p):
+            before = alive.copy()
+            for v in range(p):
+                mv = adj[v] & alive
+                e = em.take(mv)
+                ok = ((ids & e) == e) & (alive >> v & 1).astype(bool)
+                np.copyto(fams[v], mv, where=ok)
+                alive ^= ok.astype(np.uint8) << v
+            if np.array_equal(alive, before):
+                break
+        yield ids[alive == 0], fams[:, alive == 0]
 
 
 def enumerate_decomposable(p):
-    """Yield every decomposable graph on p vertices in ascending ID order,
-    each holding the sequence of the MCS that recognised it as chordal."""
-    for edges, found in _decomposable_edge_sets(p):
-        g = Graph(p, edges)
-        object.__setattr__(g, "_sequence", _sequence(*found))
-        yield g
+    """Yield every decomposable graph on p vertices in ascending ID order."""
+    for ids, _ in elimination_families(p):
+        yield from (Graph(p, edges) for edges in ids.tolist())
 
 
 def count_decomposable(p):
-    """Count decomposable graphs on p labeled vertices by exhaustive scan."""
-    return sum(1 for _ in _decomposable_edge_sets(p))
+    """Count decomposable graphs on p labeled vertices by exhaustive elimination."""
+    return sum(ids.size for ids, _ in elimination_families(p))
 
 
 def to_dot(g: Graph, name="G"):

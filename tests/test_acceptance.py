@@ -45,6 +45,7 @@ from ebggm import (
 )
 from ebggm.cli import main as cli_main
 from ebggm.dataio import sha256_of
+from ebggm.graphs import elimination_families
 
 RUN_SLOW = os.environ.get("EBGGM_RUN_SLOW", "") == "1"
 
@@ -109,6 +110,24 @@ def test_criterion_2_move_legality_oracle():
     verdict("criterion 2", ok,
             f"p=6: 18154 graphs x 15 edges, {bad6} mismatches in {t6:.1f}s; "
             f"p=10: 1000 graphs x 45 edges, {bad10} mismatches in {t10:.1f}s")
+
+
+def test_move_masks_match_enumerated_neighbours():
+    """Legality oracle that shares no code with the maximum cardinality
+    search or the move masks: a flip is legal exactly when the flipped edge
+    set is one of the decomposable graphs the elimination pass enumerates."""
+    t0 = time.time()
+    checked = 0
+    for p in range(1, 7):
+        chordal = set(np.concatenate([ids for ids, _ in elimination_families(p)]).tolist())
+        for edges in sorted(chordal):
+            g = Graph(p, edges)
+            legal = g.additions | g.deletions
+            for k in range(g.m):
+                assert bool(legal >> k & 1) == (edges ^ 1 << k in chordal), (g, k)
+            checked += 1
+    verdict("enumerated-neighbour legality", checked == 19048,
+            f"{checked} graphs with p <= 6, every slot, in {time.time() - t0:.1f}s")
 
 
 # --------------------------------------------------------------- criterion 3

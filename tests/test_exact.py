@@ -22,7 +22,9 @@ from ebggm import (
     n_candidate_edges,
     simulate_dataset,
 )
-from ebggm.exact import _logsumexp
+import ebggm.hiw as hiw_mod
+from ebggm.exact import _decomposable_families, _family_log_liks, _logsumexp
+from ebggm.graphs import clique_edge_mask
 
 
 def make_stats(p, n=50, seed=0, standardize=True):
@@ -62,6 +64,45 @@ def test_enumeration_counts_and_order():
         assert all(is_decomposable(g) for g in graphs)
     with pytest.raises(TooLargeError):
         next(enumerate_decomposable(9))
+
+
+def test_family_sum_matches_clique_separator_sum(monkeypatch):
+    """The elimination-family sum that exact_posterior and exact_marginal_mle
+    score with equals PosteriorScorer.log_lik, a clique and separator sum
+    over the maximum cardinality search's sequence, on every decomposable
+    graph with p <= 6; each family is a clique of its graph."""
+    fallback = []
+    chol = hiw_mod.log_iw_constant
+
+    def spy(*args):
+        fallback.append(1)
+        return chol(*args)
+
+    monkeypatch.setattr(hiw_mod, "log_iw_constant", spy)
+    hps = (Hyperparams(delta=1.0, tau=0.4, graph_prior="bernoulli", r=0.3),
+           Hyperparams(delta=2.5, tau=1.7, graph_prior="beta_binomial"),
+           Hyperparams(delta=1.0, phi_mode="empirical_gprior", graph_prior="uniform"))
+    for p in range(1, 7):
+        ids, fams, k_edges = _decomposable_families(p)
+        graphs = [Graph(p, e) for e in ids.tolist()]
+        assert k_edges.tolist() == [g.edge_count for g in graphs]
+        for a, g in enumerate(graphs):
+            for v in range(p):
+                assert not fams[v, a] >> v & 1
+                assert clique_edge_mask(p, int(fams[v, a]) | 1 << v) & ~g.edges == 0, g
+        # columns scaled over six decades: the Cholesky fallback scores them
+        raw, _ = simulate_dataset(Graph.complete(p), tau=1.0, delta=3.0, n=40,
+                                  rng=np.random.default_rng(p))
+        badly_scaled = DatasetStats.from_data(raw * 10.0 ** np.arange(p),
+                                              standardize=False)
+        cases = [(make_stats(p, n=30, seed=p), hp) for hp in hps]
+        cases.append((badly_scaled, Hyperparams(tau=1e-3)))
+        for stats, hp in cases:
+            scorer = PosteriorScorer(stats, hp)
+            got = _family_log_liks(scorer, fams)
+            want = np.array([scorer.log_lik(g) for g in graphs])
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (p, hp)
+    assert fallback
 
 
 def test_exact_posterior_normalization_and_sorting():

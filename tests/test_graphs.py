@@ -345,14 +345,6 @@ def test_random_decomposable_graph_is_decomposable():
         assert is_decomposable(random_decomposable_graph(int(p), rng))
 
 
-def test_scan_sequences_match_perfect_sequence():
-    for p in range(1, 7):
-        for g in enumerate_decomposable(p):
-            seq, want = g.sequence, perfect_sequence(g)
-            assert seq.clique_masks == want.clique_masks
-            assert seq.separator_masks == want.separator_masks
-
-
 def list_walk(p, rng, walk_steps):
     """The add/delete walk as it was written over the legal-move lists."""
     g = Graph(p)
@@ -388,6 +380,19 @@ def test_count_small_p():
 
 def test_count_p6():
     assert count_decomposable(6) == 18154
+
+
+def test_counts_match_oeis_a058862():
+    # labeled chordal graphs on p nodes, OEIS A058862
+    want = (1, 2, 8, 61, 822, 18154, 617675)
+    assert tuple(count_decomposable(p) for p in range(1, 8)) == want
+
+
+def test_enumeration_matches_networkx_chordality():
+    nx = pytest.importorskip("networkx")
+    for p in range(1, 6):
+        want = [g.edges for g in all_graphs(p) if nx.is_chordal(networkx_graph(nx, g))]
+        assert [g.edges for g in enumerate_decomposable(p)] == want
 
 
 def test_count_rejects_large_p():

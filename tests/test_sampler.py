@@ -140,7 +140,8 @@ def test_move_cache_matches_fresh_computation():
 def test_graph_builds_its_sequence_once(monkeypatch):
     # Scoring, the HIW draw, the SAEM statistics and both move masks of one
     # Graph share a single maximum cardinality search; the exhaustive layer
-    # runs none beyond its scan, and a memo hit is the graph built before.
+    # runs none, since it scores elimination families, and a memo hit is
+    # the graph built before.
     import ebggm.graphs as graphs_mod
     from ebggm import compute_suff_stats, exact_posterior, sample_hiw
     from ebggm.graphs import addition_mask, deletion_mask
