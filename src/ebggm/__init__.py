@@ -59,7 +59,6 @@ from .sampler import (
 from .saem import (
     SaemConfig,
     SaemResult,
-    SufficientStats,
     compute_suff_stats,
     init_graph_backward,
     m_step,

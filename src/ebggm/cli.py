@@ -28,7 +28,7 @@ from .dataio import (fmt, ingest_csv, read_manifest, read_posterior_csv,
                      write_saem_trace, write_visit_log)
 from .errors import ChecksumError, EbggmError, ParseError
 from .exact import exact_posterior
-from .graphs import Graph, count_decomposable, edge_pair, id_width, \
+from .graphs import MAX_P, Graph, count_decomposable, edge_pair, id_width, \
     n_candidate_edges, named_graph, to_dot
 from .hiw import Hyperparams, simulate_dataset
 from .saem import SaemConfig, run_saem
@@ -115,14 +115,8 @@ def config_from_manifest(mapping):
         text = mapping[field.name]
         hint = _HINTS[field.name]
         try:
-            if hint is bool:
-                kwargs[field.name] = text.lower() in ("true", "1", "yes")
-            elif hint is int:
-                kwargs[field.name] = int(text)
-            elif hint is float:
-                kwargs[field.name] = float(text)
-            else:
-                kwargs[field.name] = text
+            kwargs[field.name] = (text.lower() in ("true", "1", "yes")
+                                  if hint is bool else hint(text))
         except ValueError:
             raise ParseError(
                 f"manifest entry {field.name}={text!r} is not a valid "
@@ -356,8 +350,8 @@ def _pairs_from_table(path, p):
 def _cmd_report(cfg, out):
     _require(cfg, "table", "posterior or visit-log CSV")
     _require(cfg, "p", "number of vertices the table refers to")
-    if not 1 <= cfg.p <= 32:
-        raise ValueError(f"--p must be in 1..32, got {cfg.p}")
+    if not 1 <= cfg.p <= MAX_P:
+        raise ValueError(f"--p must be in 1..{MAX_P}, got {cfg.p}")
     pairs = _pairs_from_table(cfg.table, cfg.p)
     _write_report(out, cfg.p, pairs, cfg.top_k, stdout=sys.stdout)
     return cfg, {"table_sha256": sha256_of(cfg.table)}
@@ -381,17 +375,11 @@ def run_command(cfg: RunConfig):
     return out
 
 
-def _field_type(name):
-    hint = _HINTS[name]
-    return {int: int, float: float, str: str}[hint]
-
-
 def _add_options(sub, *names):
     for name in names:
         flag = "--" + name.replace("_", "-")
         default = RunConfig.__dataclass_fields__[name].default
-        sub.add_argument(flag, dest=name, type=_field_type(name),
-                         default=default)
+        sub.add_argument(flag, dest=name, type=_HINTS[name], default=default)
 
 
 def _add_data_options(sub):

@@ -13,7 +13,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import ParseError
-from .graphs import id_width, n_candidate_edges
+from .graphs import MAX_P, id_width, n_candidate_edges
 from .hiw import DatasetStats
 from .saem import TRACE_COLUMNS
 
@@ -22,10 +22,10 @@ def ingest_csv(path, center=True, standardize=True):
     """Read a rectangular numeric CSV into (DatasetStats, raw matrix).
 
     A non-numeric first row is treated as a header; an unparseable or
-    non-finite cell raises ParseError with its row and column.  Processing
-    follows the model conventions: subtract column means when center, then
-    divide by the sample standard deviation (n-1 denominator) when
-    standardize.
+    non-finite cell raises ParseError with its row and column, and more than
+    MAX_P columns raise ValueError naming the file.  Processing follows the
+    model conventions: subtract column means when center, then divide by
+    the sample standard deviation (n-1 denominator) when standardize.
     """
     with open(path, newline="") as fh:
         raw_rows = [row for row in csv.reader(fh)
@@ -42,6 +42,9 @@ def ingest_csv(path, center=True, standardize=True):
         if not data_rows:
             raise ParseError(f"{path}: header only, no data rows")
     width = len(data_rows[0])
+    if width > MAX_P:
+        raise ValueError(f"{path}: {width} columns, but at most {MAX_P} "
+                         "variables are supported")
     values = []
     for offset, cells in enumerate(data_rows):
         rownum = start + offset

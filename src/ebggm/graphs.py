@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import NotDecomposableError, TooLargeError
 
+MAX_P = 32  # most vertices a Graph takes
+
 
 def n_candidate_edges(p):
     return p * (p - 1) // 2
@@ -109,8 +111,8 @@ class Graph:
         # normalize numpy integer inputs so bit tricks work on plain ints
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "edges", int(self.edges))
-        if not 1 <= self.p <= 32:
-            raise ValueError(f"p must be in 1..32, got {self.p}")
+        if not 1 <= self.p <= MAX_P:
+            raise ValueError(f"p must be in 1..{MAX_P}, got {self.p}")
         if not 0 <= self.edges < (1 << n_candidate_edges(self.p)):
             raise ValueError("edge bitset out of range for p")
 
@@ -321,19 +323,11 @@ class PerfectSequence:
 
     clique_masks[0..k-1] satisfy the running intersection property; for
     i >= 1, separator_masks[i-1] = clique_masks[i] & (clique_masks[0] | ...
-    | clique_masks[i-1]).  The vertex-set views are derived on each access.
+    | clique_masks[i-1]).
     """
 
     clique_masks: tuple
     separator_masks: tuple
-
-    @property
-    def cliques(self):
-        return tuple(frozenset(iter_bits(c)) for c in self.clique_masks)
-
-    @property
-    def separators(self):
-        return tuple(frozenset(iter_bits(s)) for s in self.separator_masks)
 
 
 def perfect_sequence(g: Graph, tie_rng=None):

@@ -200,13 +200,13 @@ def log_hiw_constant(g: Graph, delta, phi, seq=None):
     if seq is None:
         seq = g.sequence
     out = 0.0
-    for c in seq.cliques:
-        idx = sorted(c)
+    for c in seq.clique_masks:
+        idx = _index(c)
         out += log_iw_constant(phi[np.ix_(idx, idx)], delta)
-    for s in seq.separators:
+    for s in seq.separator_masks:
         if not s:
             continue
-        idx = sorted(s)
+        idx = _index(s)
         out -= log_iw_constant(phi[np.ix_(idx, idx)], delta)
     return out
 
@@ -274,7 +274,8 @@ class PosteriorScorer:
     that, as badly scaled raw columns or n < p with a small tau give, is
     factored by Cholesky as log_hiw_constant does.
 
-    Construction fails fast with NotSPDError when Phi + scatter is not SPD.
+    Construction fails fast with NotSPDError, naming Phi or Phi + scatter,
+    when the one it factors first is not SPD.
     """
 
     def __init__(self, stats: DatasetStats, hp: Hyperparams):
@@ -299,7 +300,14 @@ class PosteriorScorer:
                          for q in range(self.p + 1)]
         self._terms = {}
         self._priors = {}
-        self.term((1 << self.p) - 1)  # fails fast unless Phi + scatter is SPD
+        try:
+            self.term((1 << self.p) - 1)
+        except NotSPDError as exc:
+            # tau * I always factors, and S / n is factored before Phi + S
+            which = "Phi + scatter" if scaled else "Phi"
+            raise NotSPDError(
+                f"{which} is not symmetric positive definite (phi_mode={hp.phi_mode}, "
+                f"tau={hp.tau!r}, n={n}, p={self.p})") from exc
 
     def term(self, mask):
         """log h(delta, Phi_C) - log h(delta + n, Phi_C + S_C) of the vertex

@@ -30,18 +30,6 @@ TRACE_COLUMNS = ("iter", "tau", "r", "s1", "s2", "s3", "accept_rate")
 
 
 @dataclass(frozen=True)
-class SufficientStats:
-    """Complete-data statistics: clique-size contrast, precision trace, edges."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def as_tuple(self):
-        return (self.s1, self.s2, self.s3)
-
-
-@dataclass(frozen=True)
 class SaemConfig:
     n_iter: int = 300      # total iterations (K)
     n_unit: int = 100      # iterations with unit step size (K1)
@@ -76,42 +64,33 @@ def step_size(k, n_unit):
 
 
 def compute_suff_stats(g: Graph, sigma):
-    """Sufficient statistics of one (graph, covariance) draw.
-
-    s1 = sum |C|^2 - sum |S|^2 over the perfect sequence, s2 = tr(sigma^-1),
-    s3 = number of edges.
+    """Sufficient statistics of one (graph, covariance) draw, as the array
+    [s1, s2, s3]: s1 = sum |C|^2 - sum |S|^2 over the perfect sequence,
+    s2 = tr(sigma^-1), s3 = number of edges.
     """
     seq = g.sequence
-    s1 = float(sum(c.bit_count() ** 2 for c in seq.clique_masks)
-               - sum(s.bit_count() ** 2 for s in seq.separator_masks))
+    s1 = (sum(c.bit_count() ** 2 for c in seq.clique_masks)
+          - sum(s.bit_count() ** 2 for s in seq.separator_masks))
     lo = np.linalg.cholesky(np.asarray(sigma, dtype=float))
     half = np.linalg.inv(lo)
-    s2 = float(np.sum(half * half))
-    return SufficientStats(s1=s1, s2=s2, s3=float(g.edge_count))
+    return np.array([s1, np.sum(half * half), g.edge_count], dtype=float)
 
 
-def sa_update(s: SufficientStats, sample: SufficientStats, gamma):
-    """Stochastic approximation move s + gamma * (sample - s), componentwise."""
-    return SufficientStats(
-        s1=s.s1 + gamma * (sample.s1 - s.s1),
-        s2=s.s2 + gamma * (sample.s2 - s.s2),
-        s3=s.s3 + gamma * (sample.s3 - s.s3),
-    )
-
-
-def m_step(s: SufficientStats, delta, p, m):
-    """Closed-form maximizers given averaged statistics.
+def m_step(s, delta, p, m):
+    """Closed-form maximizers given averaged statistics s = [s1, s2, s3].
 
     tau = ((delta - 1) p + s1) / s2 and r = s3 / m, with r clamped to
     [1/(10 m), 1 - 1/(10 m)] so the bernoulli prior never degenerates.
+    Both come back as Python floats.
     """
-    if not s.s2 > 0:
-        raise DegenerateStatsError(f"need s2 > 0, got {s.s2}")
-    tau = ((delta - 1.0) * p + s.s1) / s.s2
+    s1, s2, s3 = s.tolist()
+    if not s2 > 0:
+        raise DegenerateStatsError(f"need s2 > 0, got {s2}")
+    tau = ((delta - 1.0) * p + s1) / s2
     if not tau > 0:
         raise DegenerateStatsError(f"maximizer tau={tau} is not positive")
     lo = 1.0 / (10.0 * m)
-    r = min(max(s.s3 / m, lo), 1.0 - lo)
+    r = min(max(s3 / m, lo), 1.0 - lo)
     return tau, r
 
 
@@ -162,22 +141,21 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
     g0 = init_graph_backward(stats, hp)
     state, accepted = g0, 0
-    s = SufficientStats(0.0, 0.0, 0.0)
+    s = np.zeros(3)
     trace = np.empty((cfg.n_iter, len(TRACE_COLUMNS)))
     for k in range(1, cfg.n_iter + 1):
         n_chain = cfg.m_first if k <= cfg.n_warm else cfg.m_rest
         state, sigma = sample_graph_and_sigma(state, stats, hp, n_chain, rng,
                                               cfg=kernel)
-        sample = compute_suff_stats(state.graph, sigma)
-        s = sa_update(s, sample, step_size(k, cfg.n_unit))
+        s = s + step_size(k, cfg.n_unit) * (compute_suff_stats(state.graph, sigma) - s)
         tau, r_new = m_step(s, hp_base.delta, p, m)
         if estimate_r:
             r = r_new
-        if not all(map(isfinite, (tau, r, *s.as_tuple()))):
+        if not all(map(isfinite, (tau, r, *s))):
             raise NonFiniteError(f"estimate left the finite range at iteration {k}")
         accept_rate = (state.accept_count - accepted) / n_chain
         accepted = state.accept_count
-        trace[k - 1] = (k, tau, r, s.s1, s.s2, s.s3, accept_rate)
+        trace[k - 1] = (k, tau, r, *s, accept_rate)
         hp = replace(hp_base, tau=tau, **({"r": r} if estimate_r else {}))
     # Zero steps: the chain's state scored under the fitted (tau, r).
     state, _ = run_chain(state, 0, stats, hp, kernel, rng)

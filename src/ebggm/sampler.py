@@ -87,15 +87,9 @@ def edge_weights(stats: DatasetStats, cfg: KernelConfig):
     the floor the kernel degrades to uniform selection by construction.
     Returns the (addition, deletion) pair as float arrays indexed by slot.
     """
-    k_mat = stats.inv_empirical
-    p = stats.p
-    lo, hi = cfg.weight_floor, 1.0 / cfg.weight_floor
-    add_w = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            add_w.append(min(max(abs(float(k_mat[i, j])), lo), hi))
-    del_w = [1.0 / w for w in add_w]
-    return np.array(add_w), np.array(del_w)
+    upper = stats.inv_empirical[np.triu_indices(stats.p, 1)]  # row-major = slot order
+    add_w = np.clip(np.abs(upper), cfg.weight_floor, 1.0 / cfg.weight_floor)
+    return add_w, 1.0 / add_w
 
 
 def _weight_sums(weights, mask):

@@ -61,6 +61,14 @@ def figure1_stats():
                                   center=True, standardize=True)
 
 
+def vertex_sets(masks):
+    """The vertex sets of a tuple of bitmasks, such as a perfect sequence's
+    clique_masks or separator_masks, as frozensets."""
+    from ebggm.graphs import iter_bits
+
+    return tuple(frozenset(iter_bits(m)) for m in masks)
+
+
 def classic_csv(name):
     """Path of a user-supplied classic dataset, or None if not provided."""
     path = os.path.join(DATA_DIR, name)

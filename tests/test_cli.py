@@ -660,6 +660,30 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
     assert main([]) == 2
 
 
+def test_cli_names_the_file_of_too_wide_data(tmp_path, capsys):
+    wide = str(tmp_path / "wide.csv")
+    write_data_csv(wide, np.random.default_rng(4).standard_normal((50, 40)))
+    for cmd in ("sample", "fit"):
+        assert main([cmd, "--data", wide, "--out-dir", str(tmp_path / cmd)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"error: {wide}: 40 columns, but at most 32 variables are supported"
+
+
+def test_cli_names_the_matrix_that_is_not_spd(tmp_path, capsys):
+    # Four equal rows of 2s, kept raw: S = 16 * ones(6, 6) has rank one, and
+    # Cholesky meets an exact zero pivot in Phi = S / n = 4 * ones and in
+    # Phi + S = S + 1e-300 * I, which rounds to S.
+    data = write(tmp_path / "rank_one.csv", "2,2,2,2,2,2\n" * 4)
+    for args, which, mode, tau in (
+            (("--tau", "1e-300"), "Phi + scatter", "scaled_identity", "1e-300"),
+            (("--phi-mode", "empirical_gprior"), "Phi", "empirical_gprior", "1.0")):
+        assert main(["sample", "--data", data, "--no-center", "--no-standardize",
+                     *args, "--n-steps", "10", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: {which} is not symmetric positive definite "
+            f"(phi_mode={mode}, tau={tau}, n=4, p=6)")
+
+
 def test_run_command_requires_inputs(tmp_path):
     with pytest.raises(ValueError, match="--p"):
         run_command(RunConfig(command="count", out_dir=str(tmp_path / "c")))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import vertex_sets
 from ebggm.errors import NotDecomposableError, TooLargeError
 from ebggm.graphs import (
     Graph,
@@ -148,14 +149,15 @@ def test_bench9_structure():
     assert g.p == 9
     assert g.edge_count == 17
     seq = perfect_sequence(g)
-    cliques = sorted(tuple(sorted(c)) for c in seq.cliques)
-    assert cliques == [(0, 1, 2), (1, 2, 4, 5), (1, 3, 4), (4, 5, 6), (5, 6, 7, 8)]
-    seps = sorted(tuple(sorted(s)) for s in seq.separators)
+    cliques, separators = vertex_sets(seq.clique_masks), vertex_sets(seq.separator_masks)
+    assert sorted(tuple(sorted(c)) for c in cliques) == \
+        [(0, 1, 2), (1, 2, 4, 5), (1, 3, 4), (4, 5, 6), (5, 6, 7, 8)]
+    seps = sorted(tuple(sorted(s)) for s in separators)
     assert seps == [(1, 2), (1, 4), (4, 5), (5, 6)]
-    sizes_c = sum(len(c) for c in seq.cliques)
-    sizes_s = sum(len(s) for s in seq.separators)
+    sizes_c = sum(len(c) for c in cliques)
+    sizes_s = sum(len(s) for s in separators)
     assert sizes_c - sizes_s == g.p
-    s1 = sum(len(c) ** 2 for c in seq.cliques) - sum(len(s) ** 2 for s in seq.separators)
+    s1 = sum(len(c) ** 2 for c in cliques) - sum(len(s) ** 2 for s in separators)
     assert s1 == 43
 
 
@@ -170,9 +172,9 @@ def test_perfect_sequence_masks_match_vertex_lists():
     for _ in range(25):
         g = random_decomposable_graph(6, rng)
         seq = perfect_sequence(g)
-        for verts, mask in zip(seq.cliques, seq.clique_masks):
+        for verts, mask in zip(vertex_sets(seq.clique_masks), seq.clique_masks):
             assert mask == sum(1 << v for v in verts)
-        for verts, mask in zip(seq.separators, seq.separator_masks):
+        for verts, mask in zip(vertex_sets(seq.separator_masks), seq.separator_masks):
             assert mask == sum(1 << v for v in verts)
 
 
@@ -182,17 +184,19 @@ def test_clique_sizes_telescope_to_p():
             if not is_decomposable(g):
                 continue
             seq = perfect_sequence(g)
-            assert sum(map(len, seq.cliques)) - sum(map(len, seq.separators)) == p
+            assert (sum(map(len, vertex_sets(seq.clique_masks)))
+                    - sum(map(len, vertex_sets(seq.separator_masks)))) == p
 
 
 def test_separator_multiset_invariant_under_tie_breaking():
     rng = np.random.default_rng(11)
     for _ in range(40):
         g = random_decomposable_graph(7, rng)
-        base = sorted(tuple(sorted(s)) for s in perfect_sequence(g).separators)
+        base = sorted(tuple(sorted(s))
+                      for s in vertex_sets(perfect_sequence(g).separator_masks))
         for _ in range(5):
             alt = perfect_sequence(g, tie_rng=rng)
-            assert sorted(tuple(sorted(s)) for s in alt.separators) == base
+            assert sorted(tuple(sorted(s)) for s in vertex_sets(alt.separator_masks)) == base
 
 
 def test_histories_contain_separators():
@@ -283,13 +287,14 @@ def test_perfect_sequence_cliques_match_networkx(p, n_graphs, seed):
     nx = pytest.importorskip("networkx")
     for g in oracle_graphs(p, seed, n_graphs):
         seq = perfect_sequence(g)
+        cliques, separators = vertex_sets(seq.clique_masks), vertex_sets(seq.separator_masks)
         want = {frozenset(c) for c in nx.chordal_graph_cliques(networkx_graph(nx, g))}
-        assert set(seq.cliques) == want
-        assert len(seq.cliques) == len(want)
+        assert set(cliques) == want
+        assert len(cliques) == len(want)
         seen = set()
-        for idx, clique in enumerate(seq.cliques):
+        for idx, clique in enumerate(cliques):
             if idx:
-                assert seq.separators[idx - 1] == clique & seen
+                assert separators[idx - 1] == clique & seen
             seen |= clique
 
 

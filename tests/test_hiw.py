@@ -8,6 +8,7 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
+from conftest import vertex_sets
 from ebggm.errors import (
     DomainError,
     NotSPDError,
@@ -372,8 +373,8 @@ def test_hiw_clique_inverse_moments():
     phi = a @ a.T + 5 * np.eye(5)
     seq = perfect_sequence(g)
     draws = 6000
-    sums = {tuple(c): 0.0 for c in seq.cliques}
-    sums.update({tuple(s): 0.0 for s in seq.separators})
+    sums = {tuple(c): 0.0 for c in vertex_sets(seq.clique_masks)}
+    sums.update({tuple(s): 0.0 for s in vertex_sets(seq.separator_masks)})
     for _ in range(draws):
         sigma = sample_hiw(g, delta, phi, rng)
         for block in list(sums):

@@ -13,7 +13,6 @@ from ebggm import (
     KernelConfig,
     PosteriorScorer,
     SaemConfig,
-    SufficientStats,
     bench9_graph,
     compute_suff_stats,
     init_graph_backward,
@@ -25,7 +24,8 @@ from ebggm import (
     simulate_dataset,
     step_size,
 )
-from ebggm.saem import TRACE_COLUMNS, sa_update
+from conftest import vertex_sets
+from ebggm.saem import TRACE_COLUMNS
 
 
 def make_stats(p, n=60, seed=0):
@@ -61,16 +61,16 @@ def test_saem_config_validation():
 
 def test_suff_stats_on_known_graph():
     g = bench9_graph()
-    stats = compute_suff_stats(g, np.eye(9))
+    s1, s2, s3 = compute_suff_stats(g, np.eye(9))
     # Clique sizes 3,4,3,3,4 and separator sizes 2,2,2,2.
-    assert stats.s1 == 9 + 16 + 9 + 9 + 16 - 4 * 4
-    assert stats.s1 == 43.0
-    assert stats.s2 == pytest.approx(9.0, rel=1e-12)
-    assert stats.s3 == 17.0
+    assert s1 == 9 + 16 + 9 + 9 + 16 - 4 * 4
+    assert s1 == 43.0
+    assert s2 == pytest.approx(9.0, rel=1e-12)
+    assert s3 == 17.0
 
     d = np.array([1.0, 2.0, 4.0, 5.0, 8.0, 10.0, 16.0, 20.0, 25.0])
-    stats = compute_suff_stats(g, np.diag(d))
-    assert stats.s2 == pytest.approx(float(np.sum(1.0 / d)), rel=1e-12)
+    _, s2, _ = compute_suff_stats(g, np.diag(d))
+    assert s2 == pytest.approx(float(np.sum(1.0 / d)), rel=1e-12)
 
 
 def test_suff_stats_trace_identity_on_hiw_draw():
@@ -79,56 +79,70 @@ def test_suff_stats_trace_identity_on_hiw_draw():
     g = Graph.from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     rng = np.random.default_rng(99)
     sigma = sample_hiw(g, 3.0, 0.7 * np.eye(5), rng)
-    s = compute_suff_stats(g, sigma)
-    assert s.s2 == pytest.approx(float(np.trace(np.linalg.inv(sigma))), rel=1e-10)
+    s2 = compute_suff_stats(g, sigma)[1]
+    assert s2 == pytest.approx(float(np.trace(np.linalg.inv(sigma))), rel=1e-10)
     seq = perfect_sequence(g)
     clique_sum = sum(
         float(np.trace(np.linalg.inv(sigma[np.ix_(sorted(c), sorted(c))])))
-        for c in seq.cliques)
+        for c in vertex_sets(seq.clique_masks))
     sep_sum = sum(
         float(np.trace(np.linalg.inv(sigma[np.ix_(sorted(sset), sorted(sset))])))
-        for sset in seq.separators if sset)
-    assert s.s2 == pytest.approx(clique_sum - sep_sum, rel=1e-10)
+        for sset in vertex_sets(seq.separator_masks) if sset)
+    assert s2 == pytest.approx(clique_sum - sep_sum, rel=1e-10)
 
 
-def test_sa_update_arithmetic():
-    s = SufficientStats(1.0, 2.0, 3.0)
-    sample = SufficientStats(3.0, 6.0, 9.0)
-    mid = sa_update(s, sample, 0.5)
-    assert mid.as_tuple() == (2.0, 4.0, 6.0)
-    assert sa_update(s, sample, 1.0).as_tuple() == sample.as_tuple()
-    assert sa_update(s, sample, 0.0).as_tuple() == s.as_tuple()
+def test_run_saem_trace_is_robbins_monro_average(monkeypatch):
+    # With the draws' statistics fixed, the trace's s1-s3 columns must be
+    # the running average s_k = s_{k-1} + gamma_k (x_k - s_{k-1}), s_0 = 0,
+    # with gamma_k = 1 through n_unit and 1/(k - n_unit) after, exactly.
+    import ebggm.saem as saem_mod
+
+    rng = np.random.default_rng(31)
+    draws = [np.array([rng.uniform(5.0, 20.0), rng.uniform(1.0, 9.0),
+                       float(rng.integers(0, 7))]) for _ in range(12)]
+    given = iter(draws)
+    monkeypatch.setattr(saem_mod, "compute_suff_stats", lambda g, sigma: next(given))
+    stats = make_stats(4, n=80, seed=11)
+    cfg = SaemConfig(n_iter=12, n_unit=4, m_first=20, m_rest=5, n_warm=2)
+    res = run_saem(stats, cfg, Hyperparams(delta=1.0, tau=1.0), np.random.default_rng(3))
+    s = [0.0, 0.0, 0.0]
+    for k, x in enumerate(draws, start=1):
+        gamma = 1.0 if k <= 4 else 1.0 / (k - 4)
+        s = [a + gamma * (b - a) for a, b in zip(s, x.tolist())]
+        assert res.trace[k - 1, 3:6].tolist() == s
+        assert (res.trace[k - 1, 1], res.trace[k - 1, 2]) == m_step(np.array(s), 1.0, 4, 6)
 
 
 def test_m_step_closed_form_and_clamping():
-    tau, r = m_step(SufficientStats(10.0, 8.0, 3.0), delta=2.0, p=4, m=6)
+    tau, r = m_step(np.array([10.0, 8.0, 3.0]), delta=2.0, p=4, m=6)
     assert tau == pytest.approx(1.75)
     assert r == pytest.approx(0.5)
+    assert type(tau) is float and type(r) is float
 
     # r is clamped away from 0 and 1.
-    _, r = m_step(SufficientStats(10.0, 8.0, 0.0), delta=2.0, p=4, m=6)
+    _, r = m_step(np.array([10.0, 8.0, 0.0]), delta=2.0, p=4, m=6)
     assert r == pytest.approx(1.0 / 60.0)
-    _, r = m_step(SufficientStats(10.0, 8.0, 6.0), delta=2.0, p=4, m=6)
+    _, r = m_step(np.array([10.0, 8.0, 6.0]), delta=2.0, p=4, m=6)
     assert r == pytest.approx(1.0 - 1.0 / 60.0)
 
     with pytest.raises(DegenerateStatsError):
-        m_step(SufficientStats(10.0, 0.0, 3.0), delta=2.0, p=4, m=6)
+        m_step(np.array([10.0, 0.0, 3.0]), delta=2.0, p=4, m=6)
     with pytest.raises(DegenerateStatsError):
-        m_step(SufficientStats(-5.0, 8.0, 3.0), delta=1.0, p=4, m=6)
+        m_step(np.array([-5.0, 8.0, 3.0]), delta=1.0, p=4, m=6)
 
 
 def test_m_step_maximizes_complete_data_objective():
     # tau maximizes a log tau - tau b / 2 with a = ((delta-1)p + s1)/2, and
     # r maximizes the bernoulli log likelihood s3 log r + (m - s3) log(1-r).
-    s = SufficientStats(12.5, 7.25, 4.0)
+    s1, s2, s3 = 12.5, 7.25, 4.0
     delta, p, m = 1.5, 5, 10
-    tau_hat, r_hat = m_step(s, delta, p, m)
+    tau_hat, r_hat = m_step(np.array([s1, s2, s3]), delta, p, m)
 
     def q_tau(tau):
-        return 0.5 * ((delta - 1.0) * p + s.s1) * math.log(tau) - 0.5 * tau * s.s2
+        return 0.5 * ((delta - 1.0) * p + s1) * math.log(tau) - 0.5 * tau * s2
 
     def q_r(r):
-        return s.s3 * math.log(r) + (m - s.s3) * math.log(1.0 - r)
+        return s3 * math.log(r) + (m - s3) * math.log(1.0 - r)
 
     best_tau = q_tau(tau_hat)
     best_r = q_r(r_hat)

@@ -166,7 +166,7 @@ def test_graph_builds_its_sequence_once(monkeypatch):
     fresh = Graph(4, g.edges)
     assert (adds, dels) == (addition_mask(fresh), deletion_mask(fresh))
     assert score == scorer.score(fresh)
-    assert suff == compute_suff_stats(fresh, sigma)
+    assert np.array_equal(suff, compute_suff_stats(fresh, sigma))
 
     calls.clear()
     table = exact_posterior(stats, hp)
@@ -252,6 +252,27 @@ def test_edge_weights_values_and_clamping():
         assert 0.9 <= w <= 1.0 / 0.9
     for w in del_w:
         assert 0.9 * (1 - 1e-12) <= w <= (1.0 / 0.9) * (1 + 1e-12)
+
+    # Bit for bit the per-pair loop in slot order.  Off-diagonal |K_ij| in
+    # [1e-5, 1e-1] or [10, 1e5] put weights at both bounds of a floor of 0.3.
+    rng = np.random.default_rng(17)
+    for p in (2, 9, 32):
+        bounds_hit = set()
+        for scale in (1e-3, 1e3):
+            mags = scale * 10.0 ** rng.uniform(-2.0, 2.0, (p, p))
+            off = np.triu(mags * rng.choice([-1.0, 1.0], (p, p)), 1)
+            k_want = off + off.T + np.diag(np.abs(off + off.T).sum(axis=1) + 1.0)
+            stats_ = DatasetStats(data=np.zeros((1, p)), scatter=np.linalg.inv(k_want))
+            k_mat = stats_.inv_empirical
+            for floor in (1e-12, 0.3, 0.9, 1.0):
+                add_w, del_w = edge_weights(stats_, KernelConfig(weight_floor=floor))
+                want = [min(max(abs(float(k_mat[i, j])), floor), 1.0 / floor)
+                        for i in range(p) for j in range(i + 1, p)]
+                assert add_w.tolist() == want
+                assert del_w.tolist() == [1.0 / w for w in want]
+                if floor == 0.3:
+                    bounds_hit.update(w for w in want if w in (0.3, 1.0 / 0.3))
+        assert bounds_hit == {0.3, 1.0 / 0.3}
 
 
 def exact_transition_matrix(graphs, scorer, moves, kernel, weights):
