@@ -96,9 +96,11 @@ class RunConfig:
             raise ValueError(f"--n-burn must be nonnegative, got {self.n_burn}")
 
 
-COMMANDS = ("fit", "sample", "exact", "count", "simulate", "report")
 KERNELS = ("auto", *KERNEL_MODES)
 _HINTS = typing.get_type_hints(RunConfig)
+# (manifest key, RunConfig field) of each input file whose SHA-256 a run
+# records and a rerun checks.
+CHECKSUMS = (("data_sha256", "data"), ("table_sha256", "table"))
 
 
 def config_from_manifest(mapping):
@@ -129,8 +131,8 @@ def verify_inputs(cfg, mapping):
 
     Raises ChecksumError naming the first file whose SHA-256 differs.
     """
-    for key, path in (("data_sha256", cfg.data), ("table_sha256", cfg.table)):
-        want = mapping.get(key)
+    for key, field in CHECKSUMS:
+        want, path = mapping.get(key), getattr(cfg, field)
         if want and path:
             got = sha256_of(path)
             if got != want:
@@ -151,19 +153,9 @@ def _warn_version_drift(mapping, stream):
                   file=stream)
 
 
-def _resolve_out_dir(cfg):
-    return cfg.out_dir or os.environ.get(OUT_DIR_ENV, "") or "ebggm_out"
-
-
-def _resolve_kernel(cfg, stats):
-    if cfg.kernel != "auto":
-        return cfg.kernel
-    return auto_kernel_mode(stats) if cfg.command == "fit" else "add_delete"
-
-
-def _hyperparams(cfg):
-    return Hyperparams(delta=cfg.delta, phi_mode=cfg.phi_mode, tau=cfg.tau,
-                       graph_prior=cfg.graph_prior, r=cfg.r)
+def _from_fields(cls, cfg):
+    """A cls dataclass built from the RunConfig fields of the same names."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
 
 
 def _artifact(out, name):
@@ -177,9 +169,11 @@ def _artifact(out, name):
 
 
 def _finish(cfg, out, extras):
-    """Write the manifest for a resolved run; returns its path."""
+    """Write a resolved run's manifest, with its inputs' checksums; returns its path."""
     mapping = dataclasses.asdict(cfg)
     mapping.update(extras)
+    mapping.update((key, sha256_of(getattr(cfg, field)))
+                   for key, field in CHECKSUMS if getattr(cfg, field))
     mapping.update(_library_versions())
     mapping["python_version"] = platform.python_version()
     path = os.path.join(out, MANIFEST)
@@ -233,13 +227,18 @@ def _write_report(out, p, pairs, top_k, stdout=None):
               file=stdout)
 
 
-def _require(cfg, field, hint):
-    if not getattr(cfg, field):
-        raise ValueError(f"command {cfg.command!r} needs --{field} ({hint})")
+def _ranked(pairs, source):
+    """(graph, weight) pairs scaled to sum to one, unless they already do to
+    within 1e-9, and ordered by decreasing weight, then graph ID."""
+    total = sum(w for _, w in pairs)
+    if not pairs or total <= 0:
+        raise ParseError(f"{source}: table carries no probability mass")
+    if abs(total - 1.0) > 1e-9:
+        pairs = [(gid, w / total) for gid, w in pairs]
+    return sorted(pairs, key=lambda t: (-t[1], t[0]))
 
 
 def _cmd_count(cfg, out):
-    _require(cfg, "p", "number of vertices")
     total = 2 ** n_candidate_edges(cfg.p)
     dec = count_decomposable(cfg.p)
     line = f"p={cfg.p} total={total} decomposable={dec}"
@@ -250,7 +249,6 @@ def _cmd_count(cfg, out):
 
 
 def _cmd_simulate(cfg, out):
-    _require(cfg, "graph", "builtin name or hex graph ID")
     g = named_graph(cfg.graph, cfg.p or None)
     if cfg.p and g.p != cfg.p:
         raise ValueError(f"--graph {cfg.graph!r} has p={g.p}, but --p {cfg.p} "
@@ -269,51 +267,43 @@ def _cmd_simulate(cfg, out):
 
 
 def _cmd_exact(cfg, out):
-    _require(cfg, "data", "CSV dataset path")
-    hp = _hyperparams(cfg)
+    hp = _from_fields(Hyperparams, cfg)
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
     table = exact_posterior(stats, hp)
     write_posterior_csv(_artifact(out, "posterior.csv"), table)
     pairs = list(zip(table.graph_ids, table.probs.tolist()))
     _write_report(out, stats.p, pairs, cfg.top_k, stdout=sys.stdout)
-    return cfg, {"data_sha256": sha256_of(cfg.data), "p": stats.p}
+    return replace(cfg, p=stats.p), {}
 
 
 def _cmd_sample(cfg, out):
-    _require(cfg, "data", "CSV dataset path")
-    hp = _hyperparams(cfg)
+    hp = _from_fields(Hyperparams, cfg)
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
-    mode = _resolve_kernel(cfg, stats)
+    mode = "add_delete" if cfg.kernel == "auto" else cfg.kernel
     kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
     rng = np.random.default_rng(cfg.seed)
     start = Graph(stats.p)
     if cfg.n_burn:
         start, _ = run_chain(start, cfg.n_burn, stats, hp, kernel, rng)
     _, log = run_chain(start, cfg.n_steps, stats, hp, kernel, rng)
-    write_visit_log(_artifact(out, "visits.csv"), log)
+    visits = _artifact(out, "visits.csv")
+    write_visit_log(visits, log)
     write_acceptance_trace(_artifact(out, "acceptance.csv"), log)
-    counts = Counter(log.graph_ids)
-    total = len(log)
-    pairs = sorted(((gid, c / total) for gid, c in counts.items()),
-                   key=lambda t: (-t[1], t[0]))
-    _write_report(out, stats.p, pairs, cfg.top_k)
-    print(f"steps={total} accept_rate={fmt(log.acceptance_rate())}")
-    return replace(cfg, kernel=mode), \
-        {"data_sha256": sha256_of(cfg.data), "p": stats.p}
+    # float counts, so that a one-step chain writes its prob as 1.0
+    counts = [(gid, float(c)) for gid, c in Counter(log.graph_ids).items()]
+    _write_report(out, stats.p, _ranked(counts, visits), cfg.top_k)
+    print(f"steps={len(log)} accept_rate={fmt(log.acceptance_rate())}")
+    return replace(cfg, kernel=mode, p=stats.p), {}
 
 
 def _cmd_fit(cfg, out):
-    _require(cfg, "data", "CSV dataset path")
     # SaemConfig first, so that a bad init_tau or init_r is named as such
-    saem_cfg = SaemConfig(n_iter=cfg.n_iter, n_unit=cfg.n_unit,
-                          m_first=cfg.m_first, m_rest=cfg.m_rest,
-                          n_warm=cfg.n_warm, init_tau=cfg.init_tau,
-                          init_r=cfg.init_r)
+    saem_cfg = _from_fields(SaemConfig, cfg)
     hp_base = Hyperparams(delta=cfg.delta, phi_mode="scaled_identity",
                           tau=cfg.init_tau, graph_prior=cfg.graph_prior,
                           r=cfg.init_r)
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
-    mode = _resolve_kernel(cfg, stats)
+    mode = auto_kernel_mode(stats) if cfg.kernel == "auto" else cfg.kernel
     kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
     rng = np.random.default_rng(cfg.seed)
     result = run_saem(stats, saem_cfg, hp_base, rng, kernel=kernel)
@@ -328,37 +318,49 @@ def _cmd_fit(cfg, out):
     with open(_artifact(out, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"tau_hat={fmt(result.tau)} r_hat={fmt(result.r)}")
-    return replace(cfg, kernel=mode, phi_mode="scaled_identity"), \
-        {"data_sha256": sha256_of(cfg.data), "p": stats.p}
-
-
-def _pairs_from_table(path, p):
-    """Normalized (graph, weight) pairs of a posterior table or a visit log.
-
-    The weights sum to one and the pairs come by decreasing weight.
-    """
-    pairs = read_posterior_csv(path, p)
-    total = sum(w for _, w in pairs)
-    if not pairs or total <= 0:
-        raise ParseError(f"{path}: table carries no probability mass")
-    if abs(total - 1.0) > 1e-9:
-        pairs = [(gid, w / total) for gid, w in pairs]
-    pairs.sort(key=lambda t: (-t[1], t[0]))
-    return pairs
+    return replace(cfg, kernel=mode, phi_mode="scaled_identity", p=stats.p), {}
 
 
 def _cmd_report(cfg, out):
-    _require(cfg, "table", "posterior or visit-log CSV")
-    _require(cfg, "p", "number of vertices the table refers to")
     if not 1 <= cfg.p <= MAX_P:
         raise ValueError(f"--p must be in 1..{MAX_P}, got {cfg.p}")
-    pairs = _pairs_from_table(cfg.table, cfg.p)
+    pairs = _ranked(read_posterior_csv(cfg.table, cfg.p), cfg.table)
     _write_report(out, cfg.p, pairs, cfg.top_k, stdout=sys.stdout)
-    return cfg, {"table_sha256": sha256_of(cfg.table)}
+    return cfg, {}
 
 
-_RUNNERS = {"count": _cmd_count, "simulate": _cmd_simulate, "exact": _cmd_exact,
-            "sample": _cmd_sample, "fit": _cmd_fit, "report": _cmd_report}
+class _Command(typing.NamedTuple):
+    run: typing.Callable
+    help: str
+    needs: tuple    # (RunConfig field, hint) of each input the run cannot do without
+    options: tuple  # RunConfig fields set by a --flag of the same name
+
+
+# Every command also takes --out-dir, and one that needs --data takes the
+# data options (--data, --no-center, --no-standardize) before its own.
+_DATA = ("data", "CSV dataset path")
+_MODEL = ("delta", "phi_mode", "tau", "graph_prior", "r")
+COMMANDS = {
+    "fit": _Command(_cmd_fit, "estimate (tau, r) by stochastic EM", (_DATA,), (
+        "delta", "graph_prior", "kernel", "weight_floor", "n_iter", "n_unit",
+        "m_first", "m_rest", "n_warm", "init_tau", "init_r", "seed")),
+    "sample": _Command(_cmd_sample, "run a graph chain and report visited structures",
+                       (_DATA,), (*_MODEL, "kernel", "weight_floor", "n_steps",
+                                  "n_burn", "top_k", "seed")),
+    "exact": _Command(_cmd_exact,
+                      "exact posterior over all decomposable graphs (small p)",
+                      (_DATA,), (*_MODEL, "top_k")),
+    "count": _Command(_cmd_count, "count decomposable graphs on p vertices",
+                      (("p", "number of vertices"),), ("p",)),
+    "simulate": _Command(_cmd_simulate, "draw a dataset from a known graph",
+                         (("graph", "builtin name or hex graph ID"),),
+                         ("p", "graph", "tau", "delta", "n", "seed")),
+    "report": _Command(_cmd_report,
+                       "render top graphs and edge marginals from an existing CSV",
+                       (("table", "posterior or visit-log CSV"),
+                        ("p", "number of vertices the table refers to")),
+                       ("table", "p", "top_k")),
+}
 
 
 def run_command(cfg: RunConfig):
@@ -368,9 +370,13 @@ def run_command(cfg: RunConfig):
     _artifact) and the new one is written last, so a manifest on disk always
     describes the artifacts beside it, even after a run that failed part way.
     """
-    out = _resolve_out_dir(cfg)
+    out = cfg.out_dir or os.environ.get(OUT_DIR_ENV, "") or "ebggm_out"
     os.makedirs(out, exist_ok=True)
-    resolved, extras = _RUNNERS[cfg.command](replace(cfg, out_dir=out), out)
+    command = COMMANDS[cfg.command]
+    for field, hint in command.needs:
+        if not getattr(cfg, field):
+            raise ValueError(f"command {cfg.command!r} needs --{field} ({hint})")
+    resolved, extras = command.run(replace(cfg, out_dir=out), out)
     _finish(resolved, out, extras)
     return out
 
@@ -398,37 +404,11 @@ def build_parser():
         description="Bayesian structure selection in decomposable Gaussian "
                     "graphical models")
     subs = parser.add_subparsers(dest="command")
-
-    fit = subs.add_parser("fit", help="estimate (tau, r) by stochastic EM")
-    _add_data_options(fit)
-    _add_options(fit, "delta", "graph_prior", "kernel", "weight_floor",
-                 "n_iter", "n_unit", "m_first", "m_rest", "n_warm",
-                 "init_tau", "init_r", "seed", "out_dir")
-
-    sample = subs.add_parser("sample", help="run a graph chain and report "
-                                            "visited structures")
-    _add_data_options(sample)
-    _add_options(sample, "delta", "phi_mode", "tau", "graph_prior", "r",
-                 "kernel", "weight_floor", "n_steps", "n_burn", "top_k",
-                 "seed", "out_dir")
-
-    exact = subs.add_parser("exact", help="exact posterior over all "
-                                          "decomposable graphs (small p)")
-    _add_data_options(exact)
-    _add_options(exact, "delta", "phi_mode", "tau", "graph_prior", "r",
-                 "top_k", "out_dir")
-
-    count = subs.add_parser("count", help="count decomposable graphs on p "
-                                          "vertices")
-    _add_options(count, "p", "out_dir")
-
-    sim = subs.add_parser("simulate", help="draw a dataset from a known graph")
-    _add_options(sim, "p", "graph", "tau", "delta", "n", "seed", "out_dir")
-
-    report = subs.add_parser("report", help="render top graphs and edge "
-                                            "marginals from an existing CSV")
-    _add_options(report, "table", "p", "top_k", "out_dir")
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        if _DATA in command.needs:
+            _add_data_options(sub)
+        _add_options(sub, *command.options, "out_dir")
     rerun = subs.add_parser("rerun", help="repeat a run from its manifest")
     rerun.add_argument("manifest", help="manifest.txt from a previous run")
     rerun.add_argument("--out-dir", dest="out_dir", default="")
@@ -449,9 +429,8 @@ def main(argv=None):
             verify_inputs(cfg, mapping)
             if ns.out_dir:
                 cfg = replace(cfg, out_dir=ns.out_dir)
-        else:
-            names = {f.name for f in dataclasses.fields(RunConfig)}
-            cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in names})
+        else:  # every option's dest is a RunConfig field
+            cfg = RunConfig(**vars(ns))
         run_command(cfg)
     except (EbggmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,9 @@ class SaemConfig:
     def __post_init__(self):
         if self.n_iter < 0 or not 0 <= self.n_unit < max(self.n_iter, 1):
             raise ValueError(f"need 0 <= n_unit < n_iter, got n_unit={self.n_unit}, "
-                             f"n_iter={self.n_iter}")
+                             f"n_iter={self.n_iter} (n_unit defaults to {SaemConfig.n_unit}, "
+                             f"so a fit of {SaemConfig.n_unit} or fewer iterations needs "
+                             "a lower --n-unit)")
         for name in ("m_first", "m_rest"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -261,7 +261,7 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
 
 
 def sample_graph_and_sigma(state, stats: DatasetStats, hp: Hyperparams,
-                           M, rng, cfg: KernelConfig | None = None):
+                           M, rng, cfg: KernelConfig):
     """Advance the graph chain M steps from state (a Graph or a ChainState,
     as for run_chain), then draw a covariance from its conjugate posterior
     on the final graph.
@@ -269,6 +269,6 @@ def sample_graph_and_sigma(state, stats: DatasetStats, hp: Hyperparams,
     Returns (new ChainState, sigma).  The drawn sigma follows the
     graph-constrained law with degrees delta + n and scale Phi + scatter.
     """
-    state, _ = run_chain(state, M, stats, hp, cfg or KernelConfig(), rng)
+    state, _ = run_chain(state, M, stats, hp, cfg, rng)
     post_scale = phi_matrix(hp, stats) + stats.scatter
     return state, sample_hiw(state.graph, hp.delta + stats.n, post_scale, rng)

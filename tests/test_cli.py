@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, artifact writers, and the command-line flow."""
 
+import argparse
 import csv
 import filecmp
 import os
@@ -14,6 +15,7 @@ from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, ParseError, S
                    run_chain, run_saem, sampler)
 from ebggm.cli import (
     RunConfig,
+    build_parser,
     config_from_manifest,
     main,
     run_command,
@@ -282,6 +284,76 @@ def test_run_config_validation():
         RunConfig(command="count", top_k=0)
 
 
+# (flag, dest, default, type, required) of every option of each subcommand.
+_DATA_OPTIONS = [("--data", "data", None, None, True),
+                 ("--no-center", "center", True, None, False),
+                 ("--no-standardize", "standardize", True, None, False)]
+_MODEL_OPTIONS = [("--delta", "delta", 1.0, "float", False),
+                  ("--phi-mode", "phi_mode", "scaled_identity", "str", False),
+                  ("--tau", "tau", 1.0, "float", False),
+                  ("--graph-prior", "graph_prior", "bernoulli", "str", False),
+                  ("--r", "r", 0.5, "float", False)]
+_OUT_DIR = ("--out-dir", "out_dir", "", "str", False)
+PARSER_OPTIONS = {
+    "fit": _DATA_OPTIONS + [
+        ("--delta", "delta", 1.0, "float", False),
+        ("--graph-prior", "graph_prior", "bernoulli", "str", False),
+        ("--kernel", "kernel", "auto", "str", False),
+        ("--weight-floor", "weight_floor", 1e-12, "float", False),
+        ("--n-iter", "n_iter", 300, "int", False),
+        ("--n-unit", "n_unit", 100, "int", False),
+        ("--m-first", "m_first", 500, "int", False),
+        ("--m-rest", "m_rest", 10, "int", False),
+        ("--n-warm", "n_warm", 5, "int", False),
+        ("--init-tau", "init_tau", 0.001, "float", False),
+        ("--init-r", "init_r", 0.5, "float", False),
+        ("--seed", "seed", 0, "int", False), _OUT_DIR],
+    "sample": _DATA_OPTIONS + _MODEL_OPTIONS + [
+        ("--kernel", "kernel", "auto", "str", False),
+        ("--weight-floor", "weight_floor", 1e-12, "float", False),
+        ("--n-steps", "n_steps", 100000, "int", False),
+        ("--n-burn", "n_burn", 10000, "int", False),
+        ("--top-k", "top_k", 10, "int", False),
+        ("--seed", "seed", 0, "int", False), _OUT_DIR],
+    "exact": _DATA_OPTIONS + _MODEL_OPTIONS + [
+        ("--top-k", "top_k", 10, "int", False), _OUT_DIR],
+    "count": [("--p", "p", 0, "int", False), _OUT_DIR],
+    "simulate": [("--p", "p", 0, "int", False),
+                 ("--graph", "graph", "", "str", False),
+                 ("--tau", "tau", 1.0, "float", False),
+                 ("--delta", "delta", 1.0, "float", False),
+                 ("--n", "n", 100, "int", False),
+                 ("--seed", "seed", 0, "int", False), _OUT_DIR],
+    "report": [("--table", "table", "", "str", False),
+               ("--p", "p", 0, "int", False),
+               ("--top-k", "top_k", 10, "int", False), _OUT_DIR],
+    "rerun": [("manifest", "manifest", None, None, True),
+              ("--out-dir", "out_dir", "", None, False)],
+}
+
+
+def subcommand_parsers():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_parser_subcommands_in_order():
+    assert list(subcommand_parsers()) == list(PARSER_OPTIONS)
+
+
+@pytest.mark.parametrize("command", list(PARSER_OPTIONS))
+def test_parser_options_snapshot(command, capsys):
+    got = [(a.option_strings[0] if a.option_strings else a.dest, a.dest,
+            a.default, a.type and a.type.__name__, a.required)
+           for a in subcommand_parsers()[command]._actions
+           if not isinstance(a, argparse._HelpAction)]
+    assert got == PARSER_OPTIONS[command]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ebggm {command}")
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -544,6 +616,34 @@ def test_cli_report_from_visit_log(tmp_path, capsys, small_csv):
                        os.path.join(out_r, "top_graphs.csv"), shallow=False)
 
 
+def test_cli_sample_of_one_step_writes_a_float_probability(tmp_path, capsys,
+                                                             small_csv):
+    out = tmp_path / "one"
+    assert main(["sample", "--data", small_csv, "--n-steps", "1", "--n-burn", "0",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "top_graphs.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and rows[1][0] == "1" and rows[1][3] == "1.0"
+    assert (out / "report.txt").read_text().splitlines()[2].endswith(" 1.0")
+
+
+def test_cli_report_renormalizes_only_tables_off_one(tmp_path, capsys):
+    # 0.3999999995 + 0.6 is within 1e-9 of one, so the probabilities are
+    # written as the table gives them; a table summing to 2 is halved.
+    for probs, want in (((0.3999999995, 0.6), ["0.6", "0.3999999995"]),
+                        ((0.8, 1.2), ["0.6", "0.4"])):
+        table = write(tmp_path / "posterior.csv",
+                      "rank,graph_id,k_edges,prob,log_score\n"
+                      f"1,1,1,{probs[0]!r},-3.0\n2,3,2,{probs[1]!r},-2.0\n")
+        out = tmp_path / "r"
+        assert main(["report", "--table", table, "--p", "3",
+                     "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == f"top1_graph=3 top1_prob={want[0]}"
+        with open(out / "top_graphs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [["1", "3", "2", want[0]], ["2", "1", "1", want[1]]]
+
+
 def test_cli_fit_smoke(tmp_path, capsys, small_csv):
     out = str(tmp_path / "fit")
     assert main(["fit", "--data", small_csv, "--n-iter", "8", "--n-unit", "3",
@@ -627,7 +727,9 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
         assert capsys.readouterr().err.strip() == f"error: --p must be in 1..32, got {p}"
     # Bad fit settings name their field and value.
     for args, msg in (
-            (("--n-iter", "50"), "need 0 <= n_unit < n_iter, got n_unit=100, n_iter=50"),
+            (("--n-iter", "50"), "need 0 <= n_unit < n_iter, got n_unit=100, n_iter=50 "
+             "(n_unit defaults to 100, so a fit of 100 or fewer iterations needs a lower "
+             "--n-unit)"),
             (("--m-rest", "0"), "m_rest must be at least 1, got 0"),
             (("--n-warm", "-1"), "n_warm must be nonnegative, got -1"),
             (("--init-tau", "0"), "init_tau must be positive, got 0.0"),

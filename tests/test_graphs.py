@@ -167,15 +167,25 @@ def test_perfect_sequence_rejects_nonchordal():
         perfect_sequence(square)
 
 
-def test_perfect_sequence_masks_match_vertex_lists():
+def test_perfect_sequence_masks_are_maximal_cliques_and_running_separators():
+    # Checked against the graph's edges alone: each clique mask is complete
+    # and maximal, and each separator is the clique's meet with the union of
+    # the cliques before it.
     rng = np.random.default_rng(7)
     for _ in range(25):
         g = random_decomposable_graph(6, rng)
+        nbrs = [sum(1 << u for u in range(g.p) if g.has_edge(u, v)) for v in range(g.p)]
         seq = perfect_sequence(g)
-        for verts, mask in zip(vertex_sets(seq.clique_masks), seq.clique_masks):
-            assert mask == sum(1 << v for v in verts)
-        for verts, mask in zip(vertex_sets(seq.separator_masks), seq.separator_masks):
-            assert mask == sum(1 << v for v in verts)
+        assert len(seq.separator_masks) == len(seq.clique_masks) - 1
+        earlier = 0
+        for idx, clique in enumerate(seq.clique_masks):
+            inside = [v for v in range(g.p) if clique >> v & 1]
+            assert all(clique & ~nbrs[v] == 1 << v for v in inside)
+            assert all(clique & ~nbrs[v] for v in range(g.p) if v not in inside)
+            if idx:
+                assert seq.separator_masks[idx - 1] == clique & earlier
+            earlier |= clique
+        assert earlier == (1 << g.p) - 1
 
 
 def test_clique_sizes_telescope_to_p():

@@ -510,14 +510,16 @@ def test_sample_graph_and_sigma_advances_and_respects_graph():
     g = Graph.from_edge_list(4, [(0, 1), (1, 2)])
     state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(41)
-    new_state, sigma = sample_graph_and_sigma(state, stats, hp, 30, rng)
+    new_state, sigma = sample_graph_and_sigma(state, stats, hp, 30, rng,
+                                              KernelConfig())
     assert new_state.step_index == 30
     assert sigma.shape == (4, 4)
     assert np.allclose(sigma, sigma.T)
     assert np.all(np.linalg.eigvalsh(sigma) > 0)
     # Zero M leaves the graph alone; the draw obeys that graph's zeros.
     rng = np.random.default_rng(42)
-    same_state, sigma = sample_graph_and_sigma(state, stats, hp, 0, rng)
+    same_state, sigma = sample_graph_and_sigma(state, stats, hp, 0, rng,
+                                               KernelConfig())
     assert same_state.graph == g
     prec = np.linalg.inv(sigma)
     scale = np.max(np.abs(prec))
@@ -536,7 +538,8 @@ def test_sample_graph_and_sigma_deterministic():
     for _ in range(2):
         rng = np.random.default_rng(77)
         state = ChainState(g, scorer.score(g))
-        state, sigma = sample_graph_and_sigma(state, stats, hp, 20, rng)
+        state, sigma = sample_graph_and_sigma(state, stats, hp, 20, rng,
+                                              KernelConfig())
         draws.append((state.graph.edges, sigma))
     assert draws[0][0] == draws[1][0]
     assert np.array_equal(draws[0][1], draws[1][1])
