@@ -55,6 +55,7 @@ from .sampler import (
     mh_step,
     run_chain,
     sample_graph_and_sigma,
+    weight_tables,
 )
 from .saem import (
     SaemConfig,

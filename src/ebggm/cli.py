@@ -17,6 +17,7 @@ import sys
 import typing
 from collections import Counter
 from dataclasses import dataclass, replace
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,9 @@ class RunConfig:
             raise ValueError(f"--kernel must be one of {KERNELS}, got {self.kernel!r}")
         if not 0.0 < self.weight_floor <= 1.0:
             raise ValueError(f"--weight-floor must lie in (0, 1], got {self.weight_floor}")
+        if not isfinite(1.0 / self.weight_floor):
+            raise ValueError("--weight-floor must have a finite reciprocal, "
+                             f"got {self.weight_floor}")
         if self.n_steps < 1:
             raise ValueError(f"--n-steps must be at least 1, got {self.n_steps}")
         if self.n_burn < 0:
@@ -126,15 +130,20 @@ def config_from_manifest(mapping):
     return RunConfig(**kwargs)
 
 
-def verify_inputs(cfg, mapping):
+def verify_inputs(cfg, mapping, manifest):
     """Check the input files of a run against the checksums its manifest recorded.
 
-    Raises ChecksumError naming the first file whose SHA-256 differs.
+    Raises ChecksumError naming the first file whose SHA-256 differs, or
+    the manifest and key that recorded a file that cannot be read.
     """
     for key, field in CHECKSUMS:
         want, path = mapping.get(key), getattr(cfg, field)
         if want and path:
-            got = sha256_of(path)
+            try:
+                got = sha256_of(path)
+            except OSError as exc:
+                raise ChecksumError(f"manifest {manifest} records {field}={path}, "
+                                    f"which cannot be read: {exc}") from exc
             if got != want:
                 raise ChecksumError(
                     f"{path}: sha256 mismatch (manifest {want}, file {got})")
@@ -426,7 +435,7 @@ def main(argv=None):
             mapping = read_manifest(ns.manifest)
             cfg = config_from_manifest(mapping)
             _warn_version_drift(mapping, sys.stderr)
-            verify_inputs(cfg, mapping)
+            verify_inputs(cfg, mapping, ns.manifest)
             if ns.out_dir:
                 cfg = replace(cfg, out_dir=ns.out_dir)
         else:  # every option's dest is a RunConfig field

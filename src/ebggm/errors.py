@@ -34,7 +34,8 @@ class MismatchedModelError(EbggmError):
 
 
 class ChecksumError(EbggmError):
-    """Raised when an input file no longer matches the checksum a manifest recorded."""
+    """Raised when an input file no longer matches the checksum a manifest
+    recorded, or can no longer be read."""
 
 
 class ParseError(EbggmError):

@@ -79,17 +79,6 @@ def iter_bits(mask):
         mask ^= b
 
 
-def bit_positions(mask):
-    """Positions of the set bits of mask, lowest first, as an index array.
-
-    Its cost hardly grows with the bit count, which suits long edge masks;
-    for a vertex set of a few bits np.fromiter over iter_bits is cheaper.
-    """
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8),
-                                        bitorder="little"))
-
-
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable undirected graph on vertices 0..p-1 with bitset edges.

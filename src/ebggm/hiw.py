@@ -71,12 +71,15 @@ class DatasetStats:
     """Processed data rows plus the scatter matrix sum_i y_i y_i'.
 
     The eigenvalues of each scatter block are cached per vertex bitmask
-    (spectrum), so every scorer built on these stats shares them.
+    (spectrum), so every scorer built on these stats shares them; likewise
+    proposal_tables keeps the weighted kernel's tables per weight floor
+    (sampler.weight_tables), so every chain on these stats shares them.
     """
 
     data: np.ndarray
     scatter: np.ndarray
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    proposal_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self):

@@ -11,15 +11,17 @@ counts as a rejected step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from math import exp, log
-from operator import ne
+from itertools import accumulate
+from math import exp, isfinite, log
+from operator import getitem, ne
 
 import numpy as np
 
 from .errors import SingularScatterError
-from .graphs import (Graph, bit_positions, clique_edge_mask, edge_pair,
-                     incident_edge_masks, nth_bit)
+from .graphs import (Graph, clique_edge_mask, edge_pair, incident_edge_masks,
+                     nth_bit)
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
@@ -39,6 +41,9 @@ class KernelConfig:
                              f"got {self.mode!r}")
         if not 0.0 < self.weight_floor <= 1.0:
             raise ValueError("weight_floor must lie in (0, 1]")
+        if not isfinite(1.0 / float(self.weight_floor)):
+            raise ValueError("weight_floor must have a finite reciprocal, "
+                             f"got {self.weight_floor}")
 
 
 def auto_kernel_mode(stats: DatasetStats):
@@ -92,32 +97,103 @@ def edge_weights(stats: DatasetStats, cfg: KernelConfig):
     return add_w, 1.0 / add_w
 
 
-def _weight_sums(weights, mask):
-    """Running sums of weights over the set bits of mask, lowest bit first,
-    with those bit positions.  Each sum adds one weight to the one before,
-    so the last is the total a loop over the bits would give."""
-    pos = bit_positions(mask)
-    return np.cumsum(weights[pos]), pos
+class WeightSums:
+    """Exact sums of one direction's edge weights over any edge bitmask.
+
+    Every weight w_k is a finite positive double, so w_k * 2^shift is an
+    exact int for one shift.  rows[b][v] is the int sum over the set bits
+    of the value v of byte b of an edge bitmask (slots 8b to 8b+7), so the
+    sum over a mask is one table entry per byte.  It is exact, and dividing
+    it by 2^shift rounds it correctly, whatever the order of its terms.
+    """
+
+    def __init__(self, weights):
+        self.weights = [float(w) for w in weights]
+        ratios = [w.as_integer_ratio() for w in self.weights]  # den = 2^d
+        shift = max((den.bit_length() - 1 for _, den in ratios), default=0)
+        ints = [num << shift + 1 - den.bit_length() for num, den in ratios]
+        self.scale = 1 << shift
+        self.rows = []
+        for lo in range(0, len(ints), 8):
+            part = ints[lo:lo + 8]
+            row = [0] * (1 << len(part))
+            for v in range(1, len(row)):
+                low = v & -v
+                row[v] = row[v ^ low] + part[low.bit_length() - 1]
+            self.rows.append(row)
+
+    def _bytes(self, mask):
+        return mask.to_bytes(len(self.rows), "little")
+
+    def scaled_sum(self, mask):
+        """The sum of the weights over the set bits of mask, times scale."""
+        return sum(map(getitem, self.rows, self._bytes(mask)))
+
+    def _log_share(self, k, total):
+        try:
+            return log(self.weights[k]) - log(total / self.scale)
+        except OverflowError:  # weights near 1/weight_floor can sum past the float range
+            return log(self.weights[k]) - (log(total) - log(self.scale))
+
+    def log_q(self, k, mask):
+        """log of w_k over the total weight of mask."""
+        return self._log_share(k, self.scaled_sum(mask))
+
+    def draw(self, mask, u):
+        """The first slot of mask, lowest first, whose running weight
+        reaches u times the total weight of mask (the last slot if none
+        does), and log_q of that slot."""
+        data = self._bytes(mask)
+        sums = list(accumulate(map(getitem, self.rows, data)))
+        total = sums[-1]
+        num, den = u.as_integer_ratio()
+        # ceil(u * total); every slot adds at least 1, so 0 picks the first
+        target = max(1, -(-num * total // den))
+        b = bisect_left(sums, target)
+        if b == len(sums):
+            k = mask.bit_length() - 1
+        else:
+            row, rest = self.rows[b], data[b]
+            base, seen = sums[b] - row[rest], 0
+            while True:
+                low = rest & -rest
+                seen |= low
+                if base + row[seen] >= target:
+                    break
+                rest ^= low
+            k = 8 * b + low.bit_length() - 1
+        return k, self._log_share(k, total)
+
+
+def weight_tables(stats: DatasetStats, cfg: KernelConfig):
+    """The (addition, deletion) WeightSums of the edge_weights of stats.
+
+    They are built once per weight floor and kept in stats.proposal_tables,
+    so the chains of one fit share them.
+    """
+    tables = stats.proposal_tables
+    if cfg.weight_floor not in tables:
+        tables[cfg.weight_floor] = tuple(map(WeightSums, edge_weights(stats, cfg)))
+    return tables[cfg.weight_floor]
 
 
 def _log_q_rev(weights, do_delete, k, mask):
     """log probability of moving back by slot k when mask holds the reverse
     moves: uniform when weights is None, else by the reverse direction's
-    weights."""
+    WeightSums."""
     if weights is None:
         return -log(mask.bit_count())
-    w_rev = weights[0] if do_delete else weights[1]
-    return log(w_rev[k]) - log(_weight_sums(w_rev, mask)[0][-1])
+    return weights[0 if do_delete else 1].log_q(k, mask)
 
 
 def _draw_move(g: Graph, weights, do_delete, rng):
     """Forward half of an add-delete proposal from g in the chosen direction.
 
     weights=None picks a legal move uniformly; otherwise weights is the
-    (addition, deletion) pair from edge_weights, and the move is the first
+    (addition, deletion) pair from weight_tables, and the move is the first
     candidate, in ascending edge order, whose running weight reaches a
-    uniform target.  Returns (edge slot k, log q(forward move)), or None
-    when the direction has no legal move.
+    uniform fraction of the total.  Returns (edge slot k, log q(forward
+    move)), or None when the direction has no legal move.
     """
     cand = g.deletions if do_delete else g.additions
     if not cand:
@@ -125,11 +201,7 @@ def _draw_move(g: Graph, weights, do_delete, rng):
     if weights is None:
         n = cand.bit_count()
         return nth_bit(cand, int(rng.integers(n))), -log(n)
-    w_fwd = weights[1] if do_delete else weights[0]
-    sums, pos = _weight_sums(w_fwd, cand)
-    total = sums[-1]
-    k = int(pos[min(sums.searchsorted(rng.random() * total), len(pos) - 1)])
-    return k, log(w_fwd[k]) - log(total)
+    return weights[1 if do_delete else 0].draw(cand, rng.random())
 
 
 def _propose(g: Graph, moves: MoveCache, weights, do_delete, k):
@@ -163,8 +235,8 @@ def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):
     """One add-delete Metropolis-Hastings step.
 
     The direction is add or delete with probability 1/2 each; weights=None
-    proposes uniformly among the legal moves, edge_weights output biases the
-    proposal toward large (additions) or small (deletions) |K_ij|.  A
+    proposes uniformly among the legal moves, the weight_tables pair biases
+    the proposal toward large (additions) or small (deletions) |K_ij|.  A
     direction with no legal move is a null proposal and counts as a
     rejected step.
 
@@ -235,7 +307,7 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     whose memo, step parity and acceptance count carry on.  Either way the
     start graph is scored under hp, so a state reached under other
     hyperparameters resumes correctly.  Under alternate an even step_index
-    proposes uniformly and an odd one uses the edge_weights of stats.
+    proposes uniformly and an odd one uses the weight_tables of stats.
     Returns (final ChainState, ChainLog).
     """
     if n_steps < 0:
@@ -249,7 +321,7 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     if cfg.mode == "add_delete":
         by_parity = (None, None)
     else:
-        weights = edge_weights(stats, cfg)
+        weights = weight_tables(stats, cfg)
         by_parity = (None, weights) if cfg.mode == "alternate" else (weights, weights)
     log = ChainLog(stats.p, state.step_index, state.graph.edges, [], [])
     for _ in range(n_steps):

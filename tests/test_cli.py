@@ -514,6 +514,32 @@ def test_cli_rerun_rejects_changed_inputs(tmp_path, capsys, small_csv):
                        os.path.join(out_b, "top_graphs.csv"), shallow=False)
 
 
+def test_cli_rerun_names_the_manifest_of_an_unreadable_input(tmp_path, capsys,
+                                                            small_csv, monkeypatch):
+    # A manifest records its input paths as given, so a run made with
+    # relative paths cannot be rerun from another directory; the error says
+    # which manifest and key recorded the path.
+    work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+    work.mkdir()
+    elsewhere.mkdir()
+    with open(small_csv, "rb") as src, open(work / "d.csv", "wb") as dst:
+        dst.write(src.read())
+    monkeypatch.chdir(work)
+    assert main(["sample", "--data", "d.csv", "--n-steps", "50", "--n-burn", "0",
+                 "--seed", "3", "--out-dir", "s"]) == 0
+    assert main(["report", "--table", "s/visits.csv", "--p", "3",
+                 "--out-dir", "r"]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(elsewhere)
+    for manifest, field, path in ((work / "s" / "manifest.txt", "data", "d.csv"),
+                                  (work / "r" / "manifest.txt", "table", "s/visits.csv")):
+        assert main(["rerun", str(manifest), "--out-dir", "again"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: manifest {manifest} records {field}={path}, which cannot be "
+            f"read: [Errno 2] No such file or directory: '{path}'")
+    assert not os.path.exists("again")
+
+
 def test_cli_rerun_warns_on_version_drift(tmp_path, capsys):
     out_a = str(tmp_path / "a")
     assert main(["count", "--p", "3", "--out-dir", out_a]) == 0
@@ -700,6 +726,8 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
             ("sample", ("--n-burn", "-3"), "--n-burn must be nonnegative, got -3"),
             ("sample", ("--kernel", "swap"), f"--kernel must be one of {kernels}, got 'swap'"),
             ("sample", ("--weight-floor", "0"), "--weight-floor must lie in (0, 1], got 0.0"),
+            ("sample", ("--weight-floor", "1e-320"),
+             "--weight-floor must have a finite reciprocal, got 1e-320"),
             ("sample", ("--tau", "0"), "tau must be positive, got 0.0"),
             ("sample", ("--r", "2"), "r must lie in (0, 1), got 2.0"),
             ("sample", ("--graph-prior", "foo"), "graph_prior must be one of "

@@ -9,7 +9,6 @@ from ebggm.graphs import (
     Graph,
     addition_mask,
     bench9_graph,
-    bit_positions,
     clique_edge_mask,
     count_decomposable,
     deletion_mask,
@@ -54,12 +53,8 @@ def test_edge_index_is_lexicographic():
     assert edge_index(4, 2, 3) == 5
 
 
-def test_bit_positions_and_clique_edge_mask():
+def test_clique_edge_mask():
     rng = np.random.default_rng(6)
-    for mask in (0, 1, 1 << 495, (1 << 496) - 1,
-                 *(int.from_bytes(rng.bytes(62), "little") for _ in range(20))):
-        want = [k for k in range(mask.bit_length()) if mask >> k & 1]
-        assert bit_positions(mask).tolist() == want
     for p in (1, 2, 5, 32):
         for _ in range(10):
             vertices = int(rng.integers(1 << p))

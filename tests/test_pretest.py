@@ -1,7 +1,8 @@
 """The MH pre-test: its bound on log alpha, and chains that match the
 step without it draw for draw."""
 
-from math import exp, log
+from fractions import Fraction
+from math import exp, fsum, log
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from ebggm import (
     sample_hiw,
 )
 from ebggm.graphs import edge_pair, nth_bit
-from ebggm.sampler import _log_alpha_bound
+from ebggm.sampler import _log_alpha_bound, weight_tables
 
 
 # --------------------------------------------------------------- reference
 # The step before the pre-test: select, look up, score, then draw u.  It
-# walks the candidate bits one at a time and sums weights in a plain loop.
+# walks the candidate bits one at a time; a total is math.fsum of the
+# weights, and the move is the first candidate whose exact running weight
+# (fractions.Fraction) reaches u times the exact total.
 
 def ref_iter_bits(mask):
     while mask:
@@ -37,10 +40,17 @@ def ref_iter_bits(mask):
 
 
 def ref_weight_total(weights, mask):
-    total = 0.0
+    return fsum(weights[k] for k in ref_iter_bits(mask))
+
+
+def ref_select(weights, mask, u):
+    target = Fraction(u) * sum(Fraction(weights[k]) for k in ref_iter_bits(mask))
+    acc = Fraction(0)
     for k in ref_iter_bits(mask):
-        total += weights[k]
-    return total
+        acc += Fraction(weights[k])
+        if acc >= target:
+            return k
+    return mask.bit_length() - 1
 
 
 def ref_propose(g, moves, weights, do_delete, rng):
@@ -51,21 +61,13 @@ def ref_propose(g, moves, weights, do_delete, rng):
         k = nth_bit(cand, int(rng.integers(cand.bit_count())))
     else:
         w_rev, w_fwd = weights if do_delete else weights[::-1]
-        total_fwd = ref_weight_total(w_fwd, cand)
-        target = rng.random() * total_fwd
-        acc = 0.0
-        k = cand.bit_length() - 1
-        for kk in ref_iter_bits(cand):
-            acc += w_fwd[kk]
-            if acc >= target:
-                k = kk
-                break
+        k = ref_select(w_fwd, cand, rng.random())
     gp = moves.moves(Graph(g.p, g.edges ^ (1 << k)))
     reverse = gp.additions if do_delete else gp.deletions
     if weights is None:
         log_q_ratio = log(cand.bit_count()) - log(reverse.bit_count())
     else:
-        log_q_fwd = log(w_fwd[k]) - log(total_fwd)
+        log_q_fwd = log(w_fwd[k]) - log(ref_weight_total(w_fwd, cand))
         log_q_rev = log(w_rev[k]) - log(ref_weight_total(w_rev, reverse))
         log_q_ratio = log_q_rev - log_q_fwd
     return gp, edge_pair(g.p, k), log_q_ratio
@@ -164,7 +166,7 @@ def max_bound_excess(graphs, flips, stats, hps=HYPERPARAMS):
     flip's PosteriorScorer.flip_change must equal the difference of the
     two functional scores within 1e-9 (1 + |score|)."""
     add_w, del_w = edge_weights(stats, KernelConfig("data_driven"))
-    kernels = (None, (add_w, del_w))
+    kernels = (None, weight_tables(stats, KernelConfig("data_driven")))
     worst, n = -np.inf, 0
     for hp in hps:
         scorer = PosteriorScorer(stats, hp)

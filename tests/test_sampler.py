@@ -1,10 +1,14 @@
 """Tests for the Metropolis-Hastings graph kernels and chain runner."""
 
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebggm import (
     ChainLog,
@@ -15,6 +19,7 @@ from ebggm import (
     KernelConfig,
     MoveCache,
     PosteriorScorer,
+    SaemConfig,
     edge_index,
     edge_weights,
     enumerate_decomposable,
@@ -22,12 +27,14 @@ from ebggm import (
     legal_deletions,
     mh_step,
     run_chain,
+    run_saem,
     sample_graph_and_sigma,
     simulate_dataset,
+    weight_tables,
 )
 from ebggm.errors import NotDecomposableError
 from ebggm.graphs import edge_pair
-from ebggm.sampler import _draw_move, _propose
+from ebggm.sampler import WeightSums, _draw_move, _propose
 
 
 class ScriptedRng:
@@ -72,6 +79,12 @@ def test_kernel_config_validation():
         KernelConfig(weight_floor=0.0)
     with pytest.raises(ValueError):
         KernelConfig(weight_floor=1.5)
+    # 1 / floor is the largest addition weight; it must be a finite double.
+    tiny = 1.0 / sys.float_info.max
+    KernelConfig(weight_floor=math.nextafter(tiny, 1.0))
+    for floor in (1e-320, tiny, 5e-324, np.float64(tiny)):
+        with pytest.raises(ValueError, match="weight_floor must have a finite reciprocal"):
+            KernelConfig(weight_floor=floor)
 
 
 def test_uniform_proposal_ratio_from_empty():
@@ -275,6 +288,109 @@ def test_edge_weights_values_and_clamping():
         assert bounds_hit == {0.3, 1.0 / 0.3}
 
 
+def set_bits(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 9, 25, 32]),
+       floor=st.floats(min_value=1e-300, max_value=1.0))
+def test_weight_sums_are_exact_and_correctly_rounded(data, p, floor):
+    # Clamped as edge_weights clamps, with slot 0 at the floor and slot 1
+    # at its reciprocal whenever there are two slots.
+    m = p * (p - 1) // 2
+    raw = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e308),
+                             min_size=m, max_size=m))
+    raw[:2] = [0.0, np.inf][:m]
+    add_w = np.clip(np.array(raw), floor, 1.0 / floor)
+    for w in (add_w, 1.0 / add_w):
+        table = WeightSums(w)
+        for _ in range(5):
+            mask = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+            terms = [float(w[k]) for k in set_bits(mask)]
+            got = table.scaled_sum(mask)
+            assert Fraction(got, table.scale) == sum(map(Fraction, terms))
+            assert got / table.scale == math.fsum(terms)
+
+
+def first_reaching(weights, mask, u):
+    """The first slot of mask whose exact running weight reaches u times
+    the exact total, or the last slot."""
+    slots = set_bits(mask)
+    target = Fraction(u) * sum(Fraction(float(weights[k])) for k in slots)
+    acc = Fraction(0)
+    for k in slots:
+        acc += Fraction(float(weights[k]))
+        if acc >= target:
+            return k
+    return slots[-1]
+
+
+def test_weight_sums_draw_the_first_slot_whose_exact_prefix_reaches_the_target():
+    rng = np.random.default_rng(23)
+    below_one = float(np.nextafter(1.0, 0.0))
+    for p in (2, 3, 9, 25, 32):
+        m = p * (p - 1) // 2
+        add_w = np.clip(10.0 ** rng.uniform(-9.0, 9.0, m), 1e-6, 1e6)
+        # Equal weights put running sums at whole units, where a target
+        # rounded down instead of up would pick a slot too early.
+        for w in (add_w, 1.0 / add_w, np.ones(m)):
+            table = WeightSums(w)
+            for _ in range(10):
+                dense, *more = (int.from_bytes(rng.bytes(m // 8 + 1), "little")
+                                & (1 << m) - 1 for _ in range(3))
+                for mask in (dense, dense & more[0] & more[1]):
+                    if not mask:
+                        continue
+                    terms = [float(w[k]) for k in set_bits(mask)]
+                    for u in (0.0, below_one, 1.0, 1.5, *rng.random(4).tolist()):
+                        k, log_q = table.draw(mask, u)
+                        assert k == first_reaching(w, mask, u)
+                        assert log_q == math.log(w[k]) - math.log(math.fsum(terms))
+                        assert log_q == table.log_q(k, mask)
+            # u = 0 takes the lowest slot, whatever its weight.
+            assert table.draw((1 << m) - 1, 0.0)[0] == 0
+
+
+def test_weight_sums_log_q_past_the_float_range():
+    # Eight weights near the largest double sum past it; the share of each
+    # is still finite.
+    table = WeightSums([1e308] * 8)
+    assert table.log_q(3, 0xFF) == pytest.approx(-math.log(8.0), rel=1e-15)
+    assert table.draw(0xFF, 0.5) == (3, table.log_q(3, 0xFF))
+
+
+def test_fit_builds_the_weight_tables_once(monkeypatch):
+    # One run_saem runs n_iter + 1 chains on the same stats; the weights
+    # behind their proposals are computed once.
+    import ebggm.saem as saem_mod
+    import ebggm.sampler as sampler_mod
+
+    built, chains = [], []
+    orig_weights, orig_chain = sampler_mod.edge_weights, sampler_mod.run_chain
+
+    def spy_weights(stats, cfg):
+        built.append(cfg.weight_floor)
+        return orig_weights(stats, cfg)
+
+    def spy_chain(*args, **kwargs):
+        chains.append(args[1])
+        return orig_chain(*args, **kwargs)
+
+    monkeypatch.setattr(sampler_mod, "edge_weights", spy_weights)
+    monkeypatch.setattr(sampler_mod, "run_chain", spy_chain)
+    monkeypatch.setattr(saem_mod, "run_chain", spy_chain)
+    stats = make_stats(5, n=60, seed=31)
+    run_saem(stats, SaemConfig(), Hyperparams(), np.random.default_rng(2))
+    assert len(chains) == SaemConfig().n_iter + 1 == 301
+    assert built == [KernelConfig().weight_floor]
+    # Another floor builds its own tables; the same one reuses them.
+    assert weight_tables(stats, KernelConfig(weight_floor=0.5)) is not \
+        weight_tables(stats, KernelConfig())
+    assert weight_tables(stats, KernelConfig("alternate")) is weight_tables(stats, KernelConfig())
+    assert built == [1e-12, 0.5]
+
+
 def exact_transition_matrix(graphs, scorer, moves, kernel, weights):
     """Exact one-step transition matrix of the kernel over all p=3 graphs."""
     index = {g.edges: t for t, g in enumerate(graphs)}
@@ -336,8 +452,8 @@ def test_detailed_balance_exact_p3(kernel):
 def test_weighted_proposal_log_ratio_matches_hand_computation():
     stats = make_stats(3, n=50, seed=2)
     cfg = KernelConfig(mode="data_driven")
-    weights = edge_weights(stats, cfg)
-    add_w, del_w = weights
+    weights = weight_tables(stats, cfg)
+    add_w, del_w = edge_weights(stats, cfg)
     g = Graph(3, 0)
     moves = MoveCache()
     # Force the first candidate whose cumulative weight exceeds the target.
@@ -473,7 +589,7 @@ def test_data_driven_step_runs_and_moves():
     hp = Hyperparams(delta=1.0, tau=0.5)
     cfg = KernelConfig(mode="data_driven")
     scorer = PosteriorScorer(stats, hp)
-    weights = edge_weights(stats, cfg)
+    weights = weight_tables(stats, cfg)
     g = Graph(4, 0)
     state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(17)
