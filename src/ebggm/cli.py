@@ -194,12 +194,18 @@ def _inclusion_probs(p, pairs):
     """Per edge, the summed weight of the graphs holding it, added in pair order."""
     m = n_candidate_edges(p)
     size = (m + 7) // 8
-    packed = b"".join(gid.to_bytes(size, "little") for gid, _ in pairs)
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(pairs), size),
-                         axis=1, count=m, bitorder="little")
-    rows, cols = np.nonzero(bits)
+    packed = np.frombuffer(b"".join(gid.to_bytes(size, "little") for gid, _ in pairs),
+                           dtype=np.uint8).reshape(len(pairs), size)
+    weights = np.array([w for _, w in pairs])
     incl = np.zeros(m)
-    np.add.at(incl, cols, np.array([w for _, w in pairs])[rows])
+    for k in range(m):
+        if k % 8 == 0:  # one row of flags per edge of the next byte
+            bits = np.unpackbits(packed[None, :, k // 8], axis=0, bitorder="little").view(bool)
+        held = weights[bits[k % 8]]
+        if held.size:
+            # np.cumsum adds left to right, and += adds its total to 0.0, so
+            # the bits are those of np.add.at, in O(graphs) memory
+            incl[k] += np.cumsum(held)[-1]
     return incl
 
 

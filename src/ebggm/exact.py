@@ -20,8 +20,8 @@ from .graphs import enumerate_decomposable  # noqa: F401, perfbench/spans.py wra
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import ChainLog
 
-_POSTERIOR_CAP_P = 6
-_MLE_CAP_P = 5
+_POSTERIOR_CAP_P = 7
+_MLE_CAP_P = 7
 
 
 def _logsumexp(a, axis=None):
@@ -47,16 +47,19 @@ def _decomposable_families(p):
     ascending ids; fams[v] holds each graph's M_v (elimination_families)."""
     ids, fams = zip(*elimination_families(p))
     ids = np.concatenate(ids)
-    return ids, np.concatenate(fams, axis=1), np.array([e.bit_count() for e in ids.tolist()])
+    return ids, np.concatenate(fams, axis=1), np.bitwise_count(ids).astype(np.intp)
 
 
 def _family_log_liks(scorer, fams):
     """PosteriorScorer.log_lik of every graph: the marginal likelihood factorises
     over the families of a perfect elimination order as over cliques and
-    separators, so it is the sum over v of t(M_v + v) - t(M_v), t(empty) = 0."""
+    separators, so it is the sum over v of t(M_v + v) - t(M_v), t(empty) = 0.
+    The vertices are added in order, one pass over the graphs each."""
     terms = np.array([0.0] + [scorer.term(s) for s in range(1, 1 << len(fams))])
-    own = (1 << np.arange(len(fams), dtype=np.uint8))[:, None]
-    return (terms[fams | own] - terms[fams]).sum(axis=0)
+    out = np.zeros(fams.shape[1])
+    for v, mv in enumerate(fams):
+        out += terms[mv | 1 << v] - terms[mv]
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,14 @@ class PosteriorTable:
 
 
 def exact_posterior(stats: DatasetStats, hp: Hyperparams):
-    """Exact posterior over all decomposable graphs; p is capped at 6."""
+    """Exact posterior over all decomposable graphs; p is capped at 7."""
     p = stats.p
     if p > _POSTERIOR_CAP_P:
         raise TooLargeError(f"exact posterior capped at p={_POSTERIOR_CAP_P}, got {p}")
     scorer = PosteriorScorer(stats, hp)
     ids, fams, k_edges = _decomposable_families(p)
-    scores = _family_log_liks(scorer, fams) + [scorer.log_prior(k) for k in k_edges.tolist()]
+    log_priors = np.array([scorer.log_prior(k) for k in range(n_candidate_edges(p) + 1)])
+    scores = _family_log_liks(scorer, fams) + log_priors[k_edges]
     log_norm = _logsumexp(scores)
     probs = np.exp(scores - log_norm)
     order = np.argsort(-probs, kind="stable")
@@ -126,28 +130,47 @@ def default_r_grid():
     return np.linspace(0.02, 0.98, 49)
 
 
+def _checked_grid(name, grid, ok, want):
+    """grid as a float array, or ValueError naming its first value outside want."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence, got shape {grid.shape}")
+    bad = np.flatnonzero(~ok(grid))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] = {grid[bad[0]]} is not {want}")
+    return grid
+
+
 def exact_marginal_mle(stats: DatasetStats, delta, tau_grid=None, r_grid=None):
     """Exact grid maximizer of the marginal likelihood summed over graphs.
 
-    Uses the bernoulli edge prior in its raw product form; the sum runs over
-    every decomposable graph, so p is capped at 5.
+    Uses the bernoulli edge prior in its raw product form, which depends on
+    a graph only through its edge count k.  So each tau takes one logsumexp
+    of the graphs' log likelihoods per k, and each r adds
+    k log r + (m - k) log(1 - r) to those m + 1 sums before the logsumexp
+    over k.  The sum runs over every decomposable graph, so p is capped at 7.
     """
     p = stats.p
     if p > _MLE_CAP_P:
         raise TooLargeError(f"exact marginal MLE capped at p={_MLE_CAP_P}, got {p}")
-    tau_grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    tau_grid = _checked_grid("tau_grid", default_tau_grid() if tau_grid is None else tau_grid,
+                             lambda t: np.isfinite(t) & (t > 0), "finite and > 0")
+    r_grid = _checked_grid("r_grid", default_r_grid() if r_grid is None else r_grid,
+                           lambda r: (r > 0) & (r < 1), "strictly inside (0, 1)")
     _, fams, k_edges = _decomposable_families(p)
-    m = n_candidate_edges(p)
+    order = np.argsort(k_edges, kind="stable")
+    fams, k_edges = fams[:, order], k_edges[order]
+    starts = np.flatnonzero(np.diff(k_edges, prepend=-1))  # first graph of each k
+    sizes = np.diff(starts, append=len(k_edges))
+    ks = k_edges[starts][:, None]
+    prior = ks * np.log(r_grid) + (n_candidate_edges(p) - ks) * np.log1p(-r_grid)
     hp0 = Hyperparams(delta=delta, tau=1.0, graph_prior="bernoulli", r=0.5)
     surface = np.empty((len(tau_grid), len(r_grid)))
-    log_r = np.log(r_grid)
-    log_1mr = np.log1p(-r_grid)
     for a, tau in enumerate(tau_grid):
         liks = _family_log_liks(PosteriorScorer(stats, replace(hp0, tau=float(tau))), fams)
-        # logsumexp over graphs of lik + k log r + (m - k) log(1 - r)
-        stacked = liks[:, None] + np.outer(k_edges, log_r) + np.outer(m - k_edges, log_1mr)
-        surface[a] = _logsumexp(stacked, axis=0)
+        top = np.maximum.reduceat(liks, starts)
+        by_k = top + np.log(np.add.reduceat(np.exp(liks - np.repeat(top, sizes)), starts))
+        surface[a] = _logsumexp(by_k[:, None] + prior, axis=0)
     a_best, b_best = np.unravel_index(np.argmax(surface), surface.shape)
     return MarginalSurface(
         tau_grid=tau_grid,

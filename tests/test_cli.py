@@ -34,6 +34,7 @@ from ebggm.dataio import (
     write_saem_trace,
     write_visit_log,
 )
+from ebggm.exact import _decomposable_families
 from ebggm.graphs import id_width
 
 
@@ -241,6 +242,29 @@ def test_inclusion_probs_match_bit_loop(p):
             if gid >> k & 1:
                 want[k] += w
     assert np.array_equal(cli._inclusion_probs(p, list(zip(ids, weights))), want)
+
+
+@pytest.mark.parametrize("p", [1, 6, 25])
+def test_inclusion_probs_match_add_at(p):
+    # The sums equal np.add.at over every (graph, edge) pair, bit for bit,
+    # with a zero weight and an edge that no graph holds.
+    m = n_candidate_edges(p)
+    rng = np.random.default_rng(60 + p)
+    if p <= 6:
+        ids = [gid for gid in _decomposable_families(p)[0].tolist() if not gid >> 2 & 1]
+    else:
+        ids = [random_decomposable_graph(p, rng, walk_steps=3 * p).edges for _ in range(60)]
+    weights = rng.dirichlet(np.ones(len(ids)))
+    weights[len(ids) // 2] = 0.0
+    pairs = list(zip(ids, weights.tolist()))
+    union = 0
+    for gid in ids:
+        union |= gid
+    assert m == 0 or union != (1 << m) - 1
+    rows, cols = np.nonzero([[gid >> k & 1 for k in range(m)] for gid in ids])
+    want = np.zeros(m)
+    np.add.at(want, cols, weights[rows])
+    assert np.array_equal(cli._inclusion_probs(p, pairs), want)
 
 
 def test_manifest_round_trip(tmp_path):

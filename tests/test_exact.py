@@ -181,9 +181,33 @@ def test_posterior_table_helpers():
 
 
 def test_exact_posterior_cap():
-    stats = make_stats(7, n=60, seed=5)
+    stats = make_stats(8, n=60, seed=5)
     with pytest.raises(TooLargeError):
         exact_posterior(stats, Hyperparams(delta=1.0, tau=1.0))
+
+
+def test_exact_posterior_p7():
+    stats = make_stats(7, n=60, seed=5)
+    hp = Hyperparams(delta=1.0, tau=0.5, graph_prior="bernoulli", r=0.3)
+    table = exact_posterior(stats, hp)
+    assert len(table.graph_ids) == len(table.probs) == 617675
+    assert abs(float(table.probs.sum()) - 1.0) <= 1e-12
+    scorer = PosteriorScorer(stats, hp)
+    for gid, got in zip(table.graph_ids[:5], table.log_scores[:5]):
+        want = scorer.score(Graph(7, gid))
+        assert abs(got - want) <= 1e-12 * abs(want), gid
+
+
+def test_family_log_liks_vertex_pass_matches_matrix_sum():
+    """Adding the vertices' differences one pass at a time gives the bits of
+    the (p, graphs) matrix summed over its rows."""
+    for p in range(1, 8):
+        _, fams, _ = _decomposable_families(p)
+        scorer = PosteriorScorer(make_stats(p, n=30, seed=20 + p), Hyperparams(tau=0.4))
+        terms = np.array([0.0] + [scorer.term(s) for s in range(1, 1 << p)])
+        own = (1 << np.arange(p, dtype=np.uint8))[:, None]
+        want = (terms[fams | own] - terms[fams]).sum(axis=0)
+        assert np.array_equal(_family_log_liks(scorer, fams), want), p
 
 
 def test_marginal_mle_p1_matches_direct_profile():
@@ -247,9 +271,62 @@ def test_marginal_mle_default_grids_and_cap():
     assert np.all(np.isfinite(surface.log_lik))
     assert surface.tau_grid[0] == pytest.approx(1e-3)
     assert surface.r_grid[-1] == pytest.approx(0.98)
-    big = make_stats(6, n=60, seed=9)
+    big = make_stats(8, n=60, seed=9)
     with pytest.raises(TooLargeError):
         exact_marginal_mle(big, delta=1.0)
+
+
+def stacked_surface(stats, delta, tau_grid, r_grid):
+    """The (tau, r) surface as a logsumexp over a graphs x r matrix per tau."""
+    p = stats.p
+    _, fams, k = _decomposable_families(p)
+    m = n_candidate_edges(p)
+    out = np.empty((len(tau_grid), len(r_grid)))
+    for a, tau in enumerate(tau_grid):
+        hp = Hyperparams(delta=delta, tau=float(tau), graph_prior="bernoulli", r=0.5)
+        liks = _family_log_liks(PosteriorScorer(stats, hp), fams)
+        out[a] = _logsumexp(liks[:, None] + np.outer(k, np.log(r_grid))
+                            + np.outer(m - k, np.log1p(-r_grid)), axis=0)
+    return out
+
+
+def assert_matches_stacked(stats, delta, tau_grid=None, r_grid=None):
+    surface = exact_marginal_mle(stats, delta, tau_grid=tau_grid, r_grid=r_grid)
+    want = stacked_surface(stats, delta, surface.tau_grid, surface.r_grid)
+    err = np.abs(surface.log_lik - want) / np.abs(want)
+    assert err.max() <= 1e-14, (stats.p, delta, err.max())
+    assert surface.argmax == np.unravel_index(np.argmax(want), want.shape)
+
+
+def test_marginal_mle_by_edge_count_matches_stacked_sum():
+    for p in range(1, 7):
+        assert_matches_stacked(make_stats(p, n=40, seed=30 + p), delta=1.0)
+    tau_grid = np.geomspace(0.01, 30.0, 17)
+    r_grid = np.linspace(0.05, 0.95, 11)
+    for p, delta in ((4, 2.5), (5, 0.5), (6, 3.0)):
+        assert_matches_stacked(make_stats(p, n=35, seed=40 + p), delta, tau_grid, r_grid)
+
+
+def test_marginal_mle_p7_matches_stacked_sum():
+    assert_matches_stacked(make_stats(7, n=60, seed=50), delta=1.0,
+                           tau_grid=[0.05, 0.4, 3.0], r_grid=[0.1, 0.3, 0.5, 0.7, 0.9])
+
+
+@pytest.mark.parametrize("grids, match", [
+    ({"r_grid": [0.5, 1.0]}, r"r_grid\[1\] = 1.0 is not strictly inside \(0, 1\)"),
+    ({"r_grid": [0.0, 0.5]}, r"r_grid\[0\] = 0.0 is not strictly inside \(0, 1\)"),
+    ({"r_grid": [0.5, np.nan]}, r"r_grid\[1\] = nan is not strictly inside"),
+    ({"tau_grid": []}, r"tau_grid must be a non-empty 1-d sequence, got shape \(0,\)"),
+    ({"r_grid": []}, r"r_grid must be a non-empty 1-d sequence, got shape \(0,\)"),
+    ({"tau_grid": [[0.1, 1.0]]}, r"tau_grid must be a non-empty 1-d sequence, got shape \(1, 2\)"),
+    ({"tau_grid": [0.1, 0.0]}, r"tau_grid\[1\] = 0.0 is not finite and > 0"),
+    ({"tau_grid": [-1.0]}, r"tau_grid\[0\] = -1.0 is not finite and > 0"),
+    ({"tau_grid": [1.0, np.inf]}, r"tau_grid\[1\] = inf is not finite and > 0"),
+], ids=["r_one", "r_zero", "r_nan", "tau_empty", "r_empty", "tau_2d",
+        "tau_zero", "tau_negative", "tau_inf"])
+def test_marginal_mle_rejects_bad_grid(grids, match):
+    with pytest.raises(ValueError, match=match):
+        exact_marginal_mle(make_stats(3, n=30, seed=15), delta=1.0, **grids)
 
 
 def fake_log(p, graph_ids):
