@@ -21,26 +21,30 @@ from .saem import TRACE_COLUMNS
 def ingest_csv(path, center=True, standardize=True):
     """Read a rectangular numeric CSV into (DatasetStats, raw matrix).
 
-    A non-numeric first row is treated as a header; an unparseable or
-    non-finite cell raises ParseError with its row and column, and more than
-    MAX_P columns raise ValueError naming the file.  Processing follows the
-    model conventions: subtract column means when center, then divide by
-    the sample standard deviation (n-1 denominator) when standardize.
+    A first row none of whose cells parses as a number is a header, and a
+    row that mixes numbers and text is data.  An unparseable or non-finite
+    cell raises ParseError with its row and column, and more than MAX_P
+    columns raise ValueError naming the file.  Processing follows the model
+    conventions: subtract column means when center, then divide by the
+    sample standard deviation (n-1 denominator) when standardize.
     """
     with open(path, newline="") as fh:
         raw_rows = [row for row in csv.reader(fh)
                     if row and any(cell.strip() for cell in row)]
     if not raw_rows:
         raise ParseError(f"{path}: file contains no data")
-    start = 1
-    try:
-        [float(cell) for cell in raw_rows[0]]
-        data_rows = raw_rows
-    except ValueError:
-        data_rows = raw_rows[1:]
+    start = 1  # row number of data_rows[0]
+    for cell in raw_rows[0]:
+        try:
+            float(cell)
+            break
+        except ValueError:
+            pass
+    else:  # no cell of the first row is a number: it is a header
         start = 2
-        if not data_rows:
-            raise ParseError(f"{path}: header only, no data rows")
+    data_rows = raw_rows[start - 1:]
+    if not data_rows:
+        raise ParseError(f"{path}: header only, no data rows")
     width = len(data_rows[0])
     if width > MAX_P:
         raise ValueError(f"{path}: {width} columns, but at most {MAX_P} "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,12 +74,13 @@ class PosteriorTable:
     log_scores: np.ndarray
     log_norm: float
 
+    @cached_property
+    def _rank(self):
+        return {gid: i for i, gid in enumerate(self.graph_ids)}
+
     def prob(self, g):
-        gid = g.edges if isinstance(g, Graph) else int(g)
-        try:
-            return float(self.probs[self.graph_ids.index(gid)])
-        except ValueError:
-            return 0.0
+        i = self._rank.get(g.edges if isinstance(g, Graph) else int(g))
+        return 0.0 if i is None else float(self.probs[i])
 
     def lookup(self):
         return {gid: float(pr) for gid, pr in zip(self.graph_ids, self.probs)}

@@ -83,18 +83,20 @@ def iter_bits(mask):
 class Graph:
     """Immutable undirected graph on vertices 0..p-1 with bitset edges.
 
-    Its adjacency, perfect sequence and legal-move masks are built on first
-    use and kept in slots outside equality, unset until then so that a Graph
-    is cheap to make; on a non-chordal graph the last three raise
-    NotDecomposableError.
+    Its slots adjacency (per-vertex neighbour bitmasks), sequence (the
+    PerfectSequence of one maximum cardinality search), additions and
+    deletions (edge bitmasks of the moves that keep it decomposable) are
+    outside equality and unset until their first read, when __getattr__
+    builds and keeps them, so a Graph is cheap to make.  On a non-chordal
+    graph the last three raise NotDecomposableError on every read.
     """
 
     p: int
     edges: int = 0
-    _adjacency: tuple = field(init=False, repr=False, compare=False)
-    _sequence: PerfectSequence = field(init=False, repr=False, compare=False)
-    _additions: int = field(init=False, repr=False, compare=False)
-    _deletions: int = field(init=False, repr=False, compare=False)
+    adjacency: tuple = field(init=False, repr=False, compare=False)
+    sequence: PerfectSequence = field(init=False, repr=False, compare=False)
+    additions: int = field(init=False, repr=False, compare=False)
+    deletions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # normalize numpy integer inputs so bit tricks work on plain ints
@@ -110,41 +112,20 @@ class Graph:
         """Number of candidate edges p*(p-1)/2."""
         return n_candidate_edges(self.p)
 
-    @property
-    def adjacency(self):
-        """Per-vertex neighbor bitmasks."""
-        try:
-            return self._adjacency
-        except AttributeError:
-            object.__setattr__(self, "_adjacency", _adjacency(self.p, self.edges))
-            return self._adjacency
-
-    @property
-    def sequence(self):
-        """PerfectSequence of the graph, from one maximum cardinality search."""
-        try:
-            return self._sequence
-        except AttributeError:
-            object.__setattr__(self, "_sequence", perfect_sequence(self))
-            return self._sequence
-
-    @property
-    def additions(self):
-        """Edge bitmask of the insertions that keep the graph decomposable."""
-        try:
-            return self._additions
-        except AttributeError:
-            object.__setattr__(self, "_additions", addition_mask(self))
-            return self._additions
-
-    @property
-    def deletions(self):
-        """Edge bitmask of the removals that keep the graph decomposable."""
-        try:
-            return self._deletions
-        except AttributeError:
-            object.__setattr__(self, "_deletions", deletion_mask(self))
-            return self._deletions
+    def __getattr__(self, name):
+        # Runs only while a slot is unset; a later read is a plain slot read.
+        if name == "adjacency":
+            value = _adjacency(self.p, self.edges)
+        elif name == "sequence":
+            value = perfect_sequence(self)
+        elif name == "additions":
+            value = addition_mask(self)
+        elif name == "deletions":
+            value = deletion_mask(self)
+        else:
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def edge_count(self):
@@ -212,10 +193,7 @@ def graph_from_cliques(p, cliques):
     """Graph whose edge set is the union of all within-clique pairs."""
     edges = 0
     for c in cliques:
-        vs = sorted(set(c))
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                edges |= 1 << edge_index(p, vs[a], vs[b])
+        edges |= clique_edge_mask(p, sum(1 << v for v in set(c)))
     return Graph(p, edges)
 
 

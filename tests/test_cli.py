@@ -65,6 +65,15 @@ def test_ingest_header_autodetect(tmp_path):
     assert np.array_equal(stats.scatter, stats2.scatter)
 
 
+def test_ingest_mixed_first_row_is_data(tmp_path):
+    mixed = write(tmp_path / "m.csv", "1.0,abc\n1,2\n3,4\n5,9\n")
+    with pytest.raises(ParseError, match=r"m\.csv: row 1, column 2: cannot parse 'abc'"):
+        ingest_csv(mixed)
+    text_header = write(tmp_path / "t.csv", "x one, y_2 \n1,2\n3,4\n")
+    assert ingest_csv(text_header, center=False, standardize=False)[1].tolist() == \
+        [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_ingest_standardize_is_idempotent(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.standard_normal((40, 3)) * [2.0, 0.5, 7.0] + [1.0, -3.0, 0.0]

@@ -180,6 +180,15 @@ def test_posterior_table_helpers():
     assert sum(lk.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_posterior_table_prob_reads_the_rank_of_every_graph():
+    table = exact_posterior(make_stats(5, n=40, seed=6), Hyperparams(delta=1.0, tau=1.0))
+    assert len(table.graph_ids) == 822
+    for i, gid in enumerate(table.graph_ids):
+        assert table.prob(gid) == table.prob(Graph(5, gid)) == float(table.probs[i])
+    non_chordal = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert table.prob(non_chordal) == table.prob(non_chordal.edges) == 0.0
+
+
 def test_exact_posterior_cap():
     stats = make_stats(8, n=60, seed=5)
     with pytest.raises(TooLargeError):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import vertex_sets
+import ebggm.graphs as graphs_mod
 from ebggm.errors import NotDecomposableError, TooLargeError
 from ebggm.graphs import (
+    BENCH9_CLIQUES,
     Graph,
     addition_mask,
     bench9_graph,
@@ -113,6 +115,57 @@ def test_graph_keeps_decomposition_outside_identity():
             getattr(cycle, name)
 
 
+DERIVED = ("adjacency", "sequence", "additions", "deletions")
+
+
+def test_derived_slots_are_filled_on_first_read_and_kept(monkeypatch):
+    # Each is a plain slot, not a property; one __getattr__ fills it on the
+    # first read, calling the module's builder as bound at that moment.
+    for name in DERIVED:
+        assert type(Graph.__dict__[name]).__name__ == "member_descriptor"
+    searched = []
+    search = graphs_mod.perfect_sequence
+    monkeypatch.setattr(graphs_mod, "perfect_sequence",
+                        lambda g: searched.append(g) or search(g))
+    g = bench9_graph()
+    for name in DERIVED:
+        with pytest.raises(AttributeError):
+            object.__getattribute__(g, name)
+    first = [getattr(g, name) for name in DERIVED]
+    assert all(getattr(g, name) is built for name, built in zip(DERIVED, first))
+    assert searched == [g]
+    assert first == [tuple(sum(1 << u for u in g.neighbors(v)) for v in range(9)),
+                     search(g), addition_mask(g), deletion_mask(g)]
+    assert not hasattr(g, "nope")
+    with pytest.raises(AttributeError, match="nope"):
+        g.nope
+
+
+def test_non_chordal_graph_raises_on_every_read():
+    cycle = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert cycle.adjacency == (0b1010, 0b0101, 0b1010, 0b0101)
+    for _ in range(2):
+        for name in DERIVED[1:]:
+            with pytest.raises(NotDecomposableError):
+                getattr(cycle, name)
+            with pytest.raises(AttributeError):
+                object.__getattribute__(cycle, name)
+
+
+def test_copies_rebuild_derived_slots_on_read():
+    import copy
+    import pickle
+
+    g = bench9_graph()
+    built = [getattr(g, name) for name in DERIVED]
+    for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin is not g
+        for name in DERIVED:
+            with pytest.raises(AttributeError):
+                object.__getattribute__(twin, name)
+        assert [getattr(twin, name) for name in DERIVED] == built
+
+
 def test_complete_and_empty():
     assert Graph.complete(5).edge_count == 10
     assert Graph(5).edge_count == 0
@@ -137,6 +190,22 @@ def test_every_p3_graph_is_decomposable():
 def test_graph_from_cliques():
     g = graph_from_cliques(4, [(0, 1, 2), (2, 3)])
     assert sorted(g.edge_list()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("p, cliques", [
+    (9, BENCH9_CLIQUES),
+    (6, [(2, 0, 2, 1), (3,), (4, 4), (5, 3, 5), ()]),
+    (5, [(0,), (1,), (4,)]),
+    (32, [tuple(range(0, 32, 3)), (31, 30, 31), (7,)]),
+])
+def test_graph_from_cliques_is_the_pairwise_union(p, cliques):
+    edges = 0
+    for c in cliques:
+        for i in set(c):
+            for j in set(c):
+                if i < j:
+                    edges |= 1 << edge_index(p, i, j)
+    assert graph_from_cliques(p, cliques) == Graph(p, edges)
 
 
 def test_bench9_structure():

@@ -15,6 +15,7 @@ from ebggm import (
     SaemConfig,
     bench9_graph,
     compute_suff_stats,
+    enumerate_decomposable,
     init_graph_backward,
     legal_deletions,
     m_step,
@@ -25,6 +26,7 @@ from ebggm import (
     step_size,
 )
 from conftest import vertex_sets
+from ebggm.graphs import nth_bit
 from ebggm.saem import TRACE_COLUMNS
 
 
@@ -71,6 +73,28 @@ def test_suff_stats_on_known_graph():
     d = np.array([1.0, 2.0, 4.0, 5.0, 8.0, 10.0, 16.0, 20.0, 25.0])
     _, s2, _ = compute_suff_stats(g, np.diag(d))
     assert s2 == pytest.approx(float(np.sum(1.0 / d)), rel=1e-12)
+
+
+def test_suff_stats_s1_is_the_clique_separator_sum():
+    # s1 = p + 2|E| equals sum |C|^2 - sum |S|^2 over the perfect sequence.
+    def by_sequence(g):
+        seq = g.sequence
+        return (sum(c.bit_count() ** 2 for c in seq.clique_masks)
+                - sum(s.bit_count() ** 2 for s in seq.separator_masks))
+
+    graphs = [g for p in range(1, 7) for g in enumerate_decomposable(p)]
+    # every 10th graph of an add-leaning walk at p=32, from 0 to ~370 edges
+    rng = np.random.default_rng(32)
+    g = Graph(32)
+    for step in range(2000):
+        cand = g.additions if rng.random() < 0.6 else g.deletions
+        if cand:
+            g = Graph(32, g.edges ^ 1 << nth_bit(cand, int(rng.integers(cand.bit_count()))))
+        if step % 10 == 9:
+            graphs.append(g)
+    for g in graphs:
+        s1 = compute_suff_stats(g, np.eye(g.p))[0]
+        assert s1 == by_sequence(g), g
 
 
 def test_suff_stats_trace_identity_on_hiw_draw():
