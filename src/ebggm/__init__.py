@@ -16,7 +16,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    PerfectSequence,
     bench9_graph,
     count_decomposable,
     edge_index,

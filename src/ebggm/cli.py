@@ -102,6 +102,7 @@ class RunConfig:
 
 KERNELS = ("auto", *KERNEL_MODES)
 _HINTS = typing.get_type_hints(RunConfig)
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 # (manifest key, RunConfig field) of each input file whose SHA-256 a run
 # records and a rerun checks.
 CHECKSUMS = (("data_sha256", "data"), ("table_sha256", "table"))
@@ -121,9 +122,8 @@ def config_from_manifest(mapping):
         text = mapping[field.name]
         hint = _HINTS[field.name]
         try:
-            kwargs[field.name] = (text.lower() in ("true", "1", "yes")
-                                  if hint is bool else hint(text))
-        except ValueError:
+            kwargs[field.name] = _BOOLS[text.lower()] if hint is bool else hint(text)
+        except (KeyError, ValueError):
             raise ParseError(
                 f"manifest entry {field.name}={text!r} is not a valid "
                 f"{hint.__name__}") from None

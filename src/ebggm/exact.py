@@ -79,7 +79,15 @@ class PosteriorTable:
         return {gid: i for i, gid in enumerate(self.graph_ids)}
 
     def prob(self, g):
-        i = self._rank.get(g.edges if isinstance(g, Graph) else int(g))
+        """Probability of a Graph or a graph id, 0.0 for one the table lacks.
+
+        Raises MismatchedModelError for a Graph whose p is not the table's.
+        """
+        if isinstance(g, Graph):
+            if g.p != self.p:
+                raise MismatchedModelError(f"graph has p={g.p}, table has p={self.p}")
+            g = g.edges
+        i = self._rank.get(int(g))
         return 0.0 if i is None else float(self.probs[i])
 
     def lookup(self):

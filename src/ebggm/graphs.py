@@ -10,10 +10,10 @@ line.
 Decomposability is detected with maximum cardinality search: the reverse of
 an MCS visit order is a perfect elimination order exactly when the graph is
 chordal, which for undirected Gaussian models is the same as decomposable.
-One search also yields the perfect clique sequence, and the legal add and
-delete moves follow from its cliques and separators as edge bitmasks.  A
-Graph builds its adjacency, sequence and move masks on first use and keeps
-them.
+One search also yields the cliques and separators of a perfect sequence, and
+the legal add and delete moves follow from them as edge bitmasks.  A Graph
+builds its adjacency, cliques, separators and move masks on first use and
+keeps them.
 """
 
 from __future__ import annotations
@@ -83,18 +83,20 @@ def iter_bits(mask):
 class Graph:
     """Immutable undirected graph on vertices 0..p-1 with bitset edges.
 
-    Its slots adjacency (per-vertex neighbour bitmasks), sequence (the
-    PerfectSequence of one maximum cardinality search), additions and
-    deletions (edge bitmasks of the moves that keep it decomposable) are
-    outside equality and unset until their first read, when __getattr__
-    builds and keeps them, so a Graph is cheap to make.  On a non-chordal
-    graph the last three raise NotDecomposableError on every read.
+    Its slots adjacency (per-vertex neighbour bitmasks), cliques and
+    separators (vertex bitmasks of a perfect sequence, from one maximum
+    cardinality search), additions and deletions (edge bitmasks of the moves
+    that keep it decomposable) are outside equality and unset until their
+    first read, when __getattr__ builds and keeps them, so a Graph is cheap
+    to make.  On a non-chordal graph the last four raise
+    NotDecomposableError on every read.
     """
 
     p: int
     edges: int = 0
     adjacency: tuple = field(init=False, repr=False, compare=False)
-    sequence: PerfectSequence = field(init=False, repr=False, compare=False)
+    cliques: tuple = field(init=False, repr=False, compare=False)
+    separators: tuple = field(init=False, repr=False, compare=False)
     additions: int = field(init=False, repr=False, compare=False)
     deletions: int = field(init=False, repr=False, compare=False)
 
@@ -116,8 +118,11 @@ class Graph:
         # Runs only while a slot is unset; a later read is a plain slot read.
         if name == "adjacency":
             value = _adjacency(self.p, self.edges)
-        elif name == "sequence":
-            value = perfect_sequence(self)
+        elif name == "cliques" or name == "separators":
+            cliques, separators = perfect_sequence(self)
+            object.__setattr__(self, "cliques", cliques)
+            object.__setattr__(self, "separators", separators)
+            return cliques if name == "cliques" else separators
         elif name == "additions":
             value = addition_mask(self)
         elif name == "deletions":
@@ -223,45 +228,52 @@ def named_graph(token, p=None):
         raise ValueError(f"cannot parse graph token {token!r}") from exc
 
 
-def _mcs(p, adj, tie_rng=None):
-    """Maximum cardinality search with an on-the-fly chordality test.
+def is_decomposable(g: Graph):
+    """True iff the graph is chordal, hence supports a perfect clique order."""
+    try:
+        g.cliques
+    except NotDecomposableError:
+        return False
+    return True
 
-    Returns (order, earlier) where order is the visit order and earlier[k]
-    is the bitmask of neighbors of order[k] already visited, or None when
-    the graph is not chordal.  Unvisited vertices are kept in one bitmask
-    per weight; ties are broken toward the lowest vertex index unless
-    tie_rng is given, in which case the tied vertex is drawn uniformly (used
-    to probe order-invariance).
+
+def perfect_sequence(g: Graph):
+    """(cliques, separators) of a decomposable graph as vertex bitmasks.
+
+    The cliques are maximal and in perfect order: for i >= 1, separators[i-1]
+    = cliques[i] & (cliques[0] | ... | cliques[i-1]).  They come from one
+    maximum cardinality search, with unvisited vertices kept in one bitmask
+    per weight and ties broken toward the lowest vertex.  Raises
+    NotDecomposableError when the graph is not chordal.
 
     The reverse visit order is a perfect elimination order exactly when the
-    graph is chordal; by Tarjan and Yannakakis it suffices to check that
-    each earlier set minus its most recently visited member u lies in N(u).
+    graph is chordal; by Tarjan and Yannakakis it suffices to check that the
+    visited neighbours of each vertex, less their most recently visited
+    member u, lie in N(u).  The visited neighbours plus the vertex form a
+    clique, which is maximal unless the next vertex's visited neighbours are
+    all of it; a vertex that does not extend it starts the next clique, and
+    its visited neighbours are that clique's separator.
     """
+    p, adj = g.p, g.adjacency
     level = [0] * (p + 1)  # level[w]: unvisited vertices of weight w
     level[0] = (1 << p) - 1
     weight = [0] * p
     last = [-1] * p  # most recently visited neighbor of each vertex
-    order = []
-    earlier = []
-    numbered = 0
-    top = 0
+    cliques, separators = [], []
+    clique = numbered = top = 0
     for _ in range(p):
         while not level[top]:
             top -= 1
-        pool = level[top]
-        if tie_rng is None:
-            b = pool & -pool
-            v = b.bit_length() - 1
-        else:
-            ties = list(iter_bits(pool))
-            v = ties[int(tie_rng.integers(len(ties)))]
-            b = 1 << v
+        b = level[top] & -level[top]
+        v = b.bit_length() - 1
         e = adj[v] & numbered
         u = last[v]
         if e and e & ~adj[u] != 1 << u:
-            return None
-        order.append(v)
-        earlier.append(e)
+            raise NotDecomposableError(f"graph {g.id_hex} (p={g.p}) is not decomposable")
+        if e != clique:
+            cliques.append(clique)
+            separators.append(e)
+        clique = e | b
         numbered |= b
         level[top] ^= b
         rest = adj[v] & ~numbered
@@ -276,52 +288,8 @@ def _mcs(p, adj, tie_rng=None):
             rest ^= c
         if level[top + 1]:
             top += 1
-    return order, earlier
-
-
-def is_decomposable(g: Graph):
-    """True iff the graph is chordal, hence supports a perfect clique order."""
-    return _mcs(g.p, g.adjacency) is not None
-
-
-@dataclass(frozen=True, slots=True)
-class PerfectSequence:
-    """Maximal cliques in a perfect order plus their separators, as bitmasks.
-
-    clique_masks[0..k-1] satisfy the running intersection property; for
-    i >= 1, separator_masks[i-1] = clique_masks[i] & (clique_masks[0] | ...
-    | clique_masks[i-1]).
-    """
-
-    clique_masks: tuple
-    separator_masks: tuple
-
-
-def perfect_sequence(g: Graph, tie_rng=None):
-    """Perfect clique sequence of a decomposable graph.
-
-    Raises NotDecomposableError when the graph is not chordal.  With
-    tie_rng, MCS ties are randomized; any resulting sequence is perfect and
-    the separator multiset does not change.
-    """
-    found = _mcs(g.p, g.adjacency, tie_rng)
-    if found is None:
-        raise NotDecomposableError(f"graph {g.id_hex} (p={g.p}) is not decomposable")
-    order, earlier = found
-    # In an MCS order candidate k = earlier[k] + order[k] is a maximal
-    # clique unless the next vertex extends it, i.e. earlier[k+1] equals it.
-    cliques = []
-    for k in range(len(order) - 1):
-        cand = earlier[k] | (1 << order[k])
-        if earlier[k + 1] != cand:
-            cliques.append(cand)
-    cliques.append(earlier[-1] | (1 << order[-1]))
-    seps = []
-    seen = cliques[0]
-    for c in cliques[1:]:
-        seps.append(c & seen)
-        seen |= c
-    return PerfectSequence(clique_masks=tuple(cliques), separator_masks=tuple(seps))
+    cliques.append(clique)
+    return tuple(cliques), tuple(separators)
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +337,7 @@ def deletion_mask(g: Graph):
     the removable edges are those inside no separator.
     """
     shared = 0
-    for s in set(g.sequence.separator_masks):
+    for s in set(g.separators):
         if s & (s - 1):  # two or more vertices
             shared |= clique_edge_mask(g.p, s)
     return g.edges & ~shared
@@ -385,11 +353,11 @@ def addition_mask(g: Graph):
     every vertex x with S + x complete (x in C - S for a clique C holding
     S) may join every such vertex y in another component.
     """
-    p, adj, seq = g.p, g.adjacency, g.sequence
+    p, adj, cliques = g.p, g.adjacency, g.cliques
     partner = [0] * p
-    for s in set(seq.separator_masks):
+    for s in set(g.separators):
         joinable = 0
-        for c in seq.clique_masks:
+        for c in cliques:
             if c & s == s:
                 joinable |= c ^ s
         rest = joinable

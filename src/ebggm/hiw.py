@@ -191,7 +191,7 @@ def log_iw_constant(phi_block, delta):
     return a * (_chol_logdet(phi_block) - q * log(2.0)) - log_multivariate_gamma(q, a)
 
 
-def log_hiw_constant(g: Graph, delta, phi, seq=None):
+def log_hiw_constant(g: Graph, delta, phi):
     """Log normalizing constant of the graph-wide covariance prior.
 
     Product of clique constants over product of separator constants, on the
@@ -200,13 +200,11 @@ def log_hiw_constant(g: Graph, delta, phi, seq=None):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (g.p, g.p):
         raise ValueError(f"Phi must be {g.p} x {g.p}, got {phi.shape}")
-    if seq is None:
-        seq = g.sequence
     out = 0.0
-    for c in seq.clique_masks:
+    for c in g.cliques:
         idx = _index(c)
         out += log_iw_constant(phi[np.ix_(idx, idx)], delta)
-    for s in seq.separator_masks:
+    for s in g.separators:
         if not s:
             continue
         idx = _index(s)
@@ -214,20 +212,20 @@ def log_hiw_constant(g: Graph, delta, phi, seq=None):
     return out
 
 
-def _log_h_ratio(g, stats, hp, seq):
+def _log_h_ratio(g, stats, hp):
     """log h(delta, Phi) - log h(delta + n, Phi + scatter) of the graph."""
     phi = phi_matrix(hp, stats)
-    return (log_hiw_constant(g, hp.delta, phi, seq)
-            - log_hiw_constant(g, hp.delta + stats.n, phi + stats.scatter, seq))
+    return (log_hiw_constant(g, hp.delta, phi)
+            - log_hiw_constant(g, hp.delta + stats.n, phi + stats.scatter))
 
 
-def log_marginal_likelihood(g: Graph, stats: DatasetStats, hp: Hyperparams, seq=None):
+def log_marginal_likelihood(g: Graph, stats: DatasetStats, hp: Hyperparams):
     """Log marginal density of the data given the graph, covariance integrated out.
 
     Equals log h(delta, Phi) - log h(delta + n, Phi + scatter) - (n p / 2) log 2 pi,
     where h is the graph-wide prior normalizing constant.  Zero when n = 0.
     """
-    return _log_h_ratio(g, stats, hp, seq) - stats.n * g.p / 2.0 * LOG_2PI
+    return _log_h_ratio(g, stats, hp) - stats.n * g.p / 2.0 * LOG_2PI
 
 
 def log_graph_prior(g: Graph, hp: Hyperparams):
@@ -249,21 +247,21 @@ def _log_prior_of_count(k, m, hp):
     return 0.0
 
 
-def log_posterior_score(g: Graph, stats: DatasetStats, hp: Hyperparams, seq=None):
+def log_posterior_score(g: Graph, stats: DatasetStats, hp: Hyperparams):
     """Unnormalized log posterior of the graph; the 2 pi factor is dropped.
 
     score = log h(delta, Phi) - log h(delta + n, Phi + scatter) + log prior(g).
     """
-    return _log_h_ratio(g, stats, hp, seq) + log_graph_prior(g, hp)
+    return _log_h_ratio(g, stats, hp) + log_graph_prior(g, hp)
 
 
 class PosteriorScorer:
     """Cached posterior scorer bound to one (stats, hyperparams) pair.
 
-    A graph's score is a sum of clique and separator terms over the perfect
-    sequence the Graph keeps.  A term comes in closed form from the block's
-    scatter eigenvalues lam (DatasetStats.spectrum, shared by every scorer
-    on the same stats, whatever tau), since Phi_C and Phi_C + S_C are both
+    A graph's score is a sum of terms over the cliques and separators the
+    Graph keeps.  A term comes in closed form from the block's scatter
+    eigenvalues lam (DatasetStats.spectrum, shared by every scorer on the
+    same stats, whatever tau), since Phi_C and Phi_C + S_C are both
     functions of S_C:
 
       scaled_identity   log det Phi_C = q log tau
@@ -339,11 +337,10 @@ class PosteriorScorer:
 
     def log_lik(self, g: Graph):
         """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph."""
-        seq = g.sequence
         val = 0.0
-        for cm in seq.clique_masks:
+        for cm in g.cliques:
             val += self.term(cm)
-        for sm in seq.separator_masks:
+        for sm in g.separators:
             if sm:
                 val -= self.term(sm)
         return val
@@ -411,10 +408,9 @@ def sample_hiw(g: Graph, delta, phi, rng):
     conditionally independent of everything earlier given the separator.
     """
     phi = np.asarray(phi, dtype=float)
-    seq = g.sequence
     sigma = np.zeros((g.p, g.p))
     placed = 0
-    for cm, sm in zip(seq.clique_masks, (0, *seq.separator_masks)):
+    for cm, sm in zip(g.cliques, (0, *g.separators)):
         res = _index(cm & ~sm)
         rc = res[:, None]
         df = delta + cm.bit_count() - 1

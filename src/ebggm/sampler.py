@@ -60,7 +60,7 @@ def auto_kernel_mode(stats: DatasetStats):
 
 class MoveCache:
     """One Graph per distinct graph, so that a graph the chain revisits
-    brings the perfect sequence and move masks it built before."""
+    brings the cliques, separators and move masks it built before."""
 
     def __init__(self):
         self._memo = {}

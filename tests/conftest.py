@@ -62,8 +62,8 @@ def figure1_stats():
 
 
 def vertex_sets(masks):
-    """The vertex sets of a tuple of bitmasks, such as a perfect sequence's
-    clique_masks or separator_masks, as frozensets."""
+    """The vertex sets of a tuple of bitmasks, such as a graph's cliques or
+    separators, as frozensets."""
     from ebggm.graphs import iter_bits
 
     return tuple(frozenset(iter_bits(m)) for m in masks)

@@ -308,6 +308,19 @@ def test_config_from_manifest_round_trip():
         config_from_manifest({"command": "count", "p": "many"})
 
 
+def test_config_from_manifest_reads_bools():
+    for value, spellings in ((True, ("true", "TRUE", "1", "Yes")),
+                             (False, ("false", "False", "0", "NO"))):
+        for text in spellings:
+            cfg = config_from_manifest({"command": "sample", "center": text,
+                                        "standardize": text})
+            assert (cfg.center, cfg.standardize) == (value, value), text
+    with pytest.raises(ParseError, match=r"center='garbage' is not a valid bool"):
+        config_from_manifest({"command": "sample", "center": "garbage"})
+    with pytest.raises(ParseError, match=r"standardize='' is not a valid bool"):
+        config_from_manifest({"command": "sample", "standardize": ""})
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError, match="unknown command"):
         RunConfig(command="bogus")

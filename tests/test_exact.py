@@ -189,6 +189,16 @@ def test_posterior_table_prob_reads_the_rank_of_every_graph():
     assert table.prob(non_chordal) == table.prob(non_chordal.edges) == 0.0
 
 
+def test_posterior_table_prob_rejects_a_graph_on_another_p():
+    table = exact_posterior(make_stats(4, n=40, seed=6), Hyperparams(delta=1.0, tau=1.0))
+    top_id = table.graph_ids[0]
+    for g in (Graph(5, top_id), Graph(3, 1)):
+        with pytest.raises(MismatchedModelError, match=f"graph has p={g.p}, table has p=4"):
+            table.prob(g)
+    assert table.prob(Graph(4, top_id)) == table.prob(top_id) == float(table.probs[0])
+    assert table.prob(Graph(4, 1)) == table.prob(1) > 0.0
+
+
 def test_exact_posterior_cap():
     stats = make_stats(8, n=60, seed=5)
     with pytest.raises(TooLargeError):

@@ -1,4 +1,4 @@
-"""Graph representation, chordality, perfect sequences, and legal moves."""
+"""Graph representation, chordality, cliques and separators, and legal moves."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from ebggm.graphs import (
     graph_from_cliques,
     incident_edge_masks,
     is_decomposable,
+    iter_bits,
     legal_additions,
     legal_deletions,
     n_candidate_edges,
@@ -101,21 +102,21 @@ def test_graph_keeps_decomposition_outside_identity():
     fresh = Graph(9, g.edges)
     for built in (False, True):
         if built:
-            assert (g.sequence, g.additions, g.deletions) == (
-                perfect_sequence(fresh), addition_mask(fresh), deletion_mask(fresh))
+            assert (g.cliques, g.separators, g.additions, g.deletions) == (
+                *perfect_sequence(fresh), addition_mask(fresh), deletion_mask(fresh))
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
         for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert twin == g
-            assert twin.sequence == perfect_sequence(fresh)
+            assert (twin.cliques, twin.separators) == perfect_sequence(fresh)
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.edges = 0
     cycle = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    for name in ("sequence", "additions", "deletions"):
+    for name in ("cliques", "separators", "additions", "deletions"):
         with pytest.raises(NotDecomposableError):
             getattr(cycle, name)
 
 
-DERIVED = ("adjacency", "sequence", "additions", "deletions")
+DERIVED = ("adjacency", "cliques", "separators", "additions", "deletions")
 
 
 def test_derived_slots_are_filled_on_first_read_and_kept(monkeypatch):
@@ -135,16 +136,35 @@ def test_derived_slots_are_filled_on_first_read_and_kept(monkeypatch):
     assert all(getattr(g, name) is built for name, built in zip(DERIVED, first))
     assert searched == [g]
     assert first == [tuple(sum(1 << u for u in g.neighbors(v)) for v in range(9)),
-                     search(g), addition_mask(g), deletion_mask(g)]
+                     *search(g), addition_mask(g), deletion_mask(g)]
     assert not hasattr(g, "nope")
     with pytest.raises(AttributeError, match="nope"):
         g.nope
+
+
+@pytest.mark.parametrize("first", ["cliques", "separators", "is_decomposable"])
+def test_cliques_and_separators_share_one_search(monkeypatch, first):
+    # Whichever is read first, one search fills both slots, and the search
+    # is_decomposable runs is the one the graph keeps.
+    searched = []
+    search = graphs_mod.perfect_sequence
+    monkeypatch.setattr(graphs_mod, "perfect_sequence",
+                        lambda g: searched.append(g) or search(g))
+    g = bench9_graph()
+    if first == "is_decomposable":
+        assert is_decomposable(g)
+    else:
+        getattr(g, first)
+    assert (g.cliques, g.separators) == search(Graph(9, g.edges))
+    assert is_decomposable(g)
+    assert searched == [g]
 
 
 def test_non_chordal_graph_raises_on_every_read():
     cycle = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert cycle.adjacency == (0b1010, 0b0101, 0b1010, 0b0101)
     for _ in range(2):
+        assert not is_decomposable(cycle)
         for name in DERIVED[1:]:
             with pytest.raises(NotDecomposableError):
                 getattr(cycle, name)
@@ -212,8 +232,7 @@ def test_bench9_structure():
     g = bench9_graph()
     assert g.p == 9
     assert g.edge_count == 17
-    seq = perfect_sequence(g)
-    cliques, separators = vertex_sets(seq.clique_masks), vertex_sets(seq.separator_masks)
+    cliques, separators = map(vertex_sets, perfect_sequence(g))
     assert sorted(tuple(sorted(c)) for c in cliques) == \
         [(0, 1, 2), (1, 2, 4, 5), (1, 3, 4), (4, 5, 6), (5, 6, 7, 8)]
     seps = sorted(tuple(sorted(s)) for s in separators)
@@ -239,15 +258,15 @@ def test_perfect_sequence_masks_are_maximal_cliques_and_running_separators():
     for _ in range(25):
         g = random_decomposable_graph(6, rng)
         nbrs = [sum(1 << u for u in range(g.p) if g.has_edge(u, v)) for v in range(g.p)]
-        seq = perfect_sequence(g)
-        assert len(seq.separator_masks) == len(seq.clique_masks) - 1
+        cliques, separators = perfect_sequence(g)
+        assert len(separators) == len(cliques) - 1
         earlier = 0
-        for idx, clique in enumerate(seq.clique_masks):
+        for idx, clique in enumerate(cliques):
             inside = [v for v in range(g.p) if clique >> v & 1]
             assert all(clique & ~nbrs[v] == 1 << v for v in inside)
             assert all(clique & ~nbrs[v] for v in range(g.p) if v not in inside)
             if idx:
-                assert seq.separator_masks[idx - 1] == clique & earlier
+                assert separators[idx - 1] == clique & earlier
             earlier |= clique
         assert earlier == (1 << g.p) - 1
 
@@ -257,30 +276,48 @@ def test_clique_sizes_telescope_to_p():
         for g in all_graphs(p):
             if not is_decomposable(g):
                 continue
-            seq = perfect_sequence(g)
-            assert (sum(map(len, vertex_sets(seq.clique_masks)))
-                    - sum(map(len, vertex_sets(seq.separator_masks)))) == p
+            assert (sum(c.bit_count() for c in g.cliques)
+                    - sum(s.bit_count() for s in g.separators)) == p
+
+
+def relabeled(g, perm):
+    """g with vertex perm[k] renamed k, and the map of a vertex mask of that
+    graph back to g's labels."""
+    inv = {int(v): k for k, v in enumerate(perm)}
+    g_p = Graph.from_edge_list(g.p, [(inv[i], inv[j]) for i, j in g.edge_list()])
+    return g_p, lambda mask: sum(1 << int(perm[k]) for k in iter_bits(mask))
 
 
 def test_separator_multiset_invariant_under_tie_breaking():
+    # A relabeling changes which tied vertex the search takes first, so
+    # mapped back its cliques are another perfect order of g: the same
+    # cliques, running separators, and the same separator multiset.
     rng = np.random.default_rng(11)
+    varied = 0
     for _ in range(40):
         g = random_decomposable_graph(7, rng)
-        base = sorted(tuple(sorted(s))
-                      for s in vertex_sets(perfect_sequence(g).separator_masks))
+        orders = {g.cliques}
         for _ in range(5):
-            alt = perfect_sequence(g, tie_rng=rng)
-            assert sorted(tuple(sorted(s)) for s in vertex_sets(alt.separator_masks)) == base
+            g_p, back = relabeled(g, rng.permutation(7))
+            cliques, separators = tuple(map(back, g_p.cliques)), tuple(map(back, g_p.separators))
+            assert sorted(cliques) == sorted(g.cliques)
+            assert sorted(separators) == sorted(g.separators)
+            seen = cliques[0]
+            for c, sep in zip(cliques[1:], separators):
+                assert sep == c & seen
+                seen |= c
+            orders.add(cliques)
+        varied += len(orders) > 1
+    assert varied > 20, varied
 
 
 def test_histories_contain_separators():
     rng = np.random.default_rng(3)
     for _ in range(20):
         g = random_decomposable_graph(7, rng)
-        seq = perfect_sequence(g)
         # Running intersection: each separator lies in one earlier clique.
-        for i, sep_mask in enumerate(seq.separator_masks, start=1):
-            assert any(sep_mask & ~c == 0 for c in seq.clique_masks[:i])
+        for i, sep_mask in enumerate(g.separators, start=1):
+            assert any(sep_mask & ~c == 0 for c in g.cliques[:i])
 
 
 def oracle_additions(g):
@@ -360,8 +397,7 @@ def test_move_masks_match_networkx_chordality(p, n_graphs, seed):
 def test_perfect_sequence_cliques_match_networkx(p, n_graphs, seed):
     nx = pytest.importorskip("networkx")
     for g in oracle_graphs(p, seed, n_graphs):
-        seq = perfect_sequence(g)
-        cliques, separators = vertex_sets(seq.clique_masks), vertex_sets(seq.separator_masks)
+        cliques, separators = map(vertex_sets, perfect_sequence(g))
         want = {frozenset(c) for c in nx.chordal_graph_cliques(networkx_graph(nx, g))}
         assert set(cliques) == want
         assert len(cliques) == len(want)
@@ -383,7 +419,7 @@ def test_deletions_are_single_clique_edges():
 def clique_count_deletion_mask(g):
     """Reference: the edges that lie in exactly one maximal clique."""
     once = twice = 0
-    for c in g.sequence.clique_masks:
+    for c in g.cliques:
         e = clique_edge_mask(g.p, c)
         twice |= once & e
         once |= e

@@ -371,10 +371,10 @@ def test_hiw_clique_inverse_moments():
     delta = 1.0
     a = rng.standard_normal((5, 5))
     phi = a @ a.T + 5 * np.eye(5)
-    seq = perfect_sequence(g)
+    cliques, separators = map(vertex_sets, perfect_sequence(g))
     draws = 6000
-    sums = {tuple(c): 0.0 for c in vertex_sets(seq.clique_masks)}
-    sums.update({tuple(s): 0.0 for s in vertex_sets(seq.separator_masks)})
+    sums = {tuple(c): 0.0 for c in cliques}
+    sums.update({tuple(s): 0.0 for s in separators})
     for _ in range(draws):
         sigma = sample_hiw(g, delta, phi, rng)
         for block in list(sums):
@@ -409,13 +409,13 @@ def _reference_invwishart(df, scale, rng, lower_solve):
 def _reference_hiw(g, delta, phi, rng, lower_solve):
     """Reference sample_hiw: np.ix_ blocks, a sorted list of placed vertices
     and the first clique drawn on its own."""
-    seq = perfect_sequence(g)
+    cliques, separators = perfect_sequence(g)
     sigma = np.zeros((g.p, g.p))
-    first = list(iter_bits(seq.clique_masks[0]))
+    first = list(iter_bits(cliques[0]))
     sigma[np.ix_(first, first)] = _reference_invwishart(
         delta + len(first) - 1, phi[np.ix_(first, first)], rng, lower_solve)
     placed = list(first)
-    for cm, sm in zip(seq.clique_masks[1:], seq.separator_masks):
+    for cm, sm in zip(cliques[1:], separators):
         res = list(iter_bits(cm & ~sm))
         df = delta + cm.bit_count() - 1
         if not sm:

@@ -78,9 +78,8 @@ def test_suff_stats_on_known_graph():
 def test_suff_stats_s1_is_the_clique_separator_sum():
     # s1 = p + 2|E| equals sum |C|^2 - sum |S|^2 over the perfect sequence.
     def by_sequence(g):
-        seq = g.sequence
-        return (sum(c.bit_count() ** 2 for c in seq.clique_masks)
-                - sum(s.bit_count() ** 2 for s in seq.separator_masks))
+        return (sum(c.bit_count() ** 2 for c in g.cliques)
+                - sum(s.bit_count() ** 2 for s in g.separators))
 
     graphs = [g for p in range(1, 7) for g in enumerate_decomposable(p)]
     # every 10th graph of an add-leaning walk at p=32, from 0 to ~370 edges
@@ -105,13 +104,13 @@ def test_suff_stats_trace_identity_on_hiw_draw():
     sigma = sample_hiw(g, 3.0, 0.7 * np.eye(5), rng)
     s2 = compute_suff_stats(g, sigma)[1]
     assert s2 == pytest.approx(float(np.trace(np.linalg.inv(sigma))), rel=1e-10)
-    seq = perfect_sequence(g)
+    cliques, separators = map(vertex_sets, perfect_sequence(g))
     clique_sum = sum(
         float(np.trace(np.linalg.inv(sigma[np.ix_(sorted(c), sorted(c))])))
-        for c in vertex_sets(seq.clique_masks))
+        for c in cliques)
     sep_sum = sum(
         float(np.trace(np.linalg.inv(sigma[np.ix_(sorted(sset), sorted(sset))])))
-        for sset in vertex_sets(seq.separator_masks) if sset)
+        for sset in separators if sset)
     assert s2 == pytest.approx(clique_sum - sep_sum, rel=1e-10)
 
 

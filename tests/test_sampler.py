@@ -188,11 +188,11 @@ def test_graph_builds_its_sequence_once(monkeypatch):
 
     moves = MoveCache()
     first = moves.moves(Graph(4, g.edges))
-    first.sequence
+    first.cliques
     calls.clear()
     assert moves.moves(Graph(4, g.edges)) is first
     assert moves.moves(first) is first
-    moves.moves(Graph(4, g.edges)).sequence
+    moves.moves(Graph(4, g.edges)).separators
     assert calls == []
 
 
