@@ -69,6 +69,16 @@ def vertex_sets(masks):
     return tuple(frozenset(iter_bits(m)) for m in masks)
 
 
+def relabeled(g, perm):
+    """g with vertex perm[k] renamed k, and the map of a vertex mask of that
+    graph back to g's labels."""
+    from ebggm.graphs import Graph, iter_bits
+
+    inv = {int(v): k for k, v in enumerate(perm)}
+    g_p = Graph.from_edge_list(g.p, [(inv[i], inv[j]) for i, j in g.edge_list()])
+    return g_p, lambda mask: sum(1 << int(perm[k]) for k in iter_bits(mask))
+
+
 def classic_csv(name):
     """Path of a user-supplied classic dataset, or None if not provided."""
     path = os.path.join(DATA_DIR, name)

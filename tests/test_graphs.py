@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import vertex_sets
+from conftest import relabeled, vertex_sets
 import ebggm.graphs as graphs_mod
 from ebggm.errors import NotDecomposableError, TooLargeError
 from ebggm.graphs import (
@@ -20,7 +20,6 @@ from ebggm.graphs import (
     graph_from_cliques,
     incident_edge_masks,
     is_decomposable,
-    iter_bits,
     legal_additions,
     legal_deletions,
     n_candidate_edges,
@@ -278,14 +277,6 @@ def test_clique_sizes_telescope_to_p():
                 continue
             assert (sum(c.bit_count() for c in g.cliques)
                     - sum(s.bit_count() for s in g.separators)) == p
-
-
-def relabeled(g, perm):
-    """g with vertex perm[k] renamed k, and the map of a vertex mask of that
-    graph back to g's labels."""
-    inv = {int(v): k for k, v in enumerate(perm)}
-    g_p = Graph.from_edge_list(g.p, [(inv[i], inv[j]) for i, j in g.edge_list()])
-    return g_p, lambda mask: sum(1 << int(perm[k]) for k in iter_bits(mask))
 
 
 def test_separator_multiset_invariant_under_tie_breaking():
