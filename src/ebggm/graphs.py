@@ -88,8 +88,9 @@ class Graph:
     cardinality search), additions and deletions (edge bitmasks of the moves
     that keep it decomposable) are outside equality and unset until their
     first read, when __getattr__ builds and keeps them, so a Graph is cheap
-    to make.  On a non-chordal graph the last four raise
-    NotDecomposableError on every read.
+    to make.  (The chain's proposals come with their adjacency already set,
+    from the graph whose edge they flip.)  On a non-chordal graph the last
+    four raise NotDecomposableError on every read.
     """
 
     p: int

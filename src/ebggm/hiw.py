@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    MismatchedModelError,
     NotSPDError,
     SingularScatterError,
     ZeroVarianceError,
@@ -336,13 +337,21 @@ class PosteriorScorer:
         return t
 
     def log_lik(self, g: Graph):
-        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph."""
+        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph.
+
+        Raises MismatchedModelError when g is not on the scorer's p vertices.
+        """
+        if g.p != self.p:
+            raise MismatchedModelError(f"graph has p={g.p}, data have p={self.p}")
+        # a memo read per term; term() runs on a miss (or on a memoized 0.0,
+        # which it returns again)
+        known, term = self._terms.get, self.term
         val = 0.0
         for cm in g.cliques:
-            val += self.term(cm)
+            val += known(cm) or term(cm)
         for sm in g.separators:
             if sm:
-                val -= self.term(sm)
+                val -= known(sm) or term(sm)
         return val
 
     def log_prior(self, n_edges):
@@ -354,7 +363,10 @@ class PosteriorScorer:
         return val
 
     def score(self, g: Graph):
-        """Unnormalized log posterior of the graph (2 pi factor dropped)."""
+        """Unnormalized log posterior of the graph (2 pi factor dropped).
+
+        Raises MismatchedModelError when g is not on the scorer's p vertices.
+        """
         return self.log_lik(g) + self.log_prior(g.edge_count)
 
     def flip_change(self, g: Graph, k):
@@ -369,9 +381,10 @@ class PosteriorScorer:
         x, y = edge_pair(self.p, k)
         adj, bx, by = g.adjacency, 1 << x, 1 << y
         s = adj[x] & adj[y]
-        term = self.term
-        change = (term(s | bx | by) + (term(s) if s else 0.0)
-                  - term(s | bx) - term(s | by))
+        known, term = self._terms.get, self.term  # memo reads, as in log_lik
+        sxy, sx, sy = s | bx | by, s | bx, s | by
+        change = ((known(sxy) or term(sxy)) + ((known(s) or term(s)) if s else 0.0)
+                  - (known(sx) or term(sx)) - (known(sy) or term(sy)))
         n, sign = g.edge_count, (-1 if g.edges >> k & 1 else 1)
         return sign * change + (self.log_prior(n + sign) - self.log_prior(n))
 
@@ -408,6 +421,8 @@ def sample_hiw(g: Graph, delta, phi, rng):
     conditionally independent of everything earlier given the separator.
     """
     phi = np.asarray(phi, dtype=float)
+    if phi.shape != (g.p, g.p):
+        raise ValueError(f"Phi must be {g.p} x {g.p}, got {phi.shape}")
     sigma = np.zeros((g.p, g.p))
     placed = 0
     for cm, sm in zip(g.cliques, (0, *g.separators)):

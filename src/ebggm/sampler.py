@@ -1,6 +1,6 @@
 """Metropolis-Hastings kernels over the space of decomposable graphs.
 
-Every kernel is the add-delete step (mh_step): pick a direction with
+Every kernel is the add-delete step of one chain loop: pick a direction with
 probability 1/2, then a legal move in it.  The uniform kernel picks the
 move uniformly; the data-driven kernel weights additions toward edges with
 large empirical partial covariance |K_ij| (K the inverse empirical
@@ -19,7 +19,7 @@ from operator import getitem, ne
 
 import numpy as np
 
-from .errors import SingularScatterError
+from .errors import MismatchedModelError, SingularScatterError
 from .graphs import (Graph, clique_edge_mask, edge_pair, incident_edge_masks,
                      nth_bit)
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
@@ -75,8 +75,10 @@ class MoveCache:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Where a chain stands: its graph, that graph's score, and the move
-    memo the chain has filled so far (outside equality and repr)."""
+    """Where a chain stands between runs: its graph, that graph's score,
+    the step index, the acceptance count and the move memo the chain has
+    filled so far (outside equality and repr).  The chain loop keeps these
+    in locals and builds one ChainState when a run ends."""
 
     graph: Graph
     log_score: float
@@ -206,8 +208,17 @@ def _draw_move(g: Graph, weights, do_delete, rng):
 
 def _propose(g: Graph, moves: MoveCache, weights, do_delete, k):
     """Exact half of the proposal that flips slot k of g: the memo's Graph
-    for the proposal and log q(reverse move) from its legal-move mask."""
-    gp = moves.moves(Graph(g.p, g.edges ^ (1 << k)))
+    for the proposal and log q(reverse move) from its legal-move mask.  A
+    proposal new to the memo takes g's adjacency with the two bits of slot
+    k toggled, so its decomposition does not rebuild it from the edges."""
+    new = Graph(g.p, g.edges ^ (1 << k))
+    gp = moves.moves(new)
+    if gp is new:
+        x, y = edge_pair(g.p, k)
+        adj = list(g.adjacency)
+        adj[x] ^= 1 << y
+        adj[y] ^= 1 << x
+        object.__setattr__(gp, "adjacency", tuple(adj))
     reverse = gp.additions if do_delete else gp.deletions
     return gp, _log_q_rev(weights, do_delete, k, reverse)
 
@@ -231,37 +242,59 @@ def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
     return scorer.flip_change(g, k) + _log_q_rev(weights, do_delete, k, lower | 1 << k)
 
 
-def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):
-    """One add-delete Metropolis-Hastings step.
+def _advance(state: ChainState, n_steps, rng, scorer: PosteriorScorer, by_parity,
+             graph_ids, log_scores):
+    """The add-delete Metropolis-Hastings step, n_steps times from state,
+    with weights by_parity[step_index % 2]; appends each step's graph ID
+    and log score to graph_ids and log_scores and returns the final
+    ChainState.  Raises MismatchedModelError, before any draw, when the
+    state's graph is not on the scorer's p vertices.
 
     The direction is add or delete with probability 1/2 each; weights=None
     proposes uniformly among the legal moves, the weight_tables pair biases
     the proposal toward large (additions) or small (deletions) |K_ij|.  A
     direction with no legal move is a null proposal and counts as a
-    rejected step.
-
-    The uniform u of the accept test is drawn right after the move.  A
-    bound on log alpha from the current graph alone (_log_alpha_bound)
-    rejects most proposals before the proposal graph is built; the rest
-    are looked up in the state's move memo, which the next state carries
-    on, and scored exactly against the same u.
+    rejected step.  The uniform u of the accept test is drawn right after
+    the move.  A bound on log alpha from the current graph alone
+    (_log_alpha_bound) rejects most proposals before the proposal graph is
+    built; the rest are looked up in the state's move memo and scored
+    exactly against the same u.  The chain lives in plain locals (graph,
+    log score, step index, acceptance count) until the run ends.
     """
-    do_delete = rng.random() < 0.5
-    g, moves = state.graph, state.moves
-    step = state.step_index + 1
-    drawn = _draw_move(g, weights, do_delete, rng)
-    if drawn is not None:
-        k, log_q_fwd = drawn
-        u = rng.random()
-        bound = (_log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
-                 + BOUND_SLACK * (1.0 + abs(state.log_score)))
-        if bound >= 0.0 or u < exp(bound):
-            gp, log_q_rev = _propose(g, moves, weights, do_delete, k)
-            score = scorer.score(gp)
-            log_alpha = score - state.log_score + (log_q_rev - log_q_fwd)
-            if u < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-                return ChainState(gp, score, step, state.accept_count + 1, moves)
-    return ChainState(g, state.log_score, step, state.accept_count, moves)
+    g, log_score = state.graph, state.log_score
+    step, accepts, moves = state.step_index, state.accept_count, state.moves
+    if g.p != scorer.p:
+        raise MismatchedModelError(f"graph has p={g.p}, data have p={scorer.p}")
+    score, random = scorer.score, rng.random
+    log_id, log_score_of = graph_ids.append, log_scores.append
+    for _ in range(n_steps):
+        weights = by_parity[step % 2]
+        step += 1
+        do_delete = random() < 0.5
+        drawn = _draw_move(g, weights, do_delete, rng)
+        if drawn is not None:
+            k, log_q_fwd = drawn
+            u = random()
+            bound = (_log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
+                     + BOUND_SLACK * (1.0 + abs(log_score)))
+            if bound >= 0.0 or u < exp(bound):
+                gp, log_q_rev = _propose(g, moves, weights, do_delete, k)
+                score_p = score(gp)
+                log_alpha = score_p - log_score + (log_q_rev - log_q_fwd)
+                if u < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
+                    g, log_score = gp, score_p
+                    accepts += 1
+        log_id(g.edges)
+        log_score_of(log_score)
+    return ChainState(g, log_score, step, accepts, moves)
+
+
+def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):
+    """One add-delete Metropolis-Hastings step from state: run_chain's loop
+    (_advance) run for one step with these weights, which are None for a
+    uniform proposal or the weight_tables pair.  Returns the next
+    ChainState, which carries on the state's move memo."""
+    return _advance(state, 1, rng, scorer, (weights, weights), [], [])
 
 
 @dataclass
@@ -306,8 +339,10 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     init may be a Graph, which starts a fresh move memo, or a ChainState,
     whose memo, step parity and acceptance count carry on.  Either way the
     start graph is scored under hp, so a state reached under other
-    hyperparameters resumes correctly.  Under alternate an even step_index
-    proposes uniformly and an odd one uses the weight_tables of stats.
+    hyperparameters resumes correctly; a start on another p than stats is
+    a MismatchedModelError.  Under alternate an even step_index proposes
+    uniformly and an odd one uses the weight_tables of stats.  The steps
+    run in one loop (_advance), which mh_step runs for one step.
     Returns (final ChainState, ChainLog).
     """
     if n_steps < 0:
@@ -324,11 +359,8 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
         weights = weight_tables(stats, cfg)
         by_parity = (None, weights) if cfg.mode == "alternate" else (weights, weights)
     log = ChainLog(stats.p, state.step_index, state.graph.edges, [], [])
-    for _ in range(n_steps):
-        state = mh_step(state, rng, scorer=scorer,
-                        weights=by_parity[state.step_index % 2])
-        log.graph_ids.append(state.graph.edges)
-        log.log_scores.append(state.log_score)
+    state = _advance(state, n_steps, rng, scorer, by_parity, log.graph_ids,
+                     log.log_scores)
     return state, log
 
 

@@ -11,6 +11,7 @@ from scipy.special import gammaln
 from conftest import vertex_sets
 from ebggm.errors import (
     DomainError,
+    MismatchedModelError,
     NotSPDError,
     SingularScatterError,
     ZeroVarianceError,
@@ -245,6 +246,17 @@ def test_spectral_scorer_matches_cholesky_path(p, kind):
                     log_posterior_score(g, stats_, hp), rel=1e-10)
 
 
+def test_scorer_rejects_a_graph_of_another_p(figure1_stats):
+    # A p=5 graph's cliques are valid vertex masks of p=9 data, so without
+    # the check it scored (-272.2 here) as if vertices 5..8 were left out.
+    scorer = PosteriorScorer(figure1_stats, Hyperparams(tau=0.25, r=0.4))
+    for g in (Graph(5, 3), Graph(12), Graph.complete(10)):
+        for read in (scorer.score, scorer.log_lik):
+            with pytest.raises(MismatchedModelError, match=f"graph has p={g.p}, data have p=9"):
+                read(g)
+    assert scorer.score(Graph(9, 3)) == scorer.log_lik(Graph(9, 3)) + scorer.log_prior(2)
+
+
 def test_scorer_rejects_singular_gprior():
     # n < p: scatter / n is singular, so the g-prior has no SPD Phi.
     rng = np.random.default_rng(21)
@@ -361,6 +373,15 @@ def test_hiw_precision_zeros_outside_graph():
             for j in range(i + 1, 6):
                 if not g.has_edge(i, j):
                     assert abs(kmat[i, j]) / scale[i, j] < 1e-8
+
+
+def test_hiw_rejects_a_phi_of_another_shape():
+    # A larger Phi used to give a 5 x 5 draw from its top-left block.
+    rng = np.random.default_rng(0)
+    for phi in (np.eye(9), np.eye(4), np.ones(5), np.eye(5)[:, :4]):
+        with pytest.raises(ValueError, match=r"Phi must be 5 x 5"):
+            sample_hiw(Graph(5, 3), 1.0, phi, rng)
+    assert sample_hiw(Graph(5, 3), 1.0, np.eye(5), rng).shape == (5, 5)
 
 
 def test_hiw_clique_inverse_moments():

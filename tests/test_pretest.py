@@ -117,11 +117,13 @@ def model_stats(p, n, seed):
 
 @pytest.fixture(scope="module")
 def stats_by_p(figure1_stats):
-    return {5: model_stats(5, 100, 3), 9: figure1_stats, 25: model_stats(25, 200, 1)}
+    return {5: model_stats(5, 100, 3), 9: figure1_stats, 25: model_stats(25, 200, 1),
+            32: model_stats(32, 200, 1)}
 
 
 @pytest.mark.parametrize("mode", ["add_delete", "data_driven", "alternate"])
-@pytest.mark.parametrize("p,tau,r", [(5, 0.5, 0.5), (9, 0.25, 0.4), (25, 0.5, 0.2)])
+@pytest.mark.parametrize("p,tau,r", [(5, 0.5, 0.5), (9, 0.25, 0.4), (25, 0.5, 0.2),
+                                     (32, 0.5, 0.2)])
 def test_chain_matches_reference_step(stats_by_p, p, tau, r, mode):
     stats = stats_by_p[p]
     hp = Hyperparams(delta=1.0, tau=tau, r=r)
@@ -264,6 +266,33 @@ def test_memo_holds_looked_up_graphs_only(figure1_stats):
     assert len(set(log_.graph_ids)) == 3232
     assert state.accept_count == 6782
     assert len(state.moves._memo) <= 3531
+
+
+@pytest.mark.parametrize("mode", ["add_delete", "data_driven", "alternate"])
+@pytest.mark.parametrize("p,tau,r", [(9, 0.25, 0.4), (25, 0.5, 0.2), (32, 0.5, 0.2)])
+def test_memo_graphs_match_fresh_graphs(monkeypatch, stats_by_p, p, tau, r, mode):
+    # Every proposal new to the memo takes its adjacency from the current
+    # graph, so only the start builds one from its edges; the rest of each
+    # decomposition follows from it as from a fresh Graph's.
+    import ebggm.graphs as graphs_mod
+
+    built = []
+    orig = graphs_mod._adjacency
+
+    def spy(p_, edges):
+        built.append(edges)
+        return orig(p_, edges)
+
+    monkeypatch.setattr(graphs_mod, "_adjacency", spy)
+    state, _ = run_chain(Graph(p), 2000, stats_by_p[p], Hyperparams(tau=tau, r=r),
+                         KernelConfig(mode), np.random.default_rng(5))
+    assert built == [0]
+    assert len(state.moves._memo) > 100
+    for g in state.moves._memo:
+        fresh = Graph(p, g.edges)
+        assert g.adjacency == orig(p, g.edges)
+        assert (g.cliques, g.separators) == (fresh.cliques, fresh.separators)
+        assert (g.additions, g.deletions) == (fresh.additions, fresh.deletions)
 
 
 def test_move_cache_membership():

@@ -32,7 +32,7 @@ from ebggm import (
     simulate_dataset,
     weight_tables,
 )
-from ebggm.errors import NotDecomposableError
+from ebggm.errors import MismatchedModelError, NotDecomposableError
 from ebggm.graphs import edge_pair
 from ebggm.sampler import WeightSums, _draw_move, _propose
 
@@ -552,36 +552,47 @@ def test_chain_log_acceptance_helpers():
     assert empty.acceptance_rate() == 0.0
 
 
-def test_alternate_kernel_switches_by_parity(monkeypatch):
-    import ebggm.sampler as sampler_mod
-
-    calls = []
-    orig_step = sampler_mod.mh_step
-
-    def spy_step(state, *args, weights=None, **kwargs):
-        mode = "add_delete" if weights is None else "data_driven"
-        calls.append((mode, state.step_index))
-        return orig_step(state, *args, weights=weights, **kwargs)
-
-    monkeypatch.setattr(sampler_mod, "mh_step", spy_step)
-
-    stats = make_stats(3, n=30, seed=1)
-    hp = Hyperparams(delta=1.0, tau=1.0)
+def test_alternate_kernel_switches_by_parity():
+    # run_chain under alternate is a hand loop of mh_step that proposes
+    # uniformly from an even step_index and by the weight tables from an odd
+    # one: the same graphs, scores, accepts and generator state, whether the
+    # chain starts at an even or an odd step.
+    stats = make_stats(4, n=40, seed=1)
+    hp = Hyperparams(delta=1.0, tau=0.5)
     cfg = KernelConfig(mode="alternate")
-    rng = np.random.default_rng(2)
-    run_chain(Graph(3, 0), 6, stats, hp, cfg, rng)
-    assert len(calls) == 6
-    for mode, step_index in calls:
-        want = "add_delete" if step_index % 2 == 0 else "data_driven"
-        assert mode == want
-
-    # Resuming from an odd step index starts with the data-driven kernel.
-    calls.clear()
     scorer = PosteriorScorer(stats, hp)
-    g = Graph(3, 0)
-    state = ChainState(g, scorer.score(g), step_index=1)
-    run_chain(state, 2, stats, hp, cfg, np.random.default_rng(3))
-    assert [mode for mode, _ in calls] == ["data_driven", "add_delete"]
+    by_parity = (None, weight_tables(stats, cfg))
+    g = Graph(4, 0)
+    for step_index in (0, 1):
+        start = ChainState(g, scorer.score(g), step_index=step_index)
+        rng = np.random.default_rng(2)
+        state, ids, scores = start, [], []
+        for _ in range(300):
+            state = mh_step(state, rng, scorer=scorer,
+                            weights=by_parity[state.step_index % 2])
+            ids.append(state.graph.edges)
+            scores.append(state.log_score)
+        chain_rng = np.random.default_rng(2)
+        got, log = run_chain(start, 300, stats, hp, cfg, chain_rng)
+        assert log.graph_ids == ids and log.log_scores == scores
+        assert got.step_index == state.step_index == step_index + 300
+        assert got.accept_count == state.accept_count > 0
+        assert chain_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_chain_rejects_a_graph_of_another_p(figure1_stats):
+    # Both used to fail deep in the step with a bare IndexError.
+    hp = Hyperparams(tau=0.25, r=0.4)
+    scorer = PosteriorScorer(figure1_stats, hp)
+    for p in (5, 12):
+        with pytest.raises(MismatchedModelError, match=f"p={p}, data have p=9"):
+            run_chain(Graph(p), 200, figure1_stats, hp, KernelConfig("alternate"),
+                      np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = ChainState(Graph(p), 0.0)
+        with pytest.raises(MismatchedModelError, match=f"p={p}, data have p=9"):
+            mh_step(state, rng, scorer=scorer)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_data_driven_step_runs_and_moves():
