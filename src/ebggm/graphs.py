@@ -347,43 +347,43 @@ def deletion_mask(g: Graph):
 def addition_mask(g: Graph):
     """Edge bitmask of the insertions that keep the graph decomposable.
 
-    For chordal g, adding (x, y) stays chordal iff S = N(x) & N(y)
-    separates x from y; S is then a minimal separator, i.e. one of the
-    sequence's separators (the empty one when g is disconnected).  So for
-    each distinct separator S the components of G - S are labelled, and
-    every vertex x with S + x complete (x in C - S for a clique C holding
-    S) may join every such vertex y in another component.
+    Adding (x, y) to a chordal graph keeps it chordal iff x and y lie in
+    cliques adjacent in some junction tree (Giudici and Green 1999); their
+    separator S = N(x) & N(y) is then one of the sequence's separators (the
+    empty one when g is disconnected).  The sequence is a junction tree: by
+    running intersection, clique C_i meets the earlier ones in its link S_i
+    (empty for the first), which lies in one earlier clique.  Walking the
+    cliques that hold S in order, one whose link strictly holds S shares
+    S_i - S with that earlier clique's group and joins it; any other is cut
+    off from the earlier cliques by S and starts a group.  Less S, the
+    groups are the joinable parts of the components of G - S, and every
+    pair across two groups is a legal addition.
     """
-    p, adj, cliques = g.p, g.adjacency, g.cliques
-    partner = [0] * p
+    linked = tuple(zip(g.cliques, (0,) + g.separators))
+    partner = [0] * g.p
     for s in set(g.separators):
-        joinable = 0
-        for c in cliques:
+        groups, joinable = [], 0
+        for c, link in linked:
             if c & s == s:
                 joinable |= c ^ s
-        rest = joinable
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                nxt = 0
-                while frontier:
-                    b = frontier & -frontier
-                    nxt |= adj[b.bit_length() - 1]
-                    frontier ^= b
-                frontier = nxt & ~(comp | s)
-                comp |= frontier
-            rest &= ~comp
-            part = joinable & comp
-            others = joinable ^ part
-            while part:
-                b = part & -part
-                partner[b.bit_length() - 1] |= others
-                part ^= b
-    off = _row_offsets(p)
+                if link & s == s and link != s:
+                    for k, group in enumerate(groups):
+                        if group & (link ^ s):
+                            groups[k] = group | (c ^ s)
+                            break
+                else:
+                    groups.append(c ^ s)
+        if len(groups) > 1:
+            for group in groups:
+                others = joinable ^ group
+                while group:
+                    b = group & -group
+                    partner[b.bit_length() - 1] |= others
+                    group ^= b
+    off = _row_offsets(g.p)
     mask = 0
-    for x in range(p - 1):
-        if partner[x]:
-            mask |= (partner[x] >> (x + 1)) << off[x]
+    for x, partners in enumerate(partner):
+        mask |= (partners >> (x + 1)) << off[x]
     return mask
 
 
@@ -398,10 +398,25 @@ def legal_additions(g: Graph):
 
 
 def nth_bit(mask, r):
-    """Position of the r-th lowest set bit of mask, counting from 0."""
+    """Position of the r-th lowest set bit of mask, counting from 0.
+
+    Skips whole 64-bit words by their bit counts, then clears the r lowest
+    set bits of the word that holds the answer.  Raises ValueError unless
+    0 <= r < mask.bit_count().
+    """
+    if not 0 <= r < mask.bit_count():
+        raise ValueError(f"need 0 <= r < {mask.bit_count()} set bits, got r={r}")
+    base = 0
+    while True:
+        word = mask >> base & 0xFFFFFFFFFFFFFFFF
+        n = word.bit_count()
+        if r < n:
+            break
+        r -= n
+        base += 64
     for _ in range(r):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
+        word &= word - 1
+    return base + (word & -word).bit_length() - 1
 
 
 def random_decomposable_graph(p, rng, walk_steps=None):

@@ -79,6 +79,46 @@ def relabeled(g, perm):
     return g_p, lambda mask: sum(1 << int(perm[k]) for k in iter_bits(mask))
 
 
+def search_addition_mask(g):
+    """Reference addition mask by search: for each distinct separator S, the
+    components of G - S by breadth-first search over the adjacency, and
+    every pair of vertices x, y in different components with S + x and
+    S + y complete (x in C - S for a clique C holding S)."""
+    from ebggm.graphs import _row_offsets
+
+    p, adj, cliques = g.p, g.adjacency, g.cliques
+    partner = [0] * p
+    for s in set(g.separators):
+        joinable = 0
+        for c in cliques:
+            if c & s == s:
+                joinable |= c ^ s
+        rest = joinable
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    nxt |= adj[b.bit_length() - 1]
+                    frontier ^= b
+                frontier = nxt & ~(comp | s)
+                comp |= frontier
+            rest &= ~comp
+            part = joinable & comp
+            others = joinable ^ part
+            while part:
+                b = part & -part
+                partner[b.bit_length() - 1] |= others
+                part ^= b
+    off = _row_offsets(p)
+    mask = 0
+    for x in range(p - 1):
+        if partner[x]:
+            mask |= (partner[x] >> (x + 1)) << off[x]
+    return mask
+
+
 def classic_csv(name):
     """Path of a user-supplied classic dataset, or None if not provided."""
     path = os.path.join(DATA_DIR, name)

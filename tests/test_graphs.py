@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import relabeled, vertex_sets
+from conftest import relabeled, search_addition_mask, vertex_sets
 import ebggm.graphs as graphs_mod
 from ebggm.errors import NotDecomposableError, TooLargeError
 from ebggm.graphs import (
@@ -24,6 +26,7 @@ from ebggm.graphs import (
     legal_deletions,
     n_candidate_edges,
     named_graph,
+    nth_bit,
     perfect_sequence,
     random_decomposable_graph,
     to_dot,
@@ -444,6 +447,44 @@ def test_additions_connect_components():
     assert (0, 3) in adds and (2, 5) in adds and (4, 5) in adds
 
 
+# addition_mask groups the cliques of each separator along the perfect
+# sequence; the reference finds the components of G - S by search instead.
+def test_addition_mask_matches_search_every_graph_to_p6():
+    n = 0
+    for p in range(1, 7):
+        for g in enumerate_decomposable(p):
+            assert addition_mask(g) == search_addition_mask(g), g
+            n += 1
+    assert n == 19048
+
+
+def add_leaning_walk(p, rng, steps, every):
+    """Every every-th graph of a uniform-move walk that adds with
+    probability 0.7, so it runs up to near-complete graphs."""
+    g = Graph(p)
+    for step in range(1, steps + 1):
+        cand = g.additions if rng.random() < 0.7 else g.deletions
+        if cand:
+            g = Graph(p, g.edges ^ 1 << nth_bit(cand, int(rng.integers(cand.bit_count()))))
+        if step % every == 0:
+            yield g
+
+
+def test_addition_mask_matches_search_on_an_add_leaning_walk():
+    graphs = list(add_leaning_walk(32, np.random.default_rng(46), 1500, 15))
+    assert max(g.edge_count for g in graphs) > 450
+    for g in graphs:
+        assert addition_mask(g) == search_addition_mask(g), g
+
+
+@pytest.mark.parametrize("p", [17, 25, 32])
+def test_addition_mask_of_complete_and_empty_graphs(p):
+    for g in (Graph.complete(p), Graph(p)):
+        assert addition_mask(g) == search_addition_mask(g)
+    assert addition_mask(Graph.complete(p)) == 0
+    assert addition_mask(Graph(p)) == (1 << n_candidate_edges(p)) - 1
+
+
 def test_random_decomposable_graph_is_decomposable():
     rng = np.random.default_rng(5)
     ps = rng.integers(2, 13, size=60)
@@ -475,6 +516,38 @@ def test_random_walk_matches_list_walk(p, seed, walk_steps):
         steps = 4 * n_candidate_edges(p) if walk_steps is None else walk_steps
         assert random_decomposable_graph(p, rng, walk_steps) == list_walk(p, ref, steps)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def loop_nth_bit(mask, r):
+    """Reference: clear the r lowest set bits one at a time."""
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
+# Masks up to m=496 bits (p=32): dense ones as plain integers, and sparse
+# ones from a few positions, which leave whole 64-bit words empty.
+MASKS = st.one_of(
+    st.integers(min_value=1, max_value=(1 << 496) - 1),
+    st.sets(st.integers(min_value=0, max_value=495), min_size=1, max_size=12).map(
+        lambda ks: sum(1 << k for k in ks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mask=MASKS)
+def test_nth_bit_matches_bit_clearing_loop(data, mask):
+    r = data.draw(st.integers(min_value=0, max_value=mask.bit_count() - 1))
+    assert nth_bit(mask, r) == loop_nth_bit(mask, r)
+    for r in (0, mask.bit_count() - 1):
+        assert nth_bit(mask, r) == loop_nth_bit(mask, r)
+
+
+def test_nth_bit_rejects_a_rank_outside_the_set_bits():
+    for mask, r in ((0b1011, -1), (0b1011, 3), (0, 0), ((1 << 496) - 1, 496),
+                    (1 << 300, 1)):
+        with pytest.raises(ValueError):
+            nth_bit(mask, r)
+    assert nth_bit(1 << 300, 0) == 300
 
 
 def test_count_small_p():

@@ -7,6 +7,7 @@ from math import exp, fsum, log
 import numpy as np
 import pytest
 
+from conftest import search_addition_mask
 from ebggm import (
     ChainState,
     DatasetStats,
@@ -273,7 +274,9 @@ def test_memo_holds_looked_up_graphs_only(figure1_stats):
 def test_memo_graphs_match_fresh_graphs(monkeypatch, stats_by_p, p, tau, r, mode):
     # Every proposal new to the memo takes its adjacency from the current
     # graph, so only the start builds one from its edges; the rest of each
-    # decomposition follows from it as from a fresh Graph's.
+    # decomposition follows from it as from a fresh Graph's.  The memo holds
+    # every graph the chain visits, and each addition mask, built from the
+    # clique sequence, also equals the one found by searching G - S.
     import ebggm.graphs as graphs_mod
 
     built = []
@@ -284,15 +287,17 @@ def test_memo_graphs_match_fresh_graphs(monkeypatch, stats_by_p, p, tau, r, mode
         return orig(p_, edges)
 
     monkeypatch.setattr(graphs_mod, "_adjacency", spy)
-    state, _ = run_chain(Graph(p), 2000, stats_by_p[p], Hyperparams(tau=tau, r=r),
-                         KernelConfig(mode), np.random.default_rng(5))
+    state, log_ = run_chain(Graph(p), 2000, stats_by_p[p], Hyperparams(tau=tau, r=r),
+                            KernelConfig(mode), np.random.default_rng(5))
     assert built == [0]
     assert len(state.moves._memo) > 100
+    assert all(Graph(p, e) in state.moves for e in log_.graph_ids)
     for g in state.moves._memo:
         fresh = Graph(p, g.edges)
         assert g.adjacency == orig(p, g.edges)
         assert (g.cliques, g.separators) == (fresh.cliques, fresh.separators)
         assert (g.additions, g.deletions) == (fresh.additions, fresh.deletions)
+        assert g.additions == search_addition_mask(fresh)
 
 
 def test_move_cache_membership():
