@@ -12,7 +12,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteError, ParseError, ZeroVarianceError
 from .graphs import MAX_P, id_width, n_candidate_edges
 from .hiw import DatasetStats
 from .saem import TRACE_COLUMNS
@@ -26,7 +26,9 @@ def ingest_csv(path, center=True, standardize=True):
     cell raises ParseError with its row and column, and more than MAX_P
     columns raise ValueError naming the file.  Processing follows the model
     conventions: subtract column means when center, then divide by the
-    sample standard deviation (n-1 denominator) when standardize.
+    sample standard deviation (n-1 denominator) when standardize.  Its
+    ZeroVarianceError and NonFiniteError (DatasetStats.from_data) name the
+    file and the column.
     """
     with open(path, newline="") as fh:
         raw_rows = [row for row in csv.reader(fh)
@@ -72,7 +74,11 @@ def ingest_csv(path, center=True, standardize=True):
     raw = np.asarray(values, dtype=float)
     if raw.shape[0] < 2:
         raise ParseError(f"{path}: need at least 2 data rows, got {raw.shape[0]}")
-    return DatasetStats.from_data(raw, center=center, standardize=standardize), raw
+    try:
+        stats = DatasetStats.from_data(raw, center=center, standardize=standardize)
+    except (NonFiniteError, ZeroVarianceError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return stats, raw
 
 
 def fmt(value):

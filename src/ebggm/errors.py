@@ -26,7 +26,8 @@ class DegenerateStatsError(EbggmError):
 
 
 class NonFiniteError(EbggmError):
-    """Raised when an iterative estimate stops being finite."""
+    """Raised when an iterative estimate stops being finite, or when data
+    leave the floating-point range as they are processed."""
 
 
 class MismatchedModelError(EbggmError):

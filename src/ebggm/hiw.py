@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DomainError,
     MismatchedModelError,
+    NonFiniteError,
     NotSPDError,
     SingularScatterError,
     ZeroVarianceError,
@@ -72,14 +73,16 @@ class DatasetStats:
     """Processed data rows plus the scatter matrix sum_i y_i y_i'.
 
     The eigenvalues of each scatter block are cached per vertex bitmask
-    (spectrum), so every scorer built on these stats shares them; likewise
-    proposal_tables keeps the weighted kernel's tables per weight floor
+    (spectrum) and the clique-size gamma tables per delta (gamma_tables), so
+    every scorer built on these stats shares them; likewise proposal_tables
+    keeps the weighted kernel's tables per weight floor
     (sampler.weight_tables), so every chain on these stats shares them.
     """
 
     data: np.ndarray
     scatter: np.ndarray
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _gammas: dict = field(default_factory=dict, init=False, repr=False)
     proposal_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -115,13 +118,34 @@ class DatasetStats:
             self._spectra[mask] = lam
         return lam
 
+    def gamma_tables(self, delta):
+        """Lists a_pri, a_post, lg_pri, lg_post indexed by clique size q = 0..p:
+        a = (q + delta - 1)/2 before the data and (q + delta + n - 1)/2 after,
+        lg = log Gamma_q(a) (0 at q = 0); memoized per delta."""
+        tables = self._gammas.get(delta)
+        if tables is None:
+            n, sizes = self.n, range(self.p + 1)
+            a_pri = [(q + delta - 1) / 2.0 for q in sizes]
+            a_post = [(q + delta + n - 1) / 2.0 for q in sizes]
+            tables = (a_pri, a_post,
+                      [log_multivariate_gamma(q, a_pri[q]) if q else 0.0 for q in sizes],
+                      [log_multivariate_gamma(q, a_post[q]) if q else 0.0 for q in sizes])
+            self._gammas[delta] = tables
+        return tables
+
     @classmethod
     def from_data(cls, raw, center=True, standardize=True):
         """Build stats from an (n, p) array, optionally centering and scaling.
 
         Standardization divides by the sample standard deviation with the
         n-1 denominator and requires n >= 2; a constant column raises
-        ZeroVarianceError.
+        ZeroVarianceError.  Each column is first divided by a power of two
+        near its largest magnitude: that is exact, so the result keeps its
+        bits, and the squares in the deviation neither overflow nor
+        underflow at any finite scale.  A step that still overflows, or a
+        varying column whose squares all underflow, as in the scatter of
+        unstandardized data near 1e200 or 1e-200, raises NonFiniteError
+        naming the first column at fault (columns count from 1).
         """
         y = np.asarray(raw, dtype=float)
         if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
@@ -130,15 +154,38 @@ class DatasetStats:
             raise ValueError("data contains non-finite values")
         if standardize and y.shape[0] < 2:
             raise ValueError("standardization needs at least 2 rows")
-        if center:
-            y = y - y.mean(axis=0)
-        if standardize:
-            sd = y.std(axis=0, ddof=1)
-            bad = np.flatnonzero(sd == 0.0)
-            if bad.size:
-                raise ZeroVarianceError(f"column {bad[0]} has zero variance")
-            y = y / sd
-        return cls(data=y, scatter=y.T @ y)
+        stats = cls._processed(y, center, standardize)
+        if stats is None:
+            col = next(j for j in range(y.shape[1])
+                       if cls._processed(y[:, j:j + 1], center, standardize) is None)
+            raise NonFiniteError(f"column {col + 1}: centering or squaring it leaves "
+                                 "the floating-point range; rescale the data")
+        return stats
+
+    @classmethod
+    def _processed(cls, y, center, standardize):
+        """from_data on checked data, or None when a column leaves the
+        floating-point range."""
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            try:
+                if center:
+                    y = y - y.mean(axis=0)
+                if standardize:
+                    y = y / np.ldexp(1.0, np.frexp(np.abs(y).max(axis=0))[1] - 1)
+                    sd = y.std(axis=0, ddof=1)
+                    bad = np.flatnonzero(sd == 0.0)
+                    if bad.size:
+                        raise ZeroVarianceError(f"column {bad[0] + 1} has zero variance")
+                    y = y / sd
+                scatter = y.T @ y
+            except FloatingPointError:
+                return None
+        # an overflow in a BLAS worker thread sets no flag in this one, and a
+        # varying column whose squares all underflow would score as constant
+        if not np.all(np.isfinite(scatter)) or np.any(
+                (scatter.diagonal() == 0.0) & np.any(y != 0.0, axis=0)):
+            return None
+        return cls(data=y, scatter=scatter)
 
 
 def _index(mask):
@@ -293,13 +340,7 @@ class PosteriorScorer:
         else:
             self._w_pri, self._k_pri = 1.0, -log(2.0 * n)
             self._k_post = log1p(1.0 / n) - log(2.0)
-        d = hp.delta
-        self._a_pri = [(q + d - 1) / 2.0 for q in range(self.p + 1)]
-        self._a_post = [(q + d + n - 1) / 2.0 for q in range(self.p + 1)]
-        self._lg_pri = [log_multivariate_gamma(q, self._a_pri[q]) if q else 0.0
-                        for q in range(self.p + 1)]
-        self._lg_post = [log_multivariate_gamma(q, self._a_post[q]) if q else 0.0
-                         for q in range(self.p + 1)]
+        self._a_pri, self._a_post, self._lg_pri, self._lg_post = stats.gamma_tables(hp.delta)
         self._terms = {}
         self._priors = {}
         try:
@@ -389,6 +430,25 @@ class PosteriorScorer:
         return sign * change + (self.log_prior(n + sign) - self.log_prior(n))
 
 
+def _bartlett_rows(bart, df, rng):
+    """Fill the zeroed q x q matrix bart with a Bartlett factor in place.
+
+    Row i takes one chi-square on df - i degrees, then i normals below the
+    diagonal; every draw from the HIW law keeps this order of calls.
+    """
+    for i in range(bart.shape[0]):
+        bart[i, i] = sqrt(rng.chisquare(df - i))
+        if i:
+            rng.standard_normal(out=bart[i, :i])
+
+
+def _iw_from_factors(bart, lo):
+    """Inverse-Wishart draws from Bartlett factors and the Cholesky factors
+    of their scales, one per matrix of a stack."""
+    half = np.linalg.solve(bart, lo.mT).mT
+    return half @ half.mT
+
+
 def sample_invwishart(df, scale, rng):
     """Draw from the inverse Wishart via the Bartlett decomposition.
 
@@ -405,11 +465,30 @@ def sample_invwishart(df, scale, rng):
     except np.linalg.LinAlgError as exc:
         raise NotSPDError("scale matrix is not SPD") from exc
     bart = np.zeros((q, q))
-    for i in range(q):
-        bart[i, i] = sqrt(rng.chisquare(df - i))
-        bart[i, :i] = rng.standard_normal(i)
-    half = np.linalg.solve(bart, lo.T).T
-    return half @ half.T
+    _bartlett_rows(bart, df, rng)
+    return _iw_from_factors(bart, lo)
+
+
+def _draw_blocks(phi, res, sep, barts, noises):
+    """Residual covariances U and regressions B of a stack of blocks of one
+    shape (s, r): res (k, r) and sep (k, s) index Phi, and barts and noises
+    hold each block's Bartlett factor and (s, r) normals, drawn beforehand.
+    With s = 0, U is the inverse-Wishart draw on Phi_R and B is None."""
+    rr, rc = res[:, None, :], res[:, :, None]
+    if not sep.shape[1]:
+        return _iw_from_factors(np.array(barts), np.linalg.cholesky(phi[rc, rr])), None
+    sv, sc = sep[:, None, :], sep[:, :, None]
+    pss = phi[sc, sv]
+    psr = phi[sc, rr]
+    lss = np.linalg.cholesky(pss)
+    m_reg = np.linalg.solve(pss, psr)
+    prr_s = phi[rc, rr] - psr.mT @ m_reg
+    prr_s = (prr_s + prr_s.mT) / 2.0
+    u_blk = _iw_from_factors(np.array(barts), np.linalg.cholesky(prr_s))
+    # regression rows have covariance pss^-1, columns the drawn residual
+    a_half = np.linalg.inv(lss).mT
+    c_half = np.linalg.cholesky(u_blk)
+    return u_blk, m_reg + a_half @ np.array(noises) @ c_half.mT
 
 
 def sample_hiw(g: Graph, delta, phi, rng):
@@ -419,34 +498,49 @@ def sample_hiw(g: Graph, delta, phi, rng):
     and each later clique draws its residual block and regression onto the
     separator, then extends the matrix so that the new vertices are
     conditionally independent of everything earlier given the separator.
+
+    The draw runs in three passes.  Pass 1 makes every random call in that
+    clique order (each clique's Bartlett rows, then its regression noise).
+    Pass 2 stacks the blocks of each shape (|S|, |R|) and makes each
+    factorization, solve, inverse and product once for the whole stack;
+    numpy runs the same LAPACK or BLAS routine on every matrix of a stack,
+    so each block keeps the bits a call on it alone gives.  Pass 3 extends
+    Sigma clique by clique, the only step that needs the earlier blocks.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (g.p, g.p):
         raise ValueError(f"Phi must be {g.p} x {g.p}, got {phi.shape}")
+    if not delta > 0:
+        raise DomainError(f"need delta > 0, got delta={delta}")
+    # pass 1: each clique's Bartlett factor and (|S|, |R|) noise, in order
+    groups = {}  # (|S|, |R|) -> [(clique position, R, S, bart, noise)]
+    for j, (cm, sm) in enumerate(zip(g.cliques, (0, *g.separators))):
+        sep, res = list(iter_bits(sm)), list(iter_bits(cm & ~sm))
+        bart = np.zeros((len(res), len(res)))
+        _bartlett_rows(bart, delta + cm.bit_count() - 1, rng)
+        noise = rng.standard_normal((len(sep), len(res))) if sm else None
+        groups.setdefault((len(sep), len(res)), []).append((j, res, sep, bart, noise))
+    # pass 2: one stacked call per routine and shape
+    blocks = [None] * len(g.cliques)
+    for (s, r), group in groups.items():
+        js, res, sep, bart, noise = zip(*group)
+        res, sep = np.array(res, dtype=np.intp), np.array(sep, dtype=np.intp)
+        try:
+            u_blk, b_reg = _draw_blocks(phi, res, sep, bart, noise)
+        except np.linalg.LinAlgError as exc:
+            raise NotSPDError(f"Phi is not SPD on a clique with |S|={s}, |R|={r}") from exc
+        for k, j in enumerate(js):
+            blocks[j] = res[k], sep[k], u_blk[k], None if b_reg is None else b_reg[k]
+    # pass 3: extend Sigma clique by clique
     sigma = np.zeros((g.p, g.p))
     placed = 0
-    for cm, sm in zip(g.cliques, (0, *g.separators)):
-        res = _index(cm & ~sm)
+    for cm, (res, sv, u_blk, b_reg) in zip(g.cliques, blocks):
         rc = res[:, None]
-        df = delta + cm.bit_count() - 1
-        if not sm:
-            sigma[rc, res] = sample_invwishart(df, phi[rc, res], rng)
+        if b_reg is None:
+            sigma[rc, res] = u_blk
         else:
-            sv = _index(sm)
             sc = sv[:, None]
             pl = _index(placed)
-            pss = phi[sc, sv]
-            psr = phi[sc, res]
-            lss = np.linalg.cholesky(pss)
-            m_reg = np.linalg.solve(pss, psr)
-            prr_s = phi[rc, res] - psr.T @ m_reg
-            prr_s = (prr_s + prr_s.T) / 2.0
-            u_blk = sample_invwishart(df, prr_s, rng)
-            # regression rows have covariance pss^-1, columns the drawn residual
-            a_half = np.linalg.inv(lss).T
-            c_half = np.linalg.cholesky(u_blk)
-            noise = rng.standard_normal((len(sv), len(res)))
-            b_reg = m_reg + a_half @ noise @ c_half.T
             cross = b_reg.T @ sigma[sc, pl]
             sigma[rc, pl] = cross
             sigma[pl[:, None], res] = cross.T

@@ -6,13 +6,15 @@ import filecmp
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, ParseError, SaemConfig,
-                   cli, exact_posterior, n_candidate_edges, random_decomposable_graph,
-                   run_chain, run_saem, sampler)
+from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, NonFiniteError,
+                   ParseError, SaemConfig, ZeroVarianceError, cli, exact_posterior,
+                   n_candidate_edges, random_decomposable_graph, run_chain, run_saem,
+                   sampler)
 from ebggm.cli import (
     RunConfig,
     build_parser,
@@ -117,6 +119,9 @@ def test_ingest_error_messages(tmp_path):
     one_row = write(tmp_path / "one.csv", "1,2\n")
     with pytest.raises(ParseError, match="at least 2 data rows"):
         ingest_csv(one_row)
+    constant = write(tmp_path / "k.csv", "1,5\n2,5\n3,5\n")
+    with pytest.raises(ZeroVarianceError, match=r"k\.csv: column 2 has zero variance"):
+        ingest_csv(constant)
     for cell in ("nan", "inf", "-Infinity"):
         non_finite = write(tmp_path / "nf.csv", f"x,y\n1,2\n3,4\n5,{cell}\n")
         with pytest.raises(ParseError,
@@ -858,6 +863,57 @@ def test_cli_names_the_matrix_that_is_not_spd(tmp_path, capsys):
         assert capsys.readouterr().err.strip() == (
             f"error: {which} is not symmetric positive definite "
             f"(phi_mode={mode}, tau={tau}, n=4, p=6)")
+
+
+def write_scaled_normal(path, scale, column=None):
+    """30 x 5 standard-normal data times scale, in one column or in all."""
+    data = np.random.default_rng(30).standard_normal((30, 5))
+    if column is None:
+        data *= scale
+    else:
+        data[:, column] *= scale
+    write_data_csv(path, data)
+    return str(path)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_cli_standardizes_data_at_extreme_scales(tmp_path, capsys, scale):
+    # At 1e200 the squares in the sd overflowed and the run wrote the
+    # posterior of an all-zero scatter with exit 0; at 1e-200 they
+    # underflowed and the run stopped with "column 0 has zero variance".
+    path = write_scaled_normal(tmp_path / "d.csv", scale)
+    plain = write_scaled_normal(tmp_path / "plain.csv", 1.0)
+    stats, plain_stats = ingest_csv(path)[0], ingest_csv(plain)[0]
+    assert np.allclose(stats.scatter, plain_stats.scatter, rtol=1e-12, atol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sample", "--data", path, "--n-steps", "200", "--n-burn", "0",
+                     "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_cli_names_the_column_of_unstandardized_data_out_of_range(tmp_path, capsys, scale):
+    # The scatter of raw data at 1e200 overflows: fit and exact used to stop
+    # with numpy's "Eigenvalues did not converge", after an overflow warning.
+    # At 1e-200 it underflows to zero, and every command ran on the prior.
+    path = write_scaled_normal(tmp_path / "d.csv", scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in (["fit", "--n-iter", "5", "--n-unit", "2"], ["exact"], ["sample"]):
+            assert main([*cmd, "--data", path, "--no-standardize",
+                         "--out-dir", str(tmp_path / cmd[0])]) == 2
+            assert capsys.readouterr().err.strip() == (
+                f"error: {path}: column 1: centering or squaring it leaves the "
+                "floating-point range; rescale the data")
+    third = write_scaled_normal(tmp_path / "third.csv", scale, column=2)
+    with pytest.raises(NonFiniteError, match=r"third\.csv: column 3: centering"):
+        ingest_csv(third, standardize=False)
+    raw = np.loadtxt(third, delimiter=",", skiprows=1)
+    with pytest.raises(NonFiniteError, match=r"^column 3: centering"):
+        DatasetStats.from_data(raw, standardize=False)
+    assert main(["sample", "--data", third, "--n-steps", "200",
+                 "--out-dir", str(tmp_path / "std")]) == 0
 
 
 def test_run_command_requires_inputs(tmp_path):

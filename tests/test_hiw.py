@@ -473,6 +473,18 @@ def test_hiw_draw_is_bit_identical_to_reference():
     grng = np.random.default_rng(22)
     cases = [Graph(1), bench9_graph(), random_decomposable_graph(25, grng),
              graph_from_cliques(8, [(0, 1, 2), (3, 4), (5,), (6, 7)])]
+    # sample_hiw stacks the blocks of each shape (|S|, |R|): six 1 x 1 blocks
+    # on empty separators, one block, random graphs, three (2, 1) blocks
+    # beside two (1, 1) blocks, which share |R| but not |S|, and a band
+    # graph at p=32 whose 27 blocks after the first are all (4, 1)
+    fan = graph_from_cliques(8, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (5, 6), (6, 7)])
+    shapes = [(s.bit_count(), (c & ~s).bit_count())
+              for c, s in zip(fan.cliques, (0, *fan.separators))]
+    assert shapes.count((2, 1)) >= 3 and (1, 1) in shapes
+    more = np.random.default_rng(24)
+    cases += [Graph(6), Graph.complete(12), fan,
+              random_decomposable_graph(16, more), random_decomposable_graph(32, more),
+              graph_from_cliques(32, [range(i, i + 5) for i in range(28)])]
     for g in cases:
         a = grng.standard_normal((g.p + 2, g.p))
         for delta, phi in ((1.0, 0.03 * np.eye(g.p)), (40.5, a.T @ a + np.eye(g.p))):
@@ -484,6 +496,21 @@ def test_hiw_draw_is_bit_identical_to_reference():
                 tri = _reference_hiw(g, delta, phi, tri_rng, _scipy_lower_solve)
                 assert np.max(np.abs(got - tri)) <= 1e-12 * np.max(np.abs(tri))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_hiw_errors_on_the_stacked_path():
+    rng = np.random.default_rng(25)
+    path = graph_from_cliques(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for delta in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="delta > 0"):
+            sample_hiw(path, delta, np.eye(6), rng)
+    # Phi is SPD on every block but the clique {3, 4}, one of a stack of
+    # four (1, 1) blocks; Phi on {0, 1}, the first clique, fails likewise
+    for i, j in ((3, 4), (0, 1)):
+        phi = np.eye(6)
+        phi[i, j] = phi[j, i] = 2.0
+        with pytest.raises(NotSPDError, match="not SPD on a clique"):
+            sample_hiw(path, 1.0, phi, rng)
 
 
 def test_simulate_dataset_deterministic_and_consistent():
