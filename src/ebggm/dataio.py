@@ -30,7 +30,7 @@ def ingest_csv(path, center=True, standardize=True):
     ZeroVarianceError and NonFiniteError (DatasetStats.from_data) name the
     file and the column.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is not a cell
         raw_rows = [row for row in csv.reader(fh)
                     if row and any(cell.strip() for cell in row)]
     if not raw_rows:

@@ -26,6 +26,10 @@ import numpy as np
 from .errors import NotDecomposableError, TooLargeError
 
 MAX_P = 32  # most vertices a Graph takes
+# vertex sets whose edge masks clique_edge_mask keeps, the least recently
+# used dropped first; a chain asks again and again for the few hundred
+# separators and pre-test cliques of the graphs it visits
+EDGE_MASK_CACHE_SIZE = 4096
 
 
 def n_candidate_edges(p):
@@ -45,14 +49,15 @@ def edge_index(p, i, j):
 
 
 @lru_cache(maxsize=None)
-def _pair_table(p):
-    """Tuple mapping bit position -> vertex pair (i, j)."""
+def pair_table(p):
+    """Tuple mapping bit position -> vertex pair (i, j); edge_pair reads it
+    with a range check, the chain's inner loop without one."""
     return tuple((i, j) for i in range(p) for j in range(i + 1, p))
 
 
 def edge_pair(p, k):
     """Vertex pair (i, j) sitting at bit position k."""
-    table = _pair_table(p)
+    table = pair_table(p)
     if not 0 <= k < len(table):
         raise ValueError(f"edge index {k} out of range for p={p}")
     return table[k]
@@ -60,7 +65,7 @@ def edge_pair(p, k):
 
 def _adjacency(p, edges):
     adj = [0] * p
-    table = _pair_table(p)
+    table = pair_table(p)
     e = edges
     while e:
         b = e & -e
@@ -304,12 +309,14 @@ def _row_offsets(p):
 
 
 def _pairs(p, mask):
-    table = _pair_table(p)
+    table = pair_table(p)
     return [table[k] for k in iter_bits(mask)]
 
 
+@lru_cache(maxsize=EDGE_MASK_CACHE_SIZE)
 def clique_edge_mask(p, vertices):
-    """Edge bitmask of every pair inside the vertex set given as a bitmask."""
+    """Edge bitmask of every pair inside the vertex set given as a bitmask,
+    kept for the EDGE_MASK_CACHE_SIZE sets last asked for."""
     off = _row_offsets(p)
     e = 0
     rest = vertices
@@ -324,7 +331,7 @@ def clique_edge_mask(p, vertices):
 @lru_cache(maxsize=None)
 def incident_edge_masks(p):
     """Edge bitmask of the candidate edges at each vertex."""
-    return tuple(sum(1 << k for k, pair in enumerate(_pair_table(p)) if v in pair)
+    return tuple(sum(1 << k for k, pair in enumerate(pair_table(p)) if v in pair)
                  for v in range(p))
 
 
@@ -457,7 +464,7 @@ def elimination_families(p):
     size = min(1 << n_candidate_edges(p), 1 << 20)
     low = np.arange(size, dtype=np.uint32)
     low_adj = np.zeros((p, size), np.uint8)  # adjacency of the low edge bits
-    for k, (i, j) in enumerate(_pair_table(p)[:size.bit_length() - 1]):
+    for k, (i, j) in enumerate(pair_table(p)[:size.bit_length() - 1]):
         bit = (low >> k & 1).astype(np.uint8)
         low_adj[i] |= bit << j
         low_adj[j] |= bit << i

@@ -140,9 +140,10 @@ class DatasetStats:
         Standardization divides by the sample standard deviation with the
         n-1 denominator and requires n >= 2; a constant column raises
         ZeroVarianceError.  Each column is first divided by a power of two
-        near its largest magnitude: that is exact, so the result keeps its
-        bits, and the squares in the deviation neither overflow nor
-        underflow at any finite scale.  A step that still overflows, or a
+        near its largest magnitude, and multiplied back after centering when
+        it is not standardized: that is exact, so the result keeps its bits,
+        and neither the centering nor the squares in the deviation overflow
+        or underflow at any finite scale.  A step that still overflows, or a
         varying column whose squares all underflow, as in the scatter of
         unstandardized data near 1e200 or 1e-200, raises NonFiniteError
         naming the first column at fault (columns count from 1).
@@ -168,15 +169,18 @@ class DatasetStats:
         floating-point range."""
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             try:
+                scale = np.ldexp(1.0, np.frexp(np.abs(y).max(axis=0))[1] - 1)
+                y = y / scale
                 if center:
                     y = y - y.mean(axis=0)
                 if standardize:
-                    y = y / np.ldexp(1.0, np.frexp(np.abs(y).max(axis=0))[1] - 1)
                     sd = y.std(axis=0, ddof=1)
                     bad = np.flatnonzero(sd == 0.0)
                     if bad.size:
                         raise ZeroVarianceError(f"column {bad[0] + 1} has zero variance")
                     y = y / sd
+                else:
+                    y = y * scale
                 scatter = y.T @ y
             except FloatingPointError:
                 return None
@@ -343,6 +347,7 @@ class PosteriorScorer:
         self._a_pri, self._a_post, self._lg_pri, self._lg_post = stats.gamma_tables(hp.delta)
         self._terms = {}
         self._priors = {}
+        self._prior_steps = {}
         try:
             self.term((1 << self.p) - 1)
         except NotSPDError as exc:
@@ -418,16 +423,28 @@ class PosteriorScorer:
         (Giudici and Green 1999).  A removable edge lies in one maximal
         clique C, which holds the triangle of x, y and any common neighbour,
         so S = C - {x, y} and a deletion changes log_lik by minus the same.
-        The log prior change of the edge count is added."""
+        The log prior change of the edge count is added.  Raises ValueError
+        unless 0 <= k < m."""
         x, y = edge_pair(self.p, k)
+        return self._flip_change(g, k, x, y)
+
+    def _flip_change(self, g: Graph, k, x, y):
+        """flip_change of slot k, whose vertex pair (x, y) the caller read.
+        The prior change of an addition to n + 1 edges is memoized per n; a
+        deletion to n edges is minus that of an addition from n, exactly."""
         adj, bx, by = g.adjacency, 1 << x, 1 << y
         s = adj[x] & adj[y]
         known, term = self._terms.get, self.term  # memo reads, as in log_lik
         sxy, sx, sy = s | bx | by, s | bx, s | by
         change = ((known(sxy) or term(sxy)) + ((known(s) or term(s)) if s else 0.0)
                   - (known(sx) or term(sx)) - (known(sy) or term(sy)))
-        n, sign = g.edge_count, (-1 if g.edges >> k & 1 else 1)
-        return sign * change + (self.log_prior(n + sign) - self.log_prior(n))
+        edges = g.edges
+        delete = edges >> k & 1
+        n = edges.bit_count() - delete  # edge count without slot k
+        step = self._prior_steps.get(n)
+        if step is None:
+            step = self._prior_steps[n] = self.log_prior(n + 1) - self.log_prior(n)
+        return -(change + step) if delete else change + step
 
 
 def _bartlett_rows(bart, df, rng):

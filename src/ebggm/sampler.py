@@ -20,8 +20,7 @@ from operator import getitem, ne
 import numpy as np
 
 from .errors import MismatchedModelError, SingularScatterError
-from .graphs import (Graph, clique_edge_mask, edge_pair, incident_edge_masks,
-                     nth_bit)
+from .graphs import Graph, clique_edge_mask, incident_edge_masks, nth_bit, pair_table
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
@@ -111,6 +110,7 @@ class WeightSums:
 
     def __init__(self, weights):
         self.weights = [float(w) for w in weights]
+        self.log_weights = [log(w) for w in self.weights]
         ratios = [w.as_integer_ratio() for w in self.weights]  # den = 2^d
         shift = max((den.bit_length() - 1 for _, den in ratios), default=0)
         ints = [num << shift + 1 - den.bit_length() for num, den in ratios]
@@ -131,15 +131,15 @@ class WeightSums:
         """The sum of the weights over the set bits of mask, times scale."""
         return sum(map(getitem, self.rows, self._bytes(mask)))
 
-    def _log_share(self, k, total):
+    def log_q(self, k, mask, total=None):
+        """log of w_k over the total weight of mask; total, when given, is
+        scaled_sum(mask)."""
+        if total is None:
+            total = sum(map(getitem, self.rows, mask.to_bytes(len(self.rows), "little")))
         try:
-            return log(self.weights[k]) - log(total / self.scale)
+            return self.log_weights[k] - log(total / self.scale)
         except OverflowError:  # weights near 1/weight_floor can sum past the float range
-            return log(self.weights[k]) - (log(total) - log(self.scale))
-
-    def log_q(self, k, mask):
-        """log of w_k over the total weight of mask."""
-        return self._log_share(k, self.scaled_sum(mask))
+            return self.log_weights[k] - (log(total) - log(self.scale))
 
     def draw(self, mask, u):
         """The first slot of mask, lowest first, whose running weight
@@ -164,7 +164,7 @@ class WeightSums:
                     break
                 rest ^= low
             k = 8 * b + low.bit_length() - 1
-        return k, self._log_share(k, total)
+        return k, self.log_q(k, mask, total)
 
 
 def weight_tables(stats: DatasetStats, cfg: KernelConfig):
@@ -177,15 +177,6 @@ def weight_tables(stats: DatasetStats, cfg: KernelConfig):
     if cfg.weight_floor not in tables:
         tables[cfg.weight_floor] = tuple(map(WeightSums, edge_weights(stats, cfg)))
     return tables[cfg.weight_floor]
-
-
-def _log_q_rev(weights, do_delete, k, mask):
-    """log probability of moving back by slot k when mask holds the reverse
-    moves: uniform when weights is None, else by the reverse direction's
-    WeightSums."""
-    if weights is None:
-        return -log(mask.bit_count())
-    return weights[0 if do_delete else 1].log_q(k, mask)
 
 
 def _draw_move(g: Graph, weights, do_delete, rng):
@@ -214,13 +205,15 @@ def _propose(g: Graph, moves: MoveCache, weights, do_delete, k):
     new = Graph(g.p, g.edges ^ (1 << k))
     gp = moves.moves(new)
     if gp is new:
-        x, y = edge_pair(g.p, k)
+        x, y = pair_table(g.p)[k]
         adj = list(g.adjacency)
         adj[x] ^= 1 << y
         adj[y] ^= 1 << x
         object.__setattr__(gp, "adjacency", tuple(adj))
     reverse = gp.additions if do_delete else gp.deletions
-    return gp, _log_q_rev(weights, do_delete, k, reverse)
+    if weights is None:
+        return gp, -log(reverse.bit_count())
+    return gp, weights[0 if do_delete else 1].log_q(k, reverse)
 
 
 def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
@@ -232,14 +225,17 @@ def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
     every legal deletion of g outside the one new clique N(x) & N(y) + x + y
     does (a clique that it absorbs holds only edges of the new clique).
     """
-    x, y = edge_pair(g.p, k)
+    x, y = pair_table(g.p)[k]
     if do_delete:
         star = incident_edge_masks(g.p)
-        lower = g.additions & ~(star[x] | star[y])
+        lower = g.additions & ~(star[x] | star[y]) | 1 << k
     else:
-        adj, bx, by = g.adjacency, 1 << x, 1 << y
-        lower = g.deletions & ~clique_edge_mask(g.p, adj[x] & adj[y] | bx | by)
-    return scorer.flip_change(g, k) + _log_q_rev(weights, do_delete, k, lower | 1 << k)
+        adj = g.adjacency
+        lower = g.deletions & ~clique_edge_mask(g.p, adj[x] & adj[y] | 1 << x | 1 << y) | 1 << k
+    change = scorer._flip_change(g, k, x, y)
+    if weights is None:
+        return change - log(lower.bit_count())
+    return change + weights[0 if do_delete else 1].log_q(k, lower)
 
 
 def _advance(state: ChainState, n_steps, rng, scorer: PosteriorScorer, by_parity,

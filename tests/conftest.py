@@ -79,6 +79,23 @@ def relabeled(g, perm):
     return g_p, lambda mask: sum(1 << int(perm[k]) for k in iter_bits(mask))
 
 
+def loop_clique_edge_mask(p, vertices):
+    """Reference edge mask of a vertex set, by the loop that
+    graphs.clique_edge_mask runs on a cache miss: one row of partner edges
+    per vertex of the set."""
+    from ebggm.graphs import _row_offsets
+
+    off = _row_offsets(p)
+    e = 0
+    rest = vertices
+    while rest:
+        b = rest & -rest
+        x = b.bit_length() - 1
+        e |= (vertices >> (x + 1)) << off[x]
+        rest ^= b
+    return e
+
+
 def search_addition_mask(g):
     """Reference addition mask by search: for each distinct separator S, the
     components of G - S by breadth-first search over the adjacency, and

@@ -129,6 +129,17 @@ def test_ingest_error_messages(tmp_path):
             ingest_csv(non_finite)
 
 
+def test_ingest_reads_past_a_byte_order_mark(tmp_path):
+    # the mark stuck to the first cell: a one-column file lost its first row
+    # as a header, and a wider one stopped on "cannot parse '\ufeff1'"
+    for text, want in (("1\n2\n4\n", [[1.0], [2.0], [4.0]]),
+                       ("1,5\r\n2,3\r\n4,4\r\n", [[1.0, 5.0], [2.0, 3.0], [4.0, 4.0]]),
+                       ("x\n2\n4\n", [[2.0], [4.0]])):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert ingest_csv(str(path))[1].tolist() == want
+
+
 # ------------------------------------------------------------------ writers
 
 
@@ -914,6 +925,18 @@ def test_cli_names_the_column_of_unstandardized_data_out_of_range(tmp_path, caps
         DatasetStats.from_data(raw, standardize=False)
     assert main(["sample", "--data", third, "--n-steps", "200",
                  "--out-dir", str(tmp_path / "std")]) == 0
+
+
+def test_from_data_scales_columns_before_centering():
+    # the first column's sum overflowed while centering, so data that
+    # standardize to ordinary values stopped with NonFiniteError
+    raw = np.array([[1.7e308, 1.0], [-1.7e308, 2.0], [1e308, 3.0]])
+    stats = DatasetStats.from_data(raw)
+    assert np.all(np.isfinite(stats.scatter))
+    assert np.array_equal(stats.scatter, DatasetStats.from_data(raw * 2.0 ** -1000).scatter)
+    assert np.allclose(stats.scatter.diagonal(), 2.0, rtol=1e-15)
+    with pytest.raises(NonFiniteError, match=r"^column 1: centering"):
+        DatasetStats.from_data(raw, standardize=False)
 
 
 def test_run_command_requires_inputs(tmp_path):

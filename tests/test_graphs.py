@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relabeled, search_addition_mask, vertex_sets
+from conftest import loop_clique_edge_mask, relabeled, search_addition_mask, vertex_sets
 import ebggm.graphs as graphs_mod
 from ebggm.errors import NotDecomposableError, TooLargeError
 from ebggm.graphs import (
@@ -69,6 +69,25 @@ def test_clique_edge_mask():
                     if vertices >> i & vertices >> j & 1:
                         want |= 1 << edge_index(p, i, j)
             assert clique_edge_mask(p, vertices) == want
+
+
+def test_cached_clique_edge_mask_matches_the_loop():
+    # every vertex set at p <= 10, then at p=32 once the bounded cache has
+    # dropped more sets than it holds
+    for p in range(1, 11):
+        for vertices in range(1 << p):
+            assert clique_edge_mask(p, vertices) == loop_clique_edge_mask(p, vertices)
+    size = graphs_mod.EDGE_MASK_CACHE_SIZE
+    first = [0x9E3779B9 * v & 0xFFFFFFFF for v in range(1, 2 * size + 2)]
+    assert len(set(first)) == len(first)
+    for vertices in first:
+        assert clique_edge_mask(32, vertices) == loop_clique_edge_mask(32, vertices)
+    info = clique_edge_mask.cache_info()
+    assert info.maxsize == size and info.currsize == size
+    rng = np.random.default_rng(22)
+    for vertices in [*first[:size], *rng.integers(1 << 32, size=2000).tolist()]:
+        assert clique_edge_mask(32, vertices) == loop_clique_edge_mask(32, vertices)
+    assert clique_edge_mask.cache_info().currsize == size
 
 
 def test_graph_id_hex_roundtrip():

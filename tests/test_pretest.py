@@ -300,6 +300,18 @@ def test_memo_graphs_match_fresh_graphs(monkeypatch, stats_by_p, p, tau, r, mode
         assert g.additions == search_addition_mask(fresh)
 
 
+def test_flip_change_rejects_a_slot_out_of_range(figure1_stats):
+    # the chain's pre-test reads the pair table without a range check; the
+    # public flip_change keeps one, so a negative slot does not wrap round
+    scorer = PosteriorScorer(figure1_stats, Hyperparams(tau=0.25, r=0.4))
+    g = Graph.from_edge_list(9, [(0, 1), (1, 2)])
+    for k in (-1, -2, -g.m, g.m, g.m + 3):
+        with pytest.raises(ValueError, match=f"edge index {k} out of range for p=9"):
+            scorer.flip_change(g, k)
+    for k in (0, 8, g.m - 1):
+        assert scorer.flip_change(g, k) == scorer._flip_change(g, k, *edge_pair(9, k))
+
+
 def test_move_cache_membership():
     moves = MoveCache()
     g = Graph(4, 5)
