@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -93,8 +94,8 @@ class Graph:
     cardinality search), additions and deletions (edge bitmasks of the moves
     that keep it decomposable) are outside equality and unset until their
     first read, when __getattr__ builds and keeps them, so a Graph is cheap
-    to make.  (The chain's proposals come with their adjacency already set,
-    from the graph whose edge they flip.)  On a non-chordal graph the last
+    to make.  (A graph made by flip comes with its adjacency already set,
+    from the graph whose edge it flips.)  On a non-chordal graph the last
     four raise NotDecomposableError on every read.
     """
 
@@ -107,9 +108,9 @@ class Graph:
     deletions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # normalize numpy integer inputs so bit tricks work on plain ints
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "edges", int(self.edges))
+        # plain ints for the bit tricks: a numpy integer converts, a float is a TypeError
+        object.__setattr__(self, "p", index(self.p))
+        object.__setattr__(self, "edges", index(self.edges))
         if not 1 <= self.p <= MAX_P:
             raise ValueError(f"p must be in 1..{MAX_P}, got {self.p}")
         if not 0 <= self.edges < (1 << n_candidate_edges(self.p)):
@@ -149,21 +150,32 @@ class Graph:
             i, j = j, i
         return bool(self.edges >> edge_index(self.p, i, j) & 1)
 
+    def flip(self, k):
+        """This graph with edge slot k (0 <= k < m, else ValueError) toggled,
+        taking this graph's adjacency with the two bits of slot k toggled."""
+        x, y = edge_pair(self.p, k)
+        g = Graph(self.p, self.edges ^ 1 << index(k))  # a numpy k would shift in 64 bits
+        adj = list(self.adjacency)
+        adj[x] ^= 1 << y
+        adj[y] ^= 1 << x
+        object.__setattr__(g, "adjacency", tuple(adj))
+        return g
+
     def add_edge(self, i, j):
         if i > j:
             i, j = j, i
-        bit = 1 << edge_index(self.p, i, j)
-        if self.edges & bit:
+        k = edge_index(self.p, i, j)
+        if self.edges >> k & 1:
             raise ValueError(f"edge ({i}, {j}) already present")
-        return Graph(self.p, self.edges | bit)
+        return self.flip(k)
 
     def remove_edge(self, i, j):
         if i > j:
             i, j = j, i
-        bit = 1 << edge_index(self.p, i, j)
-        if not self.edges & bit:
+        k = edge_index(self.p, i, j)
+        if not self.edges >> k & 1:
             raise ValueError(f"edge ({i}, {j}) not present")
-        return Graph(self.p, self.edges ^ bit)
+        return self.flip(k)
 
     def neighbors(self, v):
         return tuple(iter_bits(self.adjacency[v]))
@@ -201,7 +213,13 @@ class Graph:
 
 
 def graph_from_cliques(p, cliques):
-    """Graph whose edge set is the union of all within-clique pairs."""
+    """Graph whose edge set is the union of all within-clique pairs; each
+    vertex is an integer (a numpy one will do) in 0..p-1."""
+    p = Graph(p).p  # checks p, and a numpy integer becomes an int
+    cliques = [[index(v) for v in c] for c in cliques]
+    bad = [v for c in cliques for v in c if not 0 <= v < p]
+    if bad:
+        raise ValueError(f"clique vertex {bad[0]} out of range for p={p}")
     edges = 0
     for c in cliques:
         edges |= clique_edge_mask(p, sum(1 << v for v in set(c)))
@@ -328,13 +346,6 @@ def clique_edge_mask(p, vertices):
     return e
 
 
-@lru_cache(maxsize=None)
-def incident_edge_masks(p):
-    """Edge bitmask of the candidate edges at each vertex."""
-    return tuple(sum(1 << k for k, pair in enumerate(pair_table(p)) if v in pair)
-                 for v in range(p))
-
-
 def deletion_mask(g: Graph):
     """Edge bitmask of the removals that keep the graph decomposable.
 
@@ -439,7 +450,7 @@ def random_decomposable_graph(p, rng, walk_steps=None):
         cand = g.additions if rng.random() < 0.5 else g.deletions
         if cand:
             k = nth_bit(cand, int(rng.integers(cand.bit_count())))
-            g = Graph(p, g.edges ^ (1 << k))
+            g = g.flip(k)
     return g
 
 

@@ -107,7 +107,7 @@ def init_graph_backward(stats: DatasetStats, hp: Hyperparams):
         gain, k = max((scorer.flip_change(g, j), j) for j in iter_bits(g.deletions))
         if gain <= 0:
             break
-        g = Graph(g.p, g.edges ^ (1 << k))
+        g = g.flip(k)
     return g
 
 

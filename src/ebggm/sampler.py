@@ -20,7 +20,7 @@ from operator import getitem, ne
 import numpy as np
 
 from .errors import MismatchedModelError, SingularScatterError
-from .graphs import Graph, clique_edge_mask, incident_edge_masks, nth_bit, pair_table
+from .graphs import Graph, clique_edge_mask, nth_bit, pair_table
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
 KERNEL_MODES = ("add_delete", "data_driven", "alternate")
@@ -199,17 +199,10 @@ def _draw_move(g: Graph, weights, do_delete, rng):
 
 def _propose(g: Graph, moves: MoveCache, weights, do_delete, k):
     """Exact half of the proposal that flips slot k of g: the memo's Graph
-    for the proposal and log q(reverse move) from its legal-move mask.  A
-    proposal new to the memo takes g's adjacency with the two bits of slot
-    k toggled, so its decomposition does not rebuild it from the edges."""
-    new = Graph(g.p, g.edges ^ (1 << k))
-    gp = moves.moves(new)
-    if gp is new:
-        x, y = pair_table(g.p)[k]
-        adj = list(g.adjacency)
-        adj[x] ^= 1 << y
-        adj[y] ^= 1 << x
-        object.__setattr__(gp, "adjacency", tuple(adj))
+    equal to g.flip(k) and log q(reverse move) from its legal-move mask.  A
+    proposal new to the memo keeps the adjacency flip derived from g's, so
+    its decomposition does not rebuild it from the edges."""
+    gp = moves.moves(g.flip(k))
     reverse = gp.additions if do_delete else gp.deletions
     if weights is None:
         return gp, -log(reverse.bit_count())
@@ -227,8 +220,7 @@ def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
     """
     x, y = pair_table(g.p)[k]
     if do_delete:
-        star = incident_edge_masks(g.p)
-        lower = g.additions & ~(star[x] | star[y]) | 1 << k
+        lower = g.additions & clique_edge_mask(g.p, ((1 << g.p) - 1) ^ (1 << x | 1 << y)) | 1 << k
     else:
         adj = g.adjacency
         lower = g.deletions & ~clique_edge_mask(g.p, adj[x] & adj[y] | 1 << x | 1 << y) | 1 << k

@@ -20,7 +20,6 @@ from ebggm.graphs import (
     edge_pair,
     enumerate_decomposable,
     graph_from_cliques,
-    incident_edge_masks,
     is_decomposable,
     legal_additions,
     legal_deletions,
@@ -112,6 +111,59 @@ def test_graph_edge_ops():
     with pytest.raises(ValueError):
         g.remove_edge(0, 2)
     assert g.neighbors(0) == (1,)
+
+
+def test_graph_takes_integers_only():
+    # a float is refused, not truncated; numpy integers become plain ints
+    for args in [(3.7,), (4, 2.9), (4, 2.0), (32, float(2**100 + 1)), (np.float64(4),)]:
+        with pytest.raises(TypeError):
+            Graph(*args)
+    g = Graph(np.int64(9), np.uint32(5))
+    assert (type(g.p), type(g.edges)) == (int, int) and g == Graph(9, 5)
+
+
+@pytest.mark.parametrize("p,n_flips,seed", [(9, 2000, 47), (25, 2000, 48), (32, 10_000, 49)])
+def test_flip_replay_matches_fresh_graphs(p, n_flips, seed):
+    # A walk of random legal flips, each graph made by flip from the one
+    # before, so its adjacency is inherited and never built from the edges.
+    rng = np.random.default_rng(seed)
+    g = Graph(p)
+    for _ in range(n_flips):
+        cand = g.additions if rng.random() < 0.5 else g.deletions
+        if not cand:
+            continue
+        k = nth_bit(cand, int(rng.integers(cand.bit_count())))
+        i, j = edge_pair(p, k)
+        gp, fresh = g.flip(k), Graph(p, g.edges ^ 1 << k)
+        assert gp == fresh and gp.adjacency == fresh.adjacency
+        assert (gp.cliques, gp.separators) == (fresh.cliques, fresh.separators)
+        assert (gp.additions, gp.deletions) == (fresh.additions, fresh.deletions)
+        back = gp.flip(k)
+        assert back == g and back.adjacency == g.adjacency
+        edit = g.remove_edge if g.edges >> k & 1 else g.add_edge
+        for h in (edit(i, j), edit(j, i)):
+            assert h == gp and h.adjacency == gp.adjacency
+        g = gp
+    assert g.edge_count > 0
+
+
+def test_flip_takes_a_numpy_slot():
+    # 1 << np.int64(k) shifts in 64 bits: 0 for k >= 64, and an overflow
+    # against an edge bitset past 2**63
+    g = Graph.complete(32)
+    for k in (0, 63, 64, 70, 495):
+        for slot in (np.int64(k), np.uint16(k)):
+            h = g.flip(slot)
+            assert h == g.flip(k) and type(h.edges) is int
+            assert h.adjacency == Graph(32, h.edges).adjacency
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 32])
+def test_flip_rejects_a_slot_out_of_range(p):
+    m = n_candidate_edges(p)
+    for k in (-1, -2, -m - 1, m, m + 3):
+        with pytest.raises(ValueError, match=f"edge index {k} out of range for p={p}"):
+            Graph.complete(p).flip(k)
 
 
 def test_graph_keeps_decomposition_outside_identity():
@@ -247,6 +299,26 @@ def test_graph_from_cliques_is_the_pairwise_union(p, cliques):
                 if i < j:
                     edges |= 1 << edge_index(p, i, j)
     assert graph_from_cliques(p, cliques) == Graph(p, edges)
+
+
+def test_graph_from_cliques_reads_each_vertex_as_an_index():
+    cliques = [np.arange(28, 32), np.array([0, 5, 9], np.uint8), (np.int32(3), 4)]
+    g = graph_from_cliques(32, cliques)
+    assert g == graph_from_cliques(32, [[int(v) for v in c] for c in cliques])
+    assert g.edge_count == 6 + 3 + 1 and type(g.edges) is int
+    assert graph_from_cliques(np.int64(5), [np.arange(5)]) == Graph.complete(5)
+    # a rejected call caches no mask, not even one of a clique before the bad one
+    clique_edge_mask.cache_clear()
+    for cliques, error, match in [
+        ([(0, 1), (2, 32)], ValueError, "clique vertex 32 out of range for p=32"),
+        ([(0, 1), (np.int64(40),)], ValueError, "clique vertex 40 out of range for p=32"),
+        ([(0, -1)], ValueError, "clique vertex -1 out of range for p=32"),
+        ([(0, 1), (0, 1.0)], TypeError, "float"),
+        ([(0, np.float64(2))], TypeError, "float"),
+    ]:
+        with pytest.raises(error, match=match):
+            graph_from_cliques(32, cliques)
+    assert clique_edge_mask.cache_info().currsize == 0
 
 
 def test_bench9_structure():
@@ -448,15 +520,6 @@ def test_deletion_mask_matches_clique_counting():
         for _ in range(30):
             g = random_decomposable_graph(p, rng)
             assert deletion_mask(g) == clique_count_deletion_mask(g), g
-
-
-def test_incident_edge_masks():
-    for p in (1, 2, 5, 32):
-        everyone = (1 << p) - 1
-        for v, star in enumerate(incident_edge_masks(p)):
-            assert star == clique_edge_mask(p, everyone) & ~clique_edge_mask(
-                p, everyone ^ 1 << v)
-            assert star.bit_count() == p - 1
 
 
 def test_additions_connect_components():
