@@ -42,7 +42,6 @@ from .hiw import (
     log_multivariate_gamma,
     log_posterior_score,
     sample_hiw,
-    sample_invwishart,
     simulate_dataset,
 )
 from .sampler import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .graphs import enumerate_decomposable  # noqa: F401, perfbench/spans.py wra
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import ChainLog
 
-_POSTERIOR_CAP_P = 7
-_MLE_CAP_P = 7
+_CAP_P = 7  # most vertices the exact posterior and marginal MLE enumerate
 
 
 def _logsumexp(a, axis=None):
@@ -79,7 +79,7 @@ class PosteriorTable:
         return {gid: i for i, gid in enumerate(self.graph_ids)}
 
     def prob(self, g):
-        """Probability of a Graph or a graph id, 0.0 for one the table lacks.
+        """Probability of a Graph or an integer graph id, 0.0 for one the table lacks.
 
         Raises MismatchedModelError for a Graph whose p is not the table's.
         """
@@ -87,13 +87,16 @@ class PosteriorTable:
             if g.p != self.p:
                 raise MismatchedModelError(f"graph has p={g.p}, table has p={self.p}")
             g = g.edges
-        i = self._rank.get(int(g))
+        i = self._rank.get(index(g))
         return 0.0 if i is None else float(self.probs[i])
 
     def lookup(self):
         return {gid: float(pr) for gid, pr in zip(self.graph_ids, self.probs)}
 
     def top(self, k):
+        """The k most probable graphs and their probabilities; k is an integer."""
+        if index(k) < 0:
+            raise ValueError(f"k must be nonnegative, got k={k}")
         return [(Graph(self.p, gid), float(pr))
                 for gid, pr in zip(self.graph_ids[:k], self.probs[:k])]
 
@@ -101,8 +104,8 @@ class PosteriorTable:
 def exact_posterior(stats: DatasetStats, hp: Hyperparams):
     """Exact posterior over all decomposable graphs; p is capped at 7."""
     p = stats.p
-    if p > _POSTERIOR_CAP_P:
-        raise TooLargeError(f"exact posterior capped at p={_POSTERIOR_CAP_P}, got {p}")
+    if p > _CAP_P:
+        raise TooLargeError(f"exact posterior capped at p={_CAP_P}, got {p}")
     scorer = PosteriorScorer(stats, hp)
     ids, fams, k_edges = _decomposable_families(p)
     log_priors = np.array([scorer.log_prior(k) for k in range(n_candidate_edges(p) + 1)])
@@ -161,8 +164,8 @@ def exact_marginal_mle(stats: DatasetStats, delta, tau_grid=None, r_grid=None):
     over k.  The sum runs over every decomposable graph, so p is capped at 7.
     """
     p = stats.p
-    if p > _MLE_CAP_P:
-        raise TooLargeError(f"exact marginal MLE capped at p={_MLE_CAP_P}, got {p}")
+    if p > _CAP_P:
+        raise TooLargeError(f"exact marginal MLE capped at p={_CAP_P}, got {p}")
     tau_grid = _checked_grid("tau_grid", default_tau_grid() if tau_grid is None else tau_grid,
                              lambda t: np.isfinite(t) & (t > 0), "finite and > 0")
     r_grid = _checked_grid("r_grid", default_r_grid() if r_grid is None else r_grid,

@@ -42,11 +42,15 @@ def id_width(p):
     return max((n_candidate_edges(p) + 3) // 4, 1)
 
 
-def edge_index(p, i, j):
-    """Bit position of edge (i, j), i < j, in the lexicographic layout."""
-    if not (0 <= i < j < p):
-        raise ValueError(f"need 0 <= i < j < p, got ({i}, {j}) with p={p}")
-    return (i * (2 * p - i - 1)) // 2 + (j - i - 1)
+def edge_index(p, i, j, loop=None):
+    """Bit position of edge {i, j}, its ends in either order, in the
+    lexicographic layout.  Each end is an integer (a numpy one will do, a
+    float is a TypeError) in 0..p-1, and i != j unless a loop value is given
+    to return for i == j; else a ValueError names the pair."""
+    i, j = sorted((index(i), index(j)))
+    if i < 0 or j >= p or i == j and loop is None:
+        raise ValueError(f"need two distinct vertices in 0..{p - 1}, got ({i}, {j})")
+    return loop if i == j else (i * (2 * p - i - 1)) // 2 + (j - i - 1)
 
 
 @lru_cache(maxsize=None)
@@ -144,11 +148,8 @@ class Graph:
         return self.edges.bit_count()
 
     def has_edge(self, i, j):
-        if i == j:
-            return False
-        if i > j:
-            i, j = j, i
-        return bool(self.edges >> edge_index(self.p, i, j) & 1)
+        k = edge_index(self.p, i, j, loop=-1)  # a loop (v, v) is never an edge
+        return k >= 0 and bool(self.edges >> k & 1)
 
     def flip(self, k):
         """This graph with edge slot k (0 <= k < m, else ValueError) toggled,
@@ -162,23 +163,16 @@ class Graph:
         return g
 
     def add_edge(self, i, j):
-        if i > j:
-            i, j = j, i
         k = edge_index(self.p, i, j)
         if self.edges >> k & 1:
             raise ValueError(f"edge ({i}, {j}) already present")
         return self.flip(k)
 
     def remove_edge(self, i, j):
-        if i > j:
-            i, j = j, i
         k = edge_index(self.p, i, j)
         if not self.edges >> k & 1:
             raise ValueError(f"edge ({i}, {j}) not present")
         return self.flip(k)
-
-    def neighbors(self, v):
-        return tuple(iter_bits(self.adjacency[v]))
 
     def edge_list(self):
         return _pairs(self.p, self.edges)
@@ -196,8 +190,6 @@ class Graph:
     def from_edge_list(cls, p, pairs):
         edges = 0
         for i, j in pairs:
-            if i > j:
-                i, j = j, i
             edges |= 1 << edge_index(p, i, j)
         return cls(p, edges)
 

@@ -466,26 +466,6 @@ def _iw_from_factors(bart, lo):
     return half @ half.mT
 
 
-def sample_invwishart(df, scale, rng):
-    """Draw from the inverse Wishart via the Bartlett decomposition.
-
-    scipy-style parametrization: density proportional to
-    det(S)^-((df + q + 1)/2) exp(-tr(S^-1 scale)/2); needs df > q - 1.
-    Row i of the Bartlett factor takes one chi-square then i normals.
-    """
-    scale = np.asarray(scale, dtype=float)
-    q = scale.shape[0]
-    if not df > q - 1:
-        raise DomainError(f"need df > q - 1, got df={df}, q={q}")
-    try:
-        lo = np.linalg.cholesky(scale)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError("scale matrix is not SPD") from exc
-    bart = np.zeros((q, q))
-    _bartlett_rows(bart, df, rng)
-    return _iw_from_factors(bart, lo)
-
-
 def _draw_blocks(phi, res, sep, barts, noises):
     """Residual covariances U and regressions B of a stack of blocks of one
     shape (s, r): res (k, r) and sep (k, s) index Phi, and barts and noises
@@ -515,6 +495,8 @@ def sample_hiw(g: Graph, delta, phi, rng):
     and each later clique draws its residual block and regression onto the
     separator, then extends the matrix so that the new vertices are
     conditionally independent of everything earlier given the separator.
+    On the complete graph the draw is the inverse Wishart on Phi with
+    delta + p - 1 degrees of freedom, in scipy's parametrization.
 
     The draw runs in three passes.  Pass 1 makes every random call in that
     clique order (each clique's Bartlett rows, then its regression noise).

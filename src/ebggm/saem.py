@@ -124,9 +124,10 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
              kernel: KernelConfig | None = None):
     """Fit (tau, r) by stochastic approximation EM.
 
-    hp_base fixes delta and must use the scaled_identity Phi mode.  Under
-    the bernoulli graph prior both tau and r are estimated; under the other
-    priors r stays at its initial value and only tau moves.  The default
+    hp_base gives delta, phi_mode (scaled_identity only) and graph_prior; its
+    tau is never read, and its r only under a non-bernoulli prior, which
+    does not use r.  The fit starts from cfg.init_tau and cfg.init_r; under
+    the bernoulli prior both move, under the others only tau.  The default
     kernel alternates uniform and data-driven proposals when the empirical
     covariance is invertible and falls back to pure add-delete otherwise.
     """

@@ -199,6 +199,25 @@ def test_posterior_table_prob_rejects_a_graph_on_another_p():
     assert table.prob(Graph(4, 1)) == table.prob(1) > 0.0
 
 
+def test_posterior_table_reads_ids_and_k_as_integers():
+    table = exact_posterior(make_stats(4, n=40, seed=6), Hyperparams(delta=1.0, tau=1.0))
+    assert len(table.graph_ids) == 61
+    gid = table.graph_ids[0]
+    for bad in (gid + 0.7, float(gid), np.float64(gid)):
+        with pytest.raises(TypeError):
+            table.prob(bad)
+    assert table.prob(np.uint32(gid)) == table.prob(np.int64(gid)) == float(table.probs[0])
+    for k in (-1, -61, np.int64(-2)):
+        with pytest.raises(ValueError, match=f"k must be nonnegative, got k={k}"):
+            table.top(k)
+    for bad in (2.0, 1.5, np.float64(3)):
+        with pytest.raises(TypeError):
+            table.top(bad)
+    assert table.top(0) == []
+    assert table.top(np.int64(2)) == table.top(2) and len(table.top(2)) == 2
+    assert len(table.top(100)) == 61
+
+
 def test_exact_posterior_cap():
     stats = make_stats(8, n=60, seed=5)
     with pytest.raises(TooLargeError):

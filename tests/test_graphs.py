@@ -1,5 +1,7 @@
 """Graph representation, chordality, cliques and separators, and legal moves."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,42 @@ def test_edge_index_is_lexicographic():
     assert edge_index(4, 2, 3) == 5
 
 
+def test_edge_index_reads_a_vertex_pair_in_either_order_as_integers():
+    for p in (2, 5, 9):
+        for i in range(p):
+            for j in range(i + 1, p):
+                k = edge_index(p, i, j)
+                assert edge_index(p, j, i) == edge_index(p, np.int64(j), np.uint8(i)) == k
+                assert type(edge_index(p, np.int64(j), i)) is int
+    for args in [(5, 0.5, 1), (5, 1, 2.0), (5, np.float64(3), 0)]:
+        with pytest.raises(TypeError):
+            edge_index(*args)
+    for args, pair in [((5, 0, 5), "(0, 5)"), ((5, 2, -1), "(-1, 2)"), ((5, 3, 3), "(3, 3)")]:
+        with pytest.raises(ValueError, match=re.escape(f"two distinct vertices in 0..4, got {pair}")):
+            edge_index(*args)
+
+
+def test_graph_vertex_pairs_are_read_by_edge_index():
+    g = Graph(4).add_edge(3, 0).add_edge(np.int64(2), 1)
+    assert g == Graph.from_edge_list(4, [(0, 3), (1, 2)]) == Graph.from_edge_list(4, [(3, 0), (2, 1)])
+    assert g.has_edge(0, 3) and g.has_edge(3, 0) and g.has_edge(np.uint8(1), 2)
+    assert g.remove_edge(3, 0) == Graph.from_edge_list(4, [(1, 2)])
+    for h in (Graph(4), g, Graph.complete(4)):
+        assert not any(h.has_edge(v, v) for v in range(4))
+        for v, w in [(40, 40), (-1, -1), (4, 4), (-1, 3), (0, 4)]:
+            with pytest.raises(ValueError, match=re.escape(f"got {(min(v, w), max(v, w))}")):
+                h.has_edge(v, w)
+    for call in (g.has_edge, g.add_edge, g.remove_edge):
+        with pytest.raises(TypeError):
+            call(0.5, 1)
+    for call in (g.add_edge, g.remove_edge):
+        with pytest.raises(ValueError, match=r"got \(2, 2\)"):
+            call(2, 2)
+    with pytest.raises(TypeError) as info:
+        Graph.from_edge_list(5, [(0.5, 1)])
+    assert info.traceback[-1].name == "edge_index"
+
+
 def test_clique_edge_mask():
     rng = np.random.default_rng(6)
     for p in (1, 2, 5, 32):
@@ -110,7 +148,7 @@ def test_graph_edge_ops():
         g.add_edge(0, 1)
     with pytest.raises(ValueError):
         g.remove_edge(0, 2)
-    assert g.neighbors(0) == (1,)
+    assert g.adjacency[0] == 0b10
 
 
 def test_graph_takes_integers_only():
@@ -208,8 +246,8 @@ def test_derived_slots_are_filled_on_first_read_and_kept(monkeypatch):
     first = [getattr(g, name) for name in DERIVED]
     assert all(getattr(g, name) is built for name, built in zip(DERIVED, first))
     assert searched == [g]
-    assert first == [tuple(sum(1 << u for u in g.neighbors(v)) for v in range(9)),
-                     *search(g), addition_mask(g), deletion_mask(g)]
+    adjacency = tuple(sum(1 << u for u in range(9) if g.has_edge(u, v)) for v in range(9))
+    assert first == [adjacency, *search(g), addition_mask(g), deletion_mask(g)]
     assert not hasattr(g, "nope")
     with pytest.raises(AttributeError, match="nope"):
         g.nope

@@ -31,7 +31,6 @@ from ebggm.hiw import (
     log_posterior_score,
     phi_matrix,
     sample_hiw,
-    sample_invwishart,
     simulate_dataset,
 )
 
@@ -143,7 +142,7 @@ def test_marginal_likelihood_p2_vs_monte_carlo():
     mc_rng = np.random.default_rng(5)
     logliks = np.empty(draws)
     for t in range(draws):
-        sigma = sample_invwishart(3.0 + 1, 1.5 * np.eye(2), mc_rng)
+        sigma = sample_hiw(g, 3.0, 1.5 * np.eye(2), mc_rng)
         logliks[t] = stats.multivariate_normal.logpdf(y, mean=None, cov=sigma).sum()
     shifted = logliks - logliks.max()
     est = math.log(np.mean(np.exp(shifted))) + logliks.max()
@@ -329,7 +328,8 @@ def test_invwishart_mean():
     q, df = 3, 10.0
     a = rng.standard_normal((q, q))
     scale = a @ a.T + q * np.eye(q)
-    draws = np.stack([sample_invwishart(df, scale, rng) for _ in range(8000)])
+    draws = np.stack([sample_hiw(Graph.complete(q), df - q + 1, scale, rng)
+                      for _ in range(8000)])
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
     np.testing.assert_array_less(np.abs(mean - scale / (df - q - 1)), 4 * se + 1e-12)
@@ -338,7 +338,7 @@ def test_invwishart_mean():
 def test_invwishart_matches_scipy_distribution():
     rng = np.random.default_rng(12)
     df, scale = 7.0, np.array([[2.0, 0.4], [0.4, 1.0]])
-    draws = [sample_invwishart(df, scale, rng) for _ in range(4000)]
+    draws = [sample_hiw(Graph.complete(2), df - 2 + 1, scale, rng) for _ in range(4000)]
     tr = np.array([d[0, 0] for d in draws])
     # diagonal entry of a q=2 IW(df, scale) is InvGamma((df - q + 1)/2, scale_ii/2)
     marg = stats.invgamma(a=(df - 2 + 1) / 2, scale=scale[0, 0] / 2)
@@ -414,7 +414,7 @@ def _scipy_lower_solve(lo, b):
 
 
 def _reference_invwishart(df, scale, rng, lower_solve):
-    """Reference sample_invwishart: one scalar RNG call per Bartlett entry;
+    """Reference inverse-Wishart draw: one scalar RNG call per Bartlett entry;
     lower_solve(lo, b) solves lo x = b for a lower triangular lo."""
     q = scale.shape[0]
     lo = np.linalg.cholesky(scale)
