@@ -17,7 +17,6 @@ import sys
 import typing
 from collections import Counter
 from dataclasses import dataclass, replace
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .graphs import MAX_P, Graph, count_decomposable, edge_pair, id_width, \
     n_candidate_edges, named_graph, to_dot
 from .hiw import Hyperparams, simulate_dataset
 from .saem import SaemConfig, run_saem
-from .sampler import KERNEL_MODES, KernelConfig, auto_kernel_mode, run_chain
+from .sampler import KERNEL_MODES, WEIGHT_FLOOR, KernelConfig, auto_kernel_mode, run_chain
 
 OUT_DIR_ENV = "EBGGM_OUT_DIR"
 MANIFEST = "manifest.txt"
@@ -59,7 +58,6 @@ class RunConfig:
     r: float = Hyperparams.r
     # chain settings
     kernel: str = "auto"
-    weight_floor: float = KernelConfig.weight_floor
     n_steps: int = 100000
     n_burn: int = 10000
     # EM settings
@@ -89,11 +87,6 @@ class RunConfig:
             raise ValueError(f"top_k must be at least 1, got {self.top_k}")
         if self.kernel not in KERNELS:
             raise ValueError(f"--kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if not 0.0 < self.weight_floor <= 1.0:
-            raise ValueError(f"--weight-floor must lie in (0, 1], got {self.weight_floor}")
-        if not isfinite(1.0 / self.weight_floor):
-            raise ValueError("--weight-floor must have a finite reciprocal, "
-                             f"got {self.weight_floor}")
         if self.n_steps < 1:
             raise ValueError(f"--n-steps must be at least 1, got {self.n_steps}")
         if self.n_burn < 0:
@@ -111,22 +104,24 @@ CHECKSUMS = (("data_sha256", "data"), ("table_sha256", "table"))
 def config_from_manifest(mapping):
     """Rebuild a RunConfig from a manifest's key=value mapping.
 
-    Keys that are not RunConfig fields (versions, checksums) are ignored.
+    Keys that are not RunConfig fields (versions, checksums) are ignored, but
+    a weight_floor, which older manifests record, must be the floor in use.
     """
     if "command" not in mapping:
         raise ParseError("manifest has no command= entry")
     kwargs = {}
-    for field in dataclasses.fields(RunConfig):
-        if field.name not in mapping:
+    for name, hint in (*_HINTS.items(), ("weight_floor", float)):
+        if name not in mapping:
             continue
-        text = mapping[field.name]
-        hint = _HINTS[field.name]
+        text = mapping[name]
         try:
-            kwargs[field.name] = _BOOLS[text.lower()] if hint is bool else hint(text)
+            kwargs[name] = _BOOLS[text.lower()] if hint is bool else hint(text)
         except (KeyError, ValueError):
             raise ParseError(
-                f"manifest entry {field.name}={text!r} is not a valid "
-                f"{hint.__name__}") from None
+                f"manifest entry {name}={text!r} is not a valid {hint.__name__}") from None
+    if kwargs.pop("weight_floor", WEIGHT_FLOOR) != WEIGHT_FLOOR:
+        raise ParseError(f"manifest entry weight_floor={mapping['weight_floor']!r} is not "
+                         f"{fmt(WEIGHT_FLOOR)}, the only weight floor of this version")
     return RunConfig(**kwargs)
 
 
@@ -295,7 +290,7 @@ def _cmd_sample(cfg, out):
     hp = _from_fields(Hyperparams, cfg)
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
     mode = "add_delete" if cfg.kernel == "auto" else cfg.kernel
-    kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
+    kernel = KernelConfig(mode=mode)
     rng = np.random.default_rng(cfg.seed)
     start = Graph(stats.p)
     if cfg.n_burn:
@@ -319,7 +314,7 @@ def _cmd_fit(cfg, out):
                           r=cfg.init_r)
     stats, _ = ingest_csv(cfg.data, center=cfg.center, standardize=cfg.standardize)
     mode = auto_kernel_mode(stats) if cfg.kernel == "auto" else cfg.kernel
-    kernel = KernelConfig(mode=mode, weight_floor=cfg.weight_floor)
+    kernel = KernelConfig(mode=mode)
     rng = np.random.default_rng(cfg.seed)
     result = run_saem(stats, saem_cfg, hp_base, rng, kernel=kernel)
     write_saem_trace(_artifact(out, "saem_trace.csv"), result)
@@ -357,11 +352,10 @@ _DATA = ("data", "CSV dataset path")
 _MODEL = ("delta", "phi_mode", "tau", "graph_prior", "r")
 COMMANDS = {
     "fit": _Command(_cmd_fit, "estimate (tau, r) by stochastic EM", (_DATA,), (
-        "delta", "graph_prior", "kernel", "weight_floor", "n_iter", "n_unit",
+        "delta", "graph_prior", "kernel", "n_iter", "n_unit",
         "m_first", "m_rest", "n_warm", "init_tau", "init_r", "seed")),
     "sample": _Command(_cmd_sample, "run a graph chain and report visited structures",
-                       (_DATA,), (*_MODEL, "kernel", "weight_floor", "n_steps",
-                                  "n_burn", "top_k", "seed")),
+                       (_DATA,), (*_MODEL, "kernel", "n_steps", "n_burn", "top_k", "seed")),
     "exact": _Command(_cmd_exact,
                       "exact posterior over all decomposable graphs (small p)",
                       (_DATA,), (*_MODEL, "top_k")),

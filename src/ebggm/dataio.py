@@ -13,7 +13,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import NonFiniteError, ParseError, ZeroVarianceError
-from .graphs import MAX_P, id_width, n_candidate_edges
+from .graphs import MAX_P, hex_value, id_width, n_candidate_edges
 from .hiw import DatasetStats
 from .saem import TRACE_COLUMNS
 
@@ -158,7 +158,7 @@ def read_posterior_csv(path, p):
         for rownum, cells in enumerate(reader, start=2):
             try:
                 text = cells[id_col].strip()
-                gid = int(text, 16)
+                gid = hex_value(text)
                 w = 1.0 if pr_col is None else float(cells[pr_col])
             except (ValueError, IndexError):
                 raise ParseError(f"{path}: row {rownum}: malformed entry") from None

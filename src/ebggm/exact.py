@@ -17,7 +17,7 @@ from operator import index
 import numpy as np
 
 from .errors import MismatchedModelError, TooLargeError
-from .graphs import Graph, elimination_families, n_candidate_edges
+from .graphs import Graph, elimination_families, id_width, n_candidate_edges
 from .graphs import enumerate_decomposable  # noqa: F401, perfbench/spans.py wraps it here
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer
 from .sampler import ChainLog
@@ -224,7 +224,7 @@ def chain_vs_exact(log: ChainLog, table: PosteriorTable, threshold=0.001):
     extra = [gid for gid in counts if gid not in exact]
     if extra:
         raise MismatchedModelError(
-            f"chain visited graph {extra[0]:x} absent from the exact table")
+            f"chain visited graph {extra[0]:0{id_width(log.p)}x} absent from the exact table")
     rel = {}
     for gid, pr in exact.items():
         if pr >= threshold:

@@ -42,6 +42,14 @@ def id_width(p):
     return max((n_candidate_edges(p) + 3) // 4, 1)
 
 
+def hex_value(text):
+    """int(text, 16) of a string of hex digits only: a sign, a 0x prefix, a _
+    or a space, which int takes, is a ValueError."""
+    if not text or any(c not in "0123456789abcdefABCDEF" for c in text):
+        raise ValueError(f"{text!r} is not a string of hex digits")
+    return int(text, 16)
+
+
 def edge_index(p, i, j, loop=None):
     """Bit position of edge {i, j}, its ends in either order, in the
     lexicographic layout.  Each end is an integer (a numpy one will do, a
@@ -184,7 +192,7 @@ class Graph:
 
     @classmethod
     def from_id(cls, p, hex_id):
-        return cls(p, int(hex_id, 16))
+        return cls(p, hex_value(hex_id))
 
     @classmethod
     def from_edge_list(cls, p, pairs):

@@ -74,16 +74,13 @@ class DatasetStats:
 
     The eigenvalues of each scatter block are cached per vertex bitmask
     (spectrum) and the clique-size gamma tables per delta (gamma_tables), so
-    every scorer built on these stats shares them; likewise proposal_tables
-    keeps the weighted kernel's tables per weight floor
-    (sampler.weight_tables), so every chain on these stats shares them.
+    every scorer built on these stats shares them.
     """
 
     data: np.ndarray
     scatter: np.ndarray
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
     _gammas: dict = field(default_factory=dict, init=False, repr=False)
-    proposal_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self):

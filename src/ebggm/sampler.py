@@ -11,10 +11,11 @@ counts as a rejected step.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from math import exp, isfinite, log
+from math import exp, log
 from operator import getitem, ne
 
 import numpy as np
@@ -27,22 +28,19 @@ KERNEL_MODES = ("add_delete", "data_driven", "alternate")
 # relative slack on the pre-test's bound on log alpha; it covers the rounding
 # of a local score change against a difference of two full scores
 BOUND_SLACK = 1e-9
+# lower clamp of |K_ij|, so that every legal move keeps a positive, finite weight
+WEIGHT_FLOOR = 1e-12
+_TABLES = weakref.WeakKeyDictionary()  # weight_tables per DatasetStats
 
 
 @dataclass(frozen=True)
 class KernelConfig:
     mode: str = "add_delete"
-    weight_floor: float = 1e-12
 
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
             raise ValueError(f"kernel mode must be one of {KERNEL_MODES}, "
                              f"got {self.mode!r}")
-        if not 0.0 < self.weight_floor <= 1.0:
-            raise ValueError("weight_floor must lie in (0, 1]")
-        if not isfinite(1.0 / float(self.weight_floor)):
-            raise ValueError("weight_floor must have a finite reciprocal, "
-                             f"got {self.weight_floor}")
 
 
 def auto_kernel_mode(stats: DatasetStats):
@@ -86,15 +84,15 @@ class ChainState:
     moves: MoveCache = field(default_factory=MoveCache, compare=False, repr=False)
 
 
-def edge_weights(stats: DatasetStats, cfg: KernelConfig):
+def edge_weights(stats: DatasetStats):
     """Clamped |K_ij| per edge slot and its reciprocal for deletions.
 
-    All weights land in [weight_floor, 1/weight_floor]; if every entry hits
+    All weights land in [WEIGHT_FLOOR, 1/WEIGHT_FLOOR]; if every entry hits
     the floor the kernel degrades to uniform selection by construction.
     Returns the (addition, deletion) pair as float arrays indexed by slot.
     """
     upper = stats.inv_empirical[np.triu_indices(stats.p, 1)]  # row-major = slot order
-    add_w = np.clip(np.abs(upper), cfg.weight_floor, 1.0 / cfg.weight_floor)
+    add_w = np.clip(np.abs(upper), WEIGHT_FLOOR, 1.0 / WEIGHT_FLOOR)
     return add_w, 1.0 / add_w
 
 
@@ -138,7 +136,7 @@ class WeightSums:
             total = sum(map(getitem, self.rows, mask.to_bytes(len(self.rows), "little")))
         try:
             return self.log_weights[k] - log(total / self.scale)
-        except OverflowError:  # weights near 1/weight_floor can sum past the float range
+        except OverflowError:  # weights near the largest double can sum past it
             return self.log_weights[k] - (log(total) - log(self.scale))
 
     def draw(self, mask, u):
@@ -167,16 +165,12 @@ class WeightSums:
         return k, self.log_q(k, mask, total)
 
 
-def weight_tables(stats: DatasetStats, cfg: KernelConfig):
-    """The (addition, deletion) WeightSums of the edge_weights of stats.
-
-    They are built once per weight floor and kept in stats.proposal_tables,
-    so the chains of one fit share them.
-    """
-    tables = stats.proposal_tables
-    if cfg.weight_floor not in tables:
-        tables[cfg.weight_floor] = tuple(map(WeightSums, edge_weights(stats, cfg)))
-    return tables[cfg.weight_floor]
+def weight_tables(stats: DatasetStats):
+    """The (addition, deletion) WeightSums of the edge_weights of stats, built
+    once per dataset, so the chains of one fit share them."""
+    if stats not in _TABLES:
+        _TABLES[stats] = tuple(map(WeightSums, edge_weights(stats)))
+    return _TABLES[stats]
 
 
 def _draw_move(g: Graph, weights, do_delete, rng):
@@ -344,7 +338,7 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     if cfg.mode == "add_delete":
         by_parity = (None, None)
     else:
-        weights = weight_tables(stats, cfg)
+        weights = weight_tables(stats)
         by_parity = (None, weights) if cfg.mode == "alternate" else (weights, weights)
     log = ChainLog(stats.p, state.step_index, state.graph.edges, [], [])
     state = _advance(state, n_steps, rng, scorer, by_parity, log.graph_ids,

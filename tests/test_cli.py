@@ -361,7 +361,6 @@ PARSER_OPTIONS = {
         ("--delta", "delta", 1.0, "float", False),
         ("--graph-prior", "graph_prior", "bernoulli", "str", False),
         ("--kernel", "kernel", "auto", "str", False),
-        ("--weight-floor", "weight_floor", 1e-12, "float", False),
         ("--n-iter", "n_iter", 300, "int", False),
         ("--n-unit", "n_unit", 100, "int", False),
         ("--m-first", "m_first", 500, "int", False),
@@ -372,7 +371,6 @@ PARSER_OPTIONS = {
         ("--seed", "seed", 0, "int", False), _OUT_DIR],
     "sample": _DATA_OPTIONS + _MODEL_OPTIONS + [
         ("--kernel", "kernel", "auto", "str", False),
-        ("--weight-floor", "weight_floor", 1e-12, "float", False),
         ("--n-steps", "n_steps", 100000, "int", False),
         ("--n-burn", "n_burn", 10000, "int", False),
         ("--top-k", "top_k", 10, "int", False),
@@ -640,6 +638,37 @@ def test_cli_rerun_ignores_recorded_scipy_version(tmp_path, capsys):
     assert captured.out.strip() == "p=3 total=8 decomposable=8"
 
 
+def test_cli_rerun_of_a_manifest_that_records_the_weight_floor(tmp_path, capsys, small_csv):
+    # Manifests written while the floor was an option record weight_floor=;
+    # one at the floor now in use reruns to the same artifacts, and any other
+    # floor stops the rerun.
+    out_a = str(tmp_path / "a")
+    assert main(["sample", "--data", small_csv, "--n-steps", "500", "--n-burn", "50",
+                 "--kernel", "alternate", "--seed", "3", "--out-dir", out_a]) == 0
+    path = os.path.join(out_a, "manifest.txt")
+    mapping = read_manifest(path)
+    assert "weight_floor" not in mapping
+    mapping["weight_floor"] = "1e-12"
+    write_manifest(path, mapping)
+    capsys.readouterr()
+    out_b = str(tmp_path / "b")
+    assert main(["rerun", path, "--out-dir", out_b]) == 0
+    for name in ("visits.csv", "acceptance.csv", "top_graphs.csv"):
+        assert filecmp.cmp(os.path.join(out_a, name),
+                           os.path.join(out_b, name), shallow=False), name
+    for floor, why in (("0.5", "is not 1e-12, the only weight floor of this version"),
+                       ("1e-13", "is not 1e-12, the only weight floor of this version"),
+                       ("nan", "is not 1e-12, the only weight floor of this version"),
+                       ("x", "is not a valid float")):
+        mapping["weight_floor"] = floor
+        write_manifest(path, mapping)
+        capsys.readouterr()
+        assert main(["rerun", path, "--out-dir", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"error: manifest entry weight_floor={floor!r} {why}"
+    assert not os.path.exists(tmp_path / "c")
+
+
 NO_SCIPY_SCRIPT = """
 import os, sys
 import ebggm, ebggm.cli
@@ -702,6 +731,17 @@ def test_cli_report_from_visit_log(tmp_path, capsys, small_csv):
                  "--p", "3", "--out-dir", out_r]) == 0
     assert filecmp.cmp(os.path.join(out_s, "top_graphs.csv"),
                        os.path.join(out_r, "top_graphs.csv"), shallow=False)
+
+
+def test_cli_report_reads_graph_ids_as_hex_digits_only(tmp_path, capsys):
+    # Each ID has the 9 digits of a p=9 graph, and int(text, 16) would read
+    # it as a graph the chain never wrote.
+    for gid in ("4dc42_f03", "+dc422f03", "0x1dc422f"):
+        table = write(tmp_path / "visits.csv", "step,graph_id,k_edges,log_score,accepted\n"
+                      f"1,{gid},17,-3.0,1\n")
+        assert main(["report", "--table", table, "--p", "9",
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {table}: row 2: malformed entry"
 
 
 def test_cli_sample_of_one_step_writes_a_float_probability(tmp_path, capsys,
@@ -787,9 +827,6 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
             ("sample", ("--n-steps", "0"), "--n-steps must be at least 1, got 0"),
             ("sample", ("--n-burn", "-3"), "--n-burn must be nonnegative, got -3"),
             ("sample", ("--kernel", "swap"), f"--kernel must be one of {kernels}, got 'swap'"),
-            ("sample", ("--weight-floor", "0"), "--weight-floor must lie in (0, 1], got 0.0"),
-            ("sample", ("--weight-floor", "1e-320"),
-             "--weight-floor must have a finite reciprocal, got 1e-320"),
             ("sample", ("--tau", "0"), "tau must be positive, got 0.0"),
             ("sample", ("--r", "2"), "r must lie in (0, 1), got 2.0"),
             ("sample", ("--graph-prior", "foo"), "graph_prior must be one of "
@@ -804,6 +841,12 @@ def test_cli_error_paths(tmp_path, capsys, small_csv):
             ("exact", ("--delta", "inf"), "delta must be finite, got inf")):
         assert main([cmd, "--data", missing, *args, "--out-dir", out]) == 2
         assert capsys.readouterr().err.strip() == f"error: {msg}"
+    # The weight floor of the weighted kernel is a constant, not an option.
+    for cmd in ("sample", "fit"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--data", missing, "--weight-floor", "0.5", "--out-dir", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --weight-floor 0.5" in capsys.readouterr().err
     # Bad simulate settings are named before anything is drawn.
     for args, msg in (
             (("--tau", "-1"), "tau must be positive, got -1.0"),

@@ -412,3 +412,13 @@ def test_chain_vs_exact_error_paths():
     assert not is_decomposable(four_cycle)
     with pytest.raises(MismatchedModelError):
         chain_vs_exact(fake_log(4, [0, four_cycle.edges]), table4)
+
+
+def test_chain_vs_exact_names_an_unknown_graph_by_its_id():
+    # The zero-padded ID that every artifact writes, not the bare hex.
+    table = exact_posterior(make_stats(5, n=40, seed=14), Hyperparams(delta=1.0, tau=1.0))
+    four_cycle = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert four_cycle.id_hex == "095"
+    with pytest.raises(MismatchedModelError,
+                       match="^chain visited graph 095 absent from the exact table$"):
+        chain_vs_exact(fake_log(5, [0, four_cycle.edges]), table)

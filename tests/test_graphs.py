@@ -712,6 +712,15 @@ def test_named_graph_tokens():
         named_graph("zz", 4)
 
 
+def test_named_graph_reads_hex_digits_only():
+    # int(text, 16) takes a sign, a 0x prefix and _ between digits, and
+    # read each of these as graph 1f.
+    assert named_graph("1F", 4) == named_graph("1f", 4) == Graph(4, 0x1F)
+    for token in ("0x1f", "+1f", "1_f", "1 f", "-1f", "", "\u0661f"):
+        with pytest.raises(ValueError, match="cannot parse graph token"):
+            named_graph(token, 4)
+
+
 def test_to_dot_mentions_all_edges():
     g = Graph.from_edge_list(3, [(0, 2), (1, 2)])
     text = to_dot(g, name="X")

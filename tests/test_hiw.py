@@ -409,6 +409,37 @@ def test_hiw_clique_inverse_moments():
         np.testing.assert_allclose(got, want, rtol=0.08, atol=0.05)
 
 
+@pytest.mark.parametrize("g", [Graph(1), graph_from_cliques(4, [(0, 1), (1, 2), (2, 3)]),
+                               bench9_graph(),
+                               random_decomposable_graph(12, np.random.default_rng([3, 12]))],
+                         ids=["p1", "path4", "bench9", "random12"])
+def test_hiw_draw_inverse_trace_mean(g):
+    # The law of the whole assembled matrix, not only of its blocks: Sigma^-1
+    # is the sum of its padded clique inverses less its padded separator
+    # inverses, each inverse Wishart Sigma_B ~ IW(delta + |B| - 1, Phi_B)
+    # (Dawid & Lauritzen 1993), so E tr Sigma^-1 = sum_C (delta + |C| - 1)
+    # tr Phi_C^-1 - sum_S (delta + |S| - 1) tr Phi_S^-1.
+    rng = np.random.default_rng([25, g.p])
+    delta, draws = 2.5, 4000
+    a = rng.standard_normal((g.p, g.p))
+    phi = a @ a.T + g.p * np.eye(g.p)
+    cliques, separators = map(vertex_sets, perfect_sequence(g))
+
+    def moment(blocks):
+        return sum((delta + len(b) - 1) * np.trace(np.linalg.inv(phi[np.ix_(b, b)]))
+                   for b in map(sorted, blocks) if b)
+
+    want = moment(cliques) - moment(separators)
+    traces = np.empty(draws)
+    for t in range(draws):
+        # Cholesky raises unless the draw is positive definite, as every
+        # draw of the law is; tr Sigma^-1 is the squared norm of L^-1
+        half = np.linalg.inv(np.linalg.cholesky(sample_hiw(g, delta, phi, rng)))
+        traces[t] = np.sum(half * half)
+    z = (traces.mean() - want) / (traces.std(ddof=1) / math.sqrt(draws))
+    assert abs(z) <= 4.0, z
+
+
 def _scipy_lower_solve(lo, b):
     return solve_triangular(lo, b, lower=True)
 

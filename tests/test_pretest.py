@@ -92,7 +92,7 @@ def ref_chain(stats, hp, mode, n_steps, seed):
     scorer = PosteriorScorer(stats, hp)
     weights = None
     if mode != "add_delete":
-        weights = tuple(tuple(w.tolist()) for w in edge_weights(stats, KernelConfig(mode)))
+        weights = tuple(tuple(w.tolist()) for w in edge_weights(stats))
     by_parity = {"add_delete": (None, None), "data_driven": (weights, weights),
                  "alternate": (None, weights)}[mode]
     rng = np.random.default_rng(seed)
@@ -168,8 +168,8 @@ def max_bound_excess(graphs, flips, stats, hps=HYPERPARAMS):
     flips times kernels times hyperparameter sets.  Along the way each
     flip's PosteriorScorer.flip_change must equal the difference of the
     two functional scores within 1e-9 (1 + |score|)."""
-    add_w, del_w = edge_weights(stats, KernelConfig("data_driven"))
-    kernels = (None, weight_tables(stats, KernelConfig("data_driven")))
+    add_w, del_w = edge_weights(stats)
+    kernels = (None, weight_tables(stats))
     worst, n = -np.inf, 0
     for hp in hps:
         scorer = PosteriorScorer(stats, hp)

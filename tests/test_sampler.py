@@ -1,7 +1,6 @@
 """Tests for the Metropolis-Hastings graph kernels and chain runner."""
 
 import math
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from ebggm import (
 )
 from ebggm.errors import MismatchedModelError, NotDecomposableError
 from ebggm.graphs import edge_pair
-from ebggm.sampler import WeightSums, _draw_move, _propose
+from ebggm.sampler import WEIGHT_FLOOR, WeightSums, _draw_move, _propose
 
 
 class ScriptedRng:
@@ -72,19 +71,9 @@ def make_stats(p, n=40, seed=0):
 
 
 def test_kernel_config_validation():
-    KernelConfig(mode="alternate", weight_floor=1.0)
+    KernelConfig(mode="alternate")
     with pytest.raises(ValueError):
         KernelConfig(mode="swap")
-    with pytest.raises(ValueError):
-        KernelConfig(weight_floor=0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(weight_floor=1.5)
-    # 1 / floor is the largest addition weight; it must be a finite double.
-    tiny = 1.0 / sys.float_info.max
-    KernelConfig(weight_floor=math.nextafter(tiny, 1.0))
-    for floor in (1e-320, tiny, 5e-324, np.float64(tiny)):
-        with pytest.raises(ValueError, match="weight_floor must have a finite reciprocal"):
-            KernelConfig(weight_floor=floor)
 
 
 def test_uniform_proposal_ratio_from_empty():
@@ -247,8 +236,7 @@ def test_pretest_rejects_before_the_lookup(monkeypatch, move_lookups, figure1_st
 
 def test_edge_weights_values_and_clamping():
     stats = make_stats(4, n=60, seed=5)
-    cfg = KernelConfig(mode="data_driven", weight_floor=1e-12)
-    add_w, del_w = edge_weights(stats, cfg)
+    add_w, del_w = edge_weights(stats)
     k_mat = stats.inv_empirical
     slot = 0
     for i in range(4):
@@ -257,35 +245,26 @@ def test_edge_weights_values_and_clamping():
             assert del_w[slot] == pytest.approx(1.0 / add_w[slot], rel=1e-15)
             slot += 1
 
-    # The clamp applies to add weights; deletions are exact reciprocals, so
-    # they may sit one rounding step outside the nominal interval.
-    tight = KernelConfig(mode="data_driven", weight_floor=0.9)
-    add_w, del_w = edge_weights(stats, tight)
-    for w in add_w:
-        assert 0.9 <= w <= 1.0 / 0.9
-    for w in del_w:
-        assert 0.9 * (1 - 1e-12) <= w <= (1.0 / 0.9) * (1 + 1e-12)
-
-    # Bit for bit the per-pair loop in slot order.  Off-diagonal |K_ij| in
-    # [1e-5, 1e-1] or [10, 1e5] put weights at both bounds of a floor of 0.3.
+    # Bit for bit the per-pair loop in slot order.  K scaled by 1e-14 has
+    # every off-diagonal |K_ij| below the floor and K scaled by 1e14 every
+    # one above its reciprocal, so weights reach both bounds.
     rng = np.random.default_rng(17)
+    bounds = (WEIGHT_FLOOR, 1.0 / WEIGHT_FLOOR)
     for p in (2, 9, 32):
         bounds_hit = set()
-        for scale in (1e-3, 1e3):
-            mags = scale * 10.0 ** rng.uniform(-2.0, 2.0, (p, p))
+        for scale in (1e-14, 1.0, 1e14):
+            mags = 10.0 ** rng.uniform(-2.0, 2.0, (p, p))
             off = np.triu(mags * rng.choice([-1.0, 1.0], (p, p)), 1)
-            k_want = off + off.T + np.diag(np.abs(off + off.T).sum(axis=1) + 1.0)
+            k_want = scale * (off + off.T + np.diag(np.abs(off + off.T).sum(axis=1) + 1.0))
             stats_ = DatasetStats(data=np.zeros((1, p)), scatter=np.linalg.inv(k_want))
             k_mat = stats_.inv_empirical
-            for floor in (1e-12, 0.3, 0.9, 1.0):
-                add_w, del_w = edge_weights(stats_, KernelConfig(weight_floor=floor))
-                want = [min(max(abs(float(k_mat[i, j])), floor), 1.0 / floor)
-                        for i in range(p) for j in range(i + 1, p)]
-                assert add_w.tolist() == want
-                assert del_w.tolist() == [1.0 / w for w in want]
-                if floor == 0.3:
-                    bounds_hit.update(w for w in want if w in (0.3, 1.0 / 0.3))
-        assert bounds_hit == {0.3, 1.0 / 0.3}
+            add_w, del_w = edge_weights(stats_)
+            want = [min(max(abs(float(k_mat[i, j])), bounds[0]), bounds[1])
+                    for i in range(p) for j in range(i + 1, p)]
+            assert add_w.tolist() == want
+            assert del_w.tolist() == [1.0 / w for w in want]
+            bounds_hit.update(w for w in want if w in bounds)
+        assert bounds_hit == set(bounds)
 
 
 def set_bits(mask):
@@ -369,9 +348,9 @@ def test_fit_builds_the_weight_tables_once(monkeypatch):
     built, chains = [], []
     orig_weights, orig_chain = sampler_mod.edge_weights, sampler_mod.run_chain
 
-    def spy_weights(stats, cfg):
-        built.append(cfg.weight_floor)
-        return orig_weights(stats, cfg)
+    def spy_weights(stats):
+        built.append(stats)
+        return orig_weights(stats)
 
     def spy_chain(*args, **kwargs):
         chains.append(args[1])
@@ -383,12 +362,9 @@ def test_fit_builds_the_weight_tables_once(monkeypatch):
     stats = make_stats(5, n=60, seed=31)
     run_saem(stats, SaemConfig(), Hyperparams(), np.random.default_rng(2))
     assert len(chains) == SaemConfig().n_iter + 1 == 301
-    assert built == [KernelConfig().weight_floor]
-    # Another floor builds its own tables; the same one reuses them.
-    assert weight_tables(stats, KernelConfig(weight_floor=0.5)) is not \
-        weight_tables(stats, KernelConfig())
-    assert weight_tables(stats, KernelConfig("alternate")) is weight_tables(stats, KernelConfig())
-    assert built == [1e-12, 0.5]
+    assert built == [stats]
+    assert weight_tables(stats) is weight_tables(stats)
+    assert built == [stats]
 
 
 def exact_transition_matrix(graphs, scorer, moves, kernel, weights):
@@ -432,28 +408,36 @@ def exact_transition_matrix(graphs, scorer, moves, kernel, weights):
 @pytest.mark.parametrize("kernel", ["uniform", "weighted"])
 def test_detailed_balance_exact_p3(kernel):
     stats = make_stats(3, n=50, seed=11)
+    # The same data with vertex 2 cut off from 0 and 1 in the scatter: K_02
+    # and K_12 are 0, so the floor is the weight of both their additions.
+    cut = stats.scatter.copy()
+    cut[:2, 2] = cut[2, :2] = 0.0
+    floored = DatasetStats(data=stats.data, scatter=cut)
+    assert edge_weights(floored)[0].tolist()[1:] == [WEIGHT_FLOOR] * 2
     hp = Hyperparams(delta=1.0, tau=0.8, graph_prior="bernoulli", r=0.4)
-    scorer = PosteriorScorer(stats, hp)
     graphs = list(enumerate_decomposable(3))
     assert len(graphs) == 8
-    scores = np.array([scorer.score(g) for g in graphs])
-    probs = np.exp(scores - scores.max())
-    probs /= probs.sum()
-    moves = MoveCache()
-    weights = edge_weights(stats, KernelConfig(mode="data_driven"))
-    mat = exact_transition_matrix(graphs, scorer, moves, kernel, weights)
-    assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-14)
-    flux = probs[:, None] * mat
-    assert np.max(np.abs(flux - flux.T)) < 1e-15
-    # Stationarity follows from detailed balance but check it directly too.
-    assert np.max(np.abs(probs @ mat - probs)) < 1e-15
+    for data in (stats, floored):
+        scorer = PosteriorScorer(data, hp)
+        scores = np.array([scorer.score(g) for g in graphs])
+        probs = np.exp(scores - scores.max())
+        probs /= probs.sum()
+        moves = MoveCache()
+        weights = edge_weights(data)
+        mat = exact_transition_matrix(graphs, scorer, moves, kernel, weights)
+        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-14)
+        flux = probs[:, None] * mat
+        assert np.max(np.abs(flux - flux.T)) < 1e-15
+        # Stationarity follows from detailed balance but check it directly too.
+        assert np.max(np.abs(probs @ mat - probs)) < 1e-15
+    # The floor keeps every graph reachable from every other.
+    assert np.all(np.linalg.matrix_power(mat, 8) > 0)
 
 
 def test_weighted_proposal_log_ratio_matches_hand_computation():
     stats = make_stats(3, n=50, seed=2)
-    cfg = KernelConfig(mode="data_driven")
-    weights = weight_tables(stats, cfg)
-    add_w, del_w = edge_weights(stats, cfg)
+    weights = weight_tables(stats)
+    add_w, del_w = edge_weights(stats)
     g = Graph(3, 0)
     moves = MoveCache()
     # Force the first candidate whose cumulative weight exceeds the target.
@@ -561,7 +545,7 @@ def test_alternate_kernel_switches_by_parity():
     hp = Hyperparams(delta=1.0, tau=0.5)
     cfg = KernelConfig(mode="alternate")
     scorer = PosteriorScorer(stats, hp)
-    by_parity = (None, weight_tables(stats, cfg))
+    by_parity = (None, weight_tables(stats))
     g = Graph(4, 0)
     for step_index in (0, 1):
         start = ChainState(g, scorer.score(g), step_index=step_index)
@@ -598,9 +582,8 @@ def test_chain_rejects_a_graph_of_another_p(figure1_stats):
 def test_data_driven_step_runs_and_moves():
     stats = make_stats(4, n=60, seed=8)
     hp = Hyperparams(delta=1.0, tau=0.5)
-    cfg = KernelConfig(mode="data_driven")
     scorer = PosteriorScorer(stats, hp)
-    weights = weight_tables(stats, cfg)
+    weights = weight_tables(stats)
     g = Graph(4, 0)
     state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(17)
