@@ -50,7 +50,6 @@ from .sampler import (
     KernelConfig,
     MoveCache,
     edge_weights,
-    mh_step,
     run_chain,
     sample_graph_and_sigma,
     weight_tables,

@@ -4,7 +4,8 @@ Every run resolves its configuration into a flat manifest (key=value lines,
 including the seed and library versions) and writes it next to the outputs,
 so `ebggm rerun manifest.txt` reproduces the run byte for byte.  A rerun
 first checks its input files against the checksums in the manifest and
-warns when a library version differs from the recorded one.
+warns when a library version differs from the recorded one.  A relative
+input path is read from the directory the run recorded as cwd=.
 """
 
 from __future__ import annotations
@@ -125,6 +126,16 @@ def config_from_manifest(mapping):
     return RunConfig(**kwargs)
 
 
+def _resolve_inputs(cfg, mapping):
+    """cfg with each relative input path joined onto the directory the run
+    recorded as cwd=; a manifest without cwd= keeps its paths as recorded."""
+    cwd = mapping.get("cwd")
+    if not cwd:
+        return cfg
+    return replace(cfg, **{field: os.path.join(cwd, getattr(cfg, field))
+                           for _, field in CHECKSUMS if getattr(cfg, field)})
+
+
 def verify_inputs(cfg, mapping, manifest):
     """Check the input files of a run against the checksums its manifest recorded.
 
@@ -173,9 +184,10 @@ def _artifact(out, name):
 
 
 def _finish(cfg, out, extras):
-    """Write a resolved run's manifest, with its inputs' checksums; returns its path."""
+    """Write a resolved run's manifest, with its inputs' checksums and the
+    directory their relative paths start from; returns its path."""
     mapping = dataclasses.asdict(cfg)
-    mapping.update(extras)
+    mapping.update(extras, cwd=os.getcwd())
     mapping.update((key, sha256_of(getattr(cfg, field)))
                    for key, field in CHECKSUMS if getattr(cfg, field))
     mapping.update(_library_versions())
@@ -433,7 +445,7 @@ def main(argv=None):
     try:
         if ns.command == "rerun":
             mapping = read_manifest(ns.manifest)
-            cfg = config_from_manifest(mapping)
+            cfg = _resolve_inputs(config_from_manifest(mapping), mapping)
             _warn_version_drift(mapping, sys.stderr)
             verify_inputs(cfg, mapping, ns.manifest)
             if ns.out_dir:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import exp, log
 from operator import getitem, ne
 
 import numpy as np
 
-from .errors import MismatchedModelError, SingularScatterError
+from .errors import SingularScatterError
 from .graphs import Graph, clique_edge_mask, nth_bit, pair_table
 from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw
 
@@ -74,8 +74,9 @@ class MoveCache:
 class ChainState:
     """Where a chain stands between runs: its graph, that graph's score,
     the step index, the acceptance count and the move memo the chain has
-    filled so far (outside equality and repr).  The chain loop keeps these
-    in locals and builds one ChainState when a run ends."""
+    filled so far (outside equality and repr).  run_chain, the one chain
+    loop, keeps these in locals and builds one ChainState when a run ends;
+    run_chain(state, 1, ...) is one step."""
 
     graph: Graph
     log_score: float
@@ -224,61 +225,6 @@ def _log_alpha_bound(g: Graph, k, do_delete, weights, scorer: PosteriorScorer):
     return change + weights[0 if do_delete else 1].log_q(k, lower)
 
 
-def _advance(state: ChainState, n_steps, rng, scorer: PosteriorScorer, by_parity,
-             graph_ids, log_scores):
-    """The add-delete Metropolis-Hastings step, n_steps times from state,
-    with weights by_parity[step_index % 2]; appends each step's graph ID
-    and log score to graph_ids and log_scores and returns the final
-    ChainState.  Raises MismatchedModelError, before any draw, when the
-    state's graph is not on the scorer's p vertices.
-
-    The direction is add or delete with probability 1/2 each; weights=None
-    proposes uniformly among the legal moves, the weight_tables pair biases
-    the proposal toward large (additions) or small (deletions) |K_ij|.  A
-    direction with no legal move is a null proposal and counts as a
-    rejected step.  The uniform u of the accept test is drawn right after
-    the move.  A bound on log alpha from the current graph alone
-    (_log_alpha_bound) rejects most proposals before the proposal graph is
-    built; the rest are looked up in the state's move memo and scored
-    exactly against the same u.  The chain lives in plain locals (graph,
-    log score, step index, acceptance count) until the run ends.
-    """
-    g, log_score = state.graph, state.log_score
-    step, accepts, moves = state.step_index, state.accept_count, state.moves
-    if g.p != scorer.p:
-        raise MismatchedModelError(f"graph has p={g.p}, data have p={scorer.p}")
-    score, random = scorer.score, rng.random
-    log_id, log_score_of = graph_ids.append, log_scores.append
-    for _ in range(n_steps):
-        weights = by_parity[step % 2]
-        step += 1
-        do_delete = random() < 0.5
-        drawn = _draw_move(g, weights, do_delete, rng)
-        if drawn is not None:
-            k, log_q_fwd = drawn
-            u = random()
-            bound = (_log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
-                     + BOUND_SLACK * (1.0 + abs(log_score)))
-            if bound >= 0.0 or u < exp(bound):
-                gp, log_q_rev = _propose(g, moves, weights, do_delete, k)
-                score_p = score(gp)
-                log_alpha = score_p - log_score + (log_q_rev - log_q_fwd)
-                if u < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
-                    g, log_score = gp, score_p
-                    accepts += 1
-        log_id(g.edges)
-        log_score_of(log_score)
-    return ChainState(g, log_score, step, accepts, moves)
-
-
-def mh_step(state: ChainState, rng, *, scorer: PosteriorScorer, weights=None):
-    """One add-delete Metropolis-Hastings step from state: run_chain's loop
-    (_advance) run for one step with these weights, which are None for a
-    uniform proposal or the weight_tables pair.  Returns the next
-    ChainState, which carries on the state's move memo."""
-    return _advance(state, 1, rng, scorer, (weights, weights), [], [])
-
-
 @dataclass
 class ChainLog:
     """Per-step visit record of one chain run: graph IDs and log scores.
@@ -316,34 +262,64 @@ class ChainLog:
 
 def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
               cfg: KernelConfig, rng):
-    """Run the configured kernel for n_steps and log every visited state.
+    """Run the configured kernel for n_steps and log every visited state;
+    one step is run_chain(state, 1, ...).  Returns (final ChainState, ChainLog).
 
     init may be a Graph, which starts a fresh move memo, or a ChainState,
     whose memo, step parity and acceptance count carry on.  Either way the
     start graph is scored under hp, so a state reached under other
     hyperparameters resumes correctly; a start on another p than stats is
-    a MismatchedModelError.  Under alternate an even step_index proposes
-    uniformly and an odd one uses the weight_tables of stats.  The steps
-    run in one loop (_advance), which mh_step runs for one step.
-    Returns (final ChainState, ChainLog).
+    a MismatchedModelError, raised before any draw.
+
+    Each step picks add or delete with probability 1/2, then a legal move
+    in that direction: uniformly (add_delete; even step_index under
+    alternate) or by the weight_tables of stats, toward large (additions)
+    or small (deletions) |K_ij|.  A direction with no legal move is a null
+    proposal and a rejected step.  The accept test's uniform u is drawn
+    right after the move.  A bound on log alpha from the current graph
+    alone (_log_alpha_bound) rejects most proposals before the proposal
+    graph is built; the rest are looked up in the move memo and scored
+    exactly against the same u.  The chain lives in plain locals until the
+    run ends, and each step appends its graph ID and log score to the log.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     scorer = PosteriorScorer(stats, hp)
     if isinstance(init, Graph):
         init = ChainState(init, 0.0, moves=MoveCache())
-    if init.graph not in init.moves:  # a fresh or hand-built start
-        init = replace(init, graph=init.moves.moves(init.graph))
-    state = replace(init, log_score=scorer.score(init.graph))
+    g, moves = init.graph, init.moves
+    if g not in moves:  # a fresh or hand-built start
+        g = moves.moves(g)
+    log_score = scorer.score(g)
+    step, accepts = init.step_index, init.accept_count
     if cfg.mode == "add_delete":
         by_parity = (None, None)
     else:
         weights = weight_tables(stats)
         by_parity = (None, weights) if cfg.mode == "alternate" else (weights, weights)
-    log = ChainLog(stats.p, state.step_index, state.graph.edges, [], [])
-    state = _advance(state, n_steps, rng, scorer, by_parity, log.graph_ids,
-                     log.log_scores)
-    return state, log
+    log = ChainLog(stats.p, step, g.edges, [], [])
+    score, random = scorer.score, rng.random
+    log_id, log_score_of = log.graph_ids.append, log.log_scores.append
+    for _ in range(n_steps):
+        weights = by_parity[step % 2]
+        step += 1
+        do_delete = random() < 0.5
+        drawn = _draw_move(g, weights, do_delete, rng)
+        if drawn is not None:
+            k, log_q_fwd = drawn
+            u = random()
+            bound = (_log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
+                     + BOUND_SLACK * (1.0 + abs(log_score)))
+            if bound >= 0.0 or u < exp(bound):
+                gp, log_q_rev = _propose(g, moves, weights, do_delete, k)
+                score_p = score(gp)
+                log_alpha = score_p - log_score + (log_q_rev - log_q_fwd)
+                if u < (1.0 if log_alpha >= 0.0 else exp(log_alpha)):
+                    g, log_score = gp, score_p
+                    accepts += 1
+        log_id(g.edges)
+        log_score_of(log_score)
+    return ChainState(g, log_score, step, accepts, moves), log
 
 
 def sample_graph_and_sigma(state, stats: DatasetStats, hp: Hyperparams,

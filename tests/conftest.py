@@ -136,6 +136,22 @@ def search_addition_mask(g):
     return mask
 
 
+class ScriptedRng:
+    """Deterministic stand-in for a Generator: pops pre-set draws."""
+
+    def __init__(self, randoms=(), ints=()):
+        self.randoms = list(randoms)
+        self.ints = list(ints)
+
+    def random(self):
+        return self.randoms.pop(0)
+
+    def integers(self, n):
+        value = self.ints.pop(0)
+        assert 0 <= value < n
+        return value
+
+
 def classic_csv(name):
     """Path of a user-supplied classic dataset, or None if not provided."""
     path = os.path.join(DATA_DIR, name)

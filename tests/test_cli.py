@@ -576,9 +576,10 @@ def test_cli_rerun_rejects_changed_inputs(tmp_path, capsys, small_csv):
 
 def test_cli_rerun_names_the_manifest_of_an_unreadable_input(tmp_path, capsys,
                                                             small_csv, monkeypatch):
-    # A manifest records its input paths as given, so a run made with
-    # relative paths cannot be rerun from another directory; the error says
-    # which manifest and key recorded the path.
+    # A manifest without cwd= (from before runs recorded it) has its input
+    # paths read as given, so a run made with relative paths cannot be rerun
+    # from another directory; the error says which manifest and key recorded
+    # the path.
     work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
     work.mkdir()
     elsewhere.mkdir()
@@ -593,11 +594,61 @@ def test_cli_rerun_names_the_manifest_of_an_unreadable_input(tmp_path, capsys,
     monkeypatch.chdir(elsewhere)
     for manifest, field, path in ((work / "s" / "manifest.txt", "data", "d.csv"),
                                   (work / "r" / "manifest.txt", "table", "s/visits.csv")):
+        mapping = read_manifest(manifest)
+        assert mapping.pop("cwd") == str(work)
+        write_manifest(manifest, mapping)
         assert main(["rerun", str(manifest), "--out-dir", "again"]) == 2
         assert capsys.readouterr().err.strip() == (
             f"error: manifest {manifest} records {field}={path}, which cannot be "
             f"read: [Errno 2] No such file or directory: '{path}'")
     assert not os.path.exists("again")
+
+
+def test_cli_rerun_reads_relative_inputs_from_the_recorded_cwd(tmp_path, capsys,
+                                                              small_csv, monkeypatch):
+    # A run records cwd=, and a rerun from any directory reads the run's
+    # relative inputs from there; without cwd= it reads them as given.
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    with open(small_csv, "rb") as src, open(tmp_path / "uniq.csv", "wb") as dst:
+        dst.write(src.read())
+    monkeypatch.chdir(sub)
+    assert main(["sample", "--data", "../uniq.csv", "--n-steps", "300", "--n-burn", "20",
+                 "--seed", "3", "--out-dir", "run1"]) == 0
+    assert main(["report", "--table", "run1/visits.csv", "--p", "3",
+                 "--out-dir", "rep1"]) == 0
+    assert read_manifest(sub / "run1" / "manifest.txt")["cwd"] == str(sub)
+    monkeypatch.chdir(tmp_path)
+    assert main(["rerun", "sub/run1/manifest.txt"]) == 0
+    assert main(["rerun", "sub/rep1/manifest.txt", "--out-dir", "rep2"]) == 0
+    assert filecmp.cmp(sub / "run1" / "visits.csv", tmp_path / "run1" / "visits.csv",
+                       shallow=False)
+    assert filecmp.cmp(sub / "rep1" / "top_graphs.csv", tmp_path / "rep2" / "top_graphs.csv",
+                       shallow=False)
+    # The rerun's own manifest records where it read its input.
+    again = read_manifest(tmp_path / "run1" / "manifest.txt")
+    assert again["data"] == os.path.join(str(sub), "../uniq.csv")
+    assert again["cwd"] == str(tmp_path)
+
+    # A manifest with its cwd= line removed reruns as before, from the run's
+    # own directory.
+    manifest = sub / "run1" / "manifest.txt"
+    mapping = read_manifest(manifest)
+    del mapping["cwd"]
+    write_manifest(manifest, mapping)
+    monkeypatch.chdir(sub)
+    assert main(["rerun", str(manifest), "--out-dir", "run2"]) == 0
+    assert filecmp.cmp(sub / "run1" / "visits.csv", sub / "run2" / "visits.csv",
+                       shallow=False)
+
+    # An input gone from the recorded directory is named with that directory.
+    os.remove(tmp_path / "uniq.csv")
+    capsys.readouterr()
+    assert main(["rerun", "run2/manifest.txt", "--out-dir", "run3"]) == 2
+    path = os.path.join(str(sub), "../uniq.csv")
+    assert capsys.readouterr().err.strip() == (
+        f"error: manifest run2/manifest.txt records data={path}, which cannot be "
+        f"read: [Errno 2] No such file or directory: '{path}'")
 
 
 def test_cli_rerun_warns_on_version_drift(tmp_path, capsys):

@@ -7,7 +7,7 @@ from math import exp, fsum, log
 import numpy as np
 import pytest
 
-from conftest import search_addition_mask
+from conftest import ScriptedRng, search_addition_mask
 from ebggm import (
     ChainState,
     DatasetStats,
@@ -24,7 +24,7 @@ from ebggm import (
     sample_hiw,
 )
 from ebggm.graphs import edge_pair, nth_bit
-from ebggm.sampler import _log_alpha_bound, weight_tables
+from ebggm.sampler import _draw_move, _log_alpha_bound, _propose, weight_tables
 
 
 # --------------------------------------------------------------- reference
@@ -234,6 +234,72 @@ def test_bound_holds_on_random_large_graphs(p):
              for i, hp in enumerate(HYPERPARAMS)]
     assert sum(n for _, n in found) > 30 * 2 * 3
     assert max(worst for worst, _ in found) <= 1e-9
+
+
+# ------------------------------------------------ the pre-test's slack
+
+def move_draws(g, k, do_delete, weights):
+    """(randoms, ints) for which _draw_move picks slot k of g: the slot's
+    rank among the candidates, or a uniform at the middle of its share of
+    the running weight, for which WeightSums.draw returns k."""
+    cand = g.deletions if do_delete else g.additions
+    below = cand & ((1 << k) - 1)
+    if weights is None:
+        return [], [below.bit_count()]
+    table = weights[1 if do_delete else 0]
+    before = table.scaled_sum(below)
+    through = before + table.scaled_sum(1 << k)
+    return [float(Fraction(before + through, 2 * table.scaled_sum(cand)))], []
+
+
+def tight_flips_accept(stats, hp, mode):
+    """Run one step of run_chain for every tight flip of every decomposable
+    graph on the vertices of stats: a flip whose bound without slack
+    (_log_alpha_bound minus log q(forward)) lies within 1e-12 (1 + |score|)
+    of the exact log alpha, with u the largest double below min(1, alpha).
+    Returns the number of tight flips, how many of them have a raw bound
+    below the exact log alpha, and the flips that the step rejected."""
+    scorer = PosteriorScorer(stats, hp)
+    weights = weight_tables(stats) if mode == "data_driven" else None
+    tight = below = 0
+    rejected = []
+    for g in enumerate_decomposable(stats.p):
+        score = scorer.score(g)
+        for do_delete, k in all_flips(g):
+            randoms, ints = move_draws(g, k, do_delete, weights)
+            drawn, log_q_fwd = _draw_move(g, weights, do_delete, ScriptedRng(randoms, ints))
+            assert drawn == k
+            gp, log_q_rev = _propose(g, MoveCache(), weights, do_delete, k)
+            log_alpha = scorer.score(gp) - score + (log_q_rev - log_q_fwd)
+            raw = _log_alpha_bound(g, k, do_delete, weights, scorer) - log_q_fwd
+            if abs(raw - log_alpha) > 1e-12 * (1.0 + abs(score)):
+                continue
+            tight += 1
+            below += raw < log_alpha
+            u = float(np.nextafter(min(1.0, exp(log_alpha)), 0.0))
+            rng = ScriptedRng([0.25 if do_delete else 0.75, *randoms, u], ints)
+            state, _ = run_chain(g, 1, stats, hp, KernelConfig(mode), rng)
+            assert not rng.randoms and not rng.ints
+            if state.accept_count != 1:
+                rejected.append((g.edges, do_delete, k, raw - log_alpha))
+    return tight, below, rejected
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.03])
+def test_pretest_accepts_tight_flips_at_the_edge_of_alpha(tau):
+    # A proposal whose bound is tight to rounding must still reach the exact
+    # test: with u just below alpha the step accepts.  A zero or negative
+    # BOUND_SLACK rejects some of them, which no seeded chain shows.
+    counts = {"tight": 0, "below": 0}
+    for p in (3, 4, 5):
+        stats = model_stats(p, 100, 3) if p == 5 else model_stats(p, 40, 11)
+        for mode in ("add_delete", "data_driven"):
+            tight, below, rejected = tight_flips_accept(
+                stats, Hyperparams(delta=1.0, tau=tau, r=0.5), mode)
+            assert not rejected, (p, mode, len(rejected), rejected[:3])
+            counts["tight"] += tight
+            counts["below"] += below
+    assert counts["tight"] >= 500 and counts["below"] >= 20, counts
 
 
 # ---------------------------------------------------------- start and memo

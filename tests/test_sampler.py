@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ScriptedRng
 from ebggm import (
     ChainLog,
     ChainState,
@@ -24,7 +25,6 @@ from ebggm import (
     enumerate_decomposable,
     legal_additions,
     legal_deletions,
-    mh_step,
     run_chain,
     run_saem,
     sample_graph_and_sigma,
@@ -34,22 +34,6 @@ from ebggm import (
 from ebggm.errors import MismatchedModelError, NotDecomposableError
 from ebggm.graphs import edge_pair
 from ebggm.sampler import WEIGHT_FLOOR, WeightSums, _draw_move, _propose
-
-
-class ScriptedRng:
-    """Deterministic stand-in for a Generator: pops pre-set draws."""
-
-    def __init__(self, randoms=(), ints=()):
-        self._randoms = list(randoms)
-        self._ints = list(ints)
-
-    def random(self):
-        return self._randoms.pop(0)
-
-    def integers(self, n):
-        value = self._ints.pop(0)
-        assert 0 <= value < n
-        return value
 
 
 def move_triples(p, mask):
@@ -105,14 +89,14 @@ def test_null_step_counts_as_rejection():
     g = Graph(3, 0)
     state = ChainState(g, scorer.score(g))
     # random() = 0.4 forces the delete direction, which is empty here.
-    out = mh_step(state, ScriptedRng(randoms=[0.4]), scorer=scorer)
+    out, _ = run_chain(state, 1, stats, hp, KernelConfig(), ScriptedRng(randoms=[0.4]))
     assert out.graph == g
     assert out.step_index == state.step_index + 1
     assert out.accept_count == state.accept_count
 
     full = Graph.complete(3)
     state = ChainState(full, scorer.score(full))
-    out = mh_step(state, ScriptedRng(randoms=[0.6]), scorer=scorer)
+    out, _ = run_chain(state, 1, stats, hp, KernelConfig(), ScriptedRng(randoms=[0.6]))
     assert out.graph == full
     assert out.accept_count == state.accept_count
 
@@ -537,37 +521,41 @@ def test_chain_log_acceptance_helpers():
 
 
 def test_alternate_kernel_switches_by_parity():
-    # run_chain under alternate is a hand loop of mh_step that proposes
-    # uniformly from an even step_index and by the weight tables from an odd
-    # one: the same graphs, scores, accepts and generator state, whether the
-    # chain starts at an even or an odd step.
+    # A run of 300 steps is 300 one-step runs under each kernel, and under
+    # alternate it is also a hand loop of one-step runs that proposes
+    # uniformly (add_delete) from an even step_index and by the weight
+    # tables (data_driven) from an odd one: the same graphs, scores,
+    # accepts, memo and generator state, whether the chain starts at an
+    # even or an odd step.
     stats = make_stats(4, n=40, seed=1)
     hp = Hyperparams(delta=1.0, tau=0.5)
-    cfg = KernelConfig(mode="alternate")
-    scorer = PosteriorScorer(stats, hp)
-    by_parity = (None, weight_tables(stats))
     g = Graph(4, 0)
-    for step_index in (0, 1):
-        start = ChainState(g, scorer.score(g), step_index=step_index)
-        rng = np.random.default_rng(2)
-        state, ids, scores = start, [], []
-        for _ in range(300):
-            state = mh_step(state, rng, scorer=scorer,
-                            weights=by_parity[state.step_index % 2])
-            ids.append(state.graph.edges)
-            scores.append(state.log_score)
-        chain_rng = np.random.default_rng(2)
-        got, log = run_chain(start, 300, stats, hp, cfg, chain_rng)
-        assert log.graph_ids == ids and log.log_scores == scores
-        assert got.step_index == state.step_index == step_index + 300
-        assert got.accept_count == state.accept_count > 0
-        assert chain_rng.bit_generator.state == rng.bit_generator.state
+    by_parity = (KernelConfig("add_delete"), KernelConfig("data_driven"))
+    loops = [(mode, lambda i, mode=mode: KernelConfig(mode))
+             for mode in ("add_delete", "data_driven", "alternate")]
+    loops.append(("alternate", lambda i: by_parity[i % 2]))
+    for mode, kernel_at in loops:
+        for step_index in (0, 1):
+            rng = np.random.default_rng(2)
+            state, ids, scores = ChainState(g, 0.0, step_index=step_index), [], []
+            for _ in range(300):
+                state, log = run_chain(state, 1, stats, hp,
+                                       kernel_at(state.step_index), rng)
+                ids += log.graph_ids
+                scores += log.log_scores
+            chain_rng = np.random.default_rng(2)
+            got, log = run_chain(ChainState(g, 0.0, step_index=step_index), 300,
+                                 stats, hp, KernelConfig(mode), chain_rng)
+            assert log.graph_ids == ids and log.log_scores == scores
+            assert got.step_index == state.step_index == step_index + 300
+            assert got.accept_count == state.accept_count > 0
+            assert len(got.moves._memo) == len(state.moves._memo)
+            assert chain_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_chain_rejects_a_graph_of_another_p(figure1_stats):
     # Both used to fail deep in the step with a bare IndexError.
     hp = Hyperparams(tau=0.25, r=0.4)
-    scorer = PosteriorScorer(figure1_stats, hp)
     for p in (5, 12):
         with pytest.raises(MismatchedModelError, match=f"p={p}, data have p=9"):
             run_chain(Graph(p), 200, figure1_stats, hp, KernelConfig("alternate"),
@@ -575,7 +563,7 @@ def test_chain_rejects_a_graph_of_another_p(figure1_stats):
         rng = np.random.default_rng(0)
         state = ChainState(Graph(p), 0.0)
         with pytest.raises(MismatchedModelError, match=f"p={p}, data have p=9"):
-            mh_step(state, rng, scorer=scorer)
+            run_chain(state, 1, figure1_stats, hp, KernelConfig(), rng)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
@@ -583,13 +571,12 @@ def test_data_driven_step_runs_and_moves():
     stats = make_stats(4, n=60, seed=8)
     hp = Hyperparams(delta=1.0, tau=0.5)
     scorer = PosteriorScorer(stats, hp)
-    weights = weight_tables(stats)
     g = Graph(4, 0)
     state = ChainState(g, scorer.score(g))
     rng = np.random.default_rng(17)
     seen = {g.edges}
     for _ in range(200):
-        state = mh_step(state, rng, scorer=scorer, weights=weights)
+        state, _ = run_chain(state, 1, stats, hp, KernelConfig("data_driven"), rng)
         seen.add(state.graph.edges)
     assert state.step_index == 200
     assert len(seen) > 1
