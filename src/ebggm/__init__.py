@@ -42,6 +42,7 @@ from .hiw import (
     log_multivariate_gamma,
     log_posterior_score,
     sample_hiw,
+    sample_hiw_inverse_trace,
     simulate_dataset,
 )
 from .sampler import (
@@ -58,6 +59,7 @@ from .saem import (
     SaemConfig,
     SaemResult,
     compute_suff_stats,
+    draw_suff_stats,
     init_graph_backward,
     m_step,
     run_saem,

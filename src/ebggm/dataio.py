@@ -111,12 +111,24 @@ def _write_lines(path, header, lines):
 
 
 def write_visit_log(path, log):
-    row = f"%d,%0{id_width(log.p)}x,%d,%r,%d\r\n"
-    ids = log.graph_ids
+    """One row per step: step, graph_id, k_edges, log_score, accepted.  A
+    rejected step repeats the graph ID and the score object of the step
+    before, so a row whose ID and score are the very objects of the row
+    before reuses that row's middle text; any other row, such as a -0.0
+    after a 0.0, formats its own."""
     _write_lines(path, ("step", "graph_id", "k_edges", "log_score", "accepted"),
-                 (row % t for t in zip(log.steps.tolist(), ids, map(int.bit_count, ids),
-                                       map(float, log.log_scores),
-                                       log.accepted.tolist())))
+                 _visit_rows(log))
+
+
+def _visit_rows(log):
+    middle = f"%0{id_width(log.p)}x,%d,%r"
+    last_id = last_score = text = None
+    for step, gid, score, accepted in zip(log.steps.tolist(), log.graph_ids,
+                                          log.log_scores, log.accepted.tolist()):
+        if gid is not last_id or score is not last_score:
+            text = middle % (gid, gid.bit_count(), float(score))
+            last_id, last_score = gid, score
+        yield "%d,%s,%d\r\n" % (step, text, accepted)
 
 
 def write_acceptance_trace(path, log):

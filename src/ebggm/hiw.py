@@ -445,7 +445,8 @@ class PosteriorScorer:
 
 
 def _bartlett_rows(bart, df, rng):
-    """Fill the zeroed q x q matrix bart with a Bartlett factor in place.
+    """Fill the q x q matrix bart, zero above its diagonal, with a Bartlett
+    factor in place.
 
     Row i takes one chi-square on df - i degrees, then i normals below the
     diagonal; every draw from the HIW law keeps this order of calls.
@@ -465,12 +466,13 @@ def _iw_from_factors(bart, lo):
 
 def _draw_blocks(phi, res, sep, barts, noises):
     """Residual covariances U and regressions B of a stack of blocks of one
-    shape (s, r): res (k, r) and sep (k, s) index Phi, and barts and noises
-    hold each block's Bartlett factor and (s, r) normals, drawn beforehand.
-    With s = 0, U is the inverse-Wishart draw on Phi_R and B is None."""
+    shape (s, r): res (k, r) and sep (k, s) index Phi, and barts (k, r, r)
+    and noises (k, s, r) hold each block's Bartlett factor and normals,
+    drawn beforehand.  With s = 0, U is the inverse-Wishart draw on Phi_R
+    and B is None."""
     rr, rc = res[:, None, :], res[:, :, None]
     if not sep.shape[1]:
-        return _iw_from_factors(np.array(barts), np.linalg.cholesky(phi[rc, rr])), None
+        return _iw_from_factors(barts, np.linalg.cholesky(phi[rc, rr])), None
     sv, sc = sep[:, None, :], sep[:, :, None]
     pss = phi[sc, sv]
     psr = phi[sc, rr]
@@ -478,11 +480,67 @@ def _draw_blocks(phi, res, sep, barts, noises):
     m_reg = np.linalg.solve(pss, psr)
     prr_s = phi[rc, rr] - psr.mT @ m_reg
     prr_s = (prr_s + prr_s.mT) / 2.0
-    u_blk = _iw_from_factors(np.array(barts), np.linalg.cholesky(prr_s))
+    u_blk = _iw_from_factors(barts, np.linalg.cholesky(prr_s))
     # regression rows have covariance pss^-1, columns the drawn residual
     a_half = np.linalg.inv(lss).mT
     c_half = np.linalg.cholesky(u_blk)
-    return u_blk, m_reg + a_half @ np.array(noises) @ c_half.mT
+    return u_blk, m_reg + a_half @ noises @ c_half.mT
+
+
+def _draw_factors(g: Graph, delta, phi, rng):
+    """Check the input of an HIW draw on g and make all its random calls
+    (pass 1), in the perfect clique order: each clique's Bartlett rows,
+    then its |S| x |R| regression noise.
+
+    Returns (phi as a float array, shapes, res, sep, barts, noises), with
+    one entry per clique in that order.  shapes holds each (|S|, |R|).
+    Each row of res (k, r_max) and sep (k, s_max) lists the clique's
+    residual or separator vertices, then padding indices: p, p + 1, ...
+    in res and p + r_max, p + r_max + 1, ... in sep.  barts (k, r_max,
+    r_max) holds each Bartlett factor in its top-left corner and 1 on the
+    rest of the diagonal, and noises (k, s_max, r_max) each noise in its
+    top-left corner and zeros round it.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (g.p, g.p):
+        raise ValueError(f"Phi must be {g.p} x {g.p}, got {phi.shape}")
+    if not delta > 0:
+        raise DomainError(f"need delta > 0, got delta={delta}")
+    seps = (0, *g.separators)
+    shapes = [(sm.bit_count(), (cm & ~sm).bit_count()) for cm, sm in zip(g.cliques, seps)]
+    s_max, r_max = map(max, zip(*shapes))
+    barts = np.zeros((len(shapes), r_max, r_max))
+    barts.reshape(len(shapes), -1)[:, ::r_max + 1] = 1.0
+    noises = np.zeros((len(shapes), s_max, r_max))
+    res, sep = [], []
+    for j, (cm, sm) in enumerate(zip(g.cliques, seps)):
+        s, r = shapes[j]
+        res.append([*iter_bits(cm & ~sm), *range(g.p, g.p + r_max - r)])
+        sep.append([*iter_bits(sm), *range(g.p + r_max, g.p + r_max + s_max - s)])
+        _bartlett_rows(barts[j, :r, :r], delta + cm.bit_count() - 1, rng)
+        if s:
+            noises[j, :s, :r] = rng.standard_normal((s, r))
+    return (phi, shapes, np.array(res, dtype=np.intp), np.array(sep, dtype=np.intp),
+            barts, noises)
+
+
+def _blocks_by_shape(phi, shapes, res, sep, barts, noises):
+    """(R, S, U, B) per clique from pass 1's factors, with one stacked call
+    per routine and block shape (|S|, |R|) and no padding (pass 2)."""
+    groups = {}  # (|S|, |R|) -> clique positions
+    for j, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(j)
+    blocks = [None] * len(shapes)
+    for (s, r), js in groups.items():
+        js = np.array(js)
+        rs, ss = res[js, :r], sep[js, :s]
+        try:
+            u_blk, b_reg = _draw_blocks(phi, rs, ss, barts[js, :r, :r], noises[js, :s, :r])
+        except np.linalg.LinAlgError as exc:
+            raise NotSPDError(f"Phi is not SPD on a clique with |S|={s}, |R|={r}") from exc
+        for k, j in enumerate(js):
+            blocks[j] = rs[k], ss[k], u_blk[k], None if b_reg is None else b_reg[k]
+    return blocks
 
 
 def sample_hiw(g: Graph, delta, phi, rng):
@@ -495,39 +553,17 @@ def sample_hiw(g: Graph, delta, phi, rng):
     On the complete graph the draw is the inverse Wishart on Phi with
     delta + p - 1 degrees of freedom, in scipy's parametrization.
 
-    The draw runs in three passes.  Pass 1 makes every random call in that
-    clique order (each clique's Bartlett rows, then its regression noise).
-    Pass 2 stacks the blocks of each shape (|S|, |R|) and makes each
-    factorization, solve, inverse and product once for the whole stack;
-    numpy runs the same LAPACK or BLAS routine on every matrix of a stack,
-    so each block keeps the bits a call on it alone gives.  Pass 3 extends
-    Sigma clique by clique, the only step that needs the earlier blocks.
+    The draw runs in three passes.  Pass 1 (_draw_factors) makes every
+    random call in that clique order (each clique's Bartlett rows, then its
+    regression noise).  Pass 2 stacks the blocks of each shape (|S|, |R|)
+    and makes each factorization, solve, inverse and product once for the
+    whole stack; numpy runs the same LAPACK or BLAS routine on every matrix
+    of a stack, so each block keeps the bits a call on it alone gives.
+    Pass 3 extends Sigma clique by clique, the only step that needs the
+    earlier blocks.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (g.p, g.p):
-        raise ValueError(f"Phi must be {g.p} x {g.p}, got {phi.shape}")
-    if not delta > 0:
-        raise DomainError(f"need delta > 0, got delta={delta}")
-    # pass 1: each clique's Bartlett factor and (|S|, |R|) noise, in order
-    groups = {}  # (|S|, |R|) -> [(clique position, R, S, bart, noise)]
-    for j, (cm, sm) in enumerate(zip(g.cliques, (0, *g.separators))):
-        sep, res = list(iter_bits(sm)), list(iter_bits(cm & ~sm))
-        bart = np.zeros((len(res), len(res)))
-        _bartlett_rows(bart, delta + cm.bit_count() - 1, rng)
-        noise = rng.standard_normal((len(sep), len(res))) if sm else None
-        groups.setdefault((len(sep), len(res)), []).append((j, res, sep, bart, noise))
-    # pass 2: one stacked call per routine and shape
-    blocks = [None] * len(g.cliques)
-    for (s, r), group in groups.items():
-        js, res, sep, bart, noise = zip(*group)
-        res, sep = np.array(res, dtype=np.intp), np.array(sep, dtype=np.intp)
-        try:
-            u_blk, b_reg = _draw_blocks(phi, res, sep, bart, noise)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPDError(f"Phi is not SPD on a clique with |S|={s}, |R|={r}") from exc
-        for k, j in enumerate(js):
-            blocks[j] = res[k], sep[k], u_blk[k], None if b_reg is None else b_reg[k]
-    # pass 3: extend Sigma clique by clique
+    factors = _draw_factors(g, delta, phi, rng)
+    blocks = _blocks_by_shape(*factors)
     sigma = np.zeros((g.p, g.p))
     placed = 0
     for cm, (res, sv, u_blk, b_reg) in zip(g.cliques, blocks):
@@ -543,6 +579,33 @@ def sample_hiw(g: Graph, delta, phi, rng):
             sigma[rc, res] = u_blk + b_reg.T @ sigma[sc, sv] @ b_reg
         placed |= cm
     return sigma
+
+
+def sample_hiw_inverse_trace(g: Graph, delta, phi, rng):
+    """tr(Sigma^-1) of the covariance that sample_hiw(g, delta, phi, rng)
+    draws, with the same random calls, so the generator ends in the same
+    state, and the same errors; Sigma itself is never formed.
+
+    In sample_hiw's construction clique j adds to Sigma^-1 the precision of
+    its residual R given its separator S, [-B; I] U^-1 [-B' I] on (S, R),
+    and nothing else (Dawid and Lauritzen 1993).  So tr(Sigma^-1) is the
+    sum over cliques of tr(U^-1 (I + B'B)).  Every clique goes into one
+    stack, whatever its shape: pass 1's padding indices read Phi bordered
+    by an identity, so a padded block is its own block beside an identity,
+    with zero cross terms and noise, and the padded diagonal is left out of
+    the sum.  Each routine of the block algebra runs once per draw.
+    """
+    phi, _, res, sep, barts, noises = factors = _draw_factors(g, delta, phi, rng)
+    bordered = np.eye(g.p + res.shape[1] + sep.shape[1])
+    bordered[:g.p, :g.p] = phi
+    try:
+        u_blk, b_reg = _draw_blocks(bordered, res, sep, barts, noises)
+    except np.linalg.LinAlgError as exc:
+        _blocks_by_shape(*factors)  # raises sample_hiw's NotSPDError for the shape
+        raise NotSPDError("Phi is not SPD on a clique") from exc
+    eye = np.eye(res.shape[1])
+    inner = np.linalg.solve(u_blk, eye if b_reg is None else eye + b_reg.mT @ b_reg)
+    return float(np.einsum("kii->ki", inner)[res < g.p].sum())  # tr U^-1 (I + B'B)
 
 
 def simulate_dataset(g: Graph, tau, delta, n, rng):

@@ -3,7 +3,9 @@
 Each iteration runs the graph chain for a while at the current
 hyperparameters, draws a covariance from its conjugate posterior, turns the
 pair into sufficient statistics, folds them into a Robbins-Monro average,
-and re-maximizes.  The step size stays at 1 for the first plateau of
+and re-maximizes.  The statistics read the covariance only through
+tr(Sigma^-1), which comes off the draw's clique blocks, so no covariance
+matrix is formed.  The step size stays at 1 for the first plateau of
 iterations (pure stochastic EM) and then decays as 1/(k - plateau), which
 averages the remaining iterations.
 """
@@ -17,14 +19,8 @@ import numpy as np
 
 from .errors import DegenerateStatsError, NonFiniteError
 from .graphs import Graph, iter_bits
-from .hiw import DatasetStats, Hyperparams, PosteriorScorer
-from .sampler import (
-    ChainState,
-    KernelConfig,
-    auto_kernel_mode,
-    run_chain,
-    sample_graph_and_sigma,
-)
+from .hiw import DatasetStats, Hyperparams, PosteriorScorer, phi_matrix, sample_hiw_inverse_trace
+from .sampler import ChainState, KernelConfig, auto_kernel_mode, run_chain
 
 TRACE_COLUMNS = ("iter", "tau", "r", "s1", "s2", "s3", "accept_rate")
 
@@ -71,11 +67,26 @@ def compute_suff_stats(g: Graph, sigma):
     s2 = tr(sigma^-1), s3 = number of edges k.  For a decomposable graph
     s1 = p + 2k: eliminating v with its remaining neighbours M_v in a perfect
     elimination order adds (|M_v| + 1)^2 - |M_v|^2, and the |M_v| sum to k.
+
+    run_saem takes its statistics from draw_suff_stats, which never forms
+    sigma; this form, from a whole covariance by a p x p Cholesky factor,
+    is its reference.
     """
     k = g.edge_count
     lo = np.linalg.cholesky(np.asarray(sigma, dtype=float))
     half = np.linalg.inv(lo)
     return np.array([g.p + 2 * k, np.sum(half * half), k], dtype=float)
+
+
+def draw_suff_stats(g: Graph, stats: DatasetStats, hp: Hyperparams, rng):
+    """compute_suff_stats of g and a covariance drawn from its conjugate
+    posterior, HIW with delta + n degrees and scale Phi + scatter, to
+    rounding: s2 = tr(Sigma^-1) is read off the draw's clique blocks
+    (sample_hiw_inverse_trace), with the random calls of sample_hiw."""
+    k = g.edge_count
+    s2 = sample_hiw_inverse_trace(g, hp.delta + stats.n,
+                                  phi_matrix(hp, stats) + stats.scatter, rng)
+    return np.array([g.p + 2 * k, s2, k], dtype=float)
 
 
 def m_step(s, delta, p, m):
@@ -130,6 +141,11 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     the bernoulli prior both move, under the others only tau.  The default
     kernel alternates uniform and data-driven proposals when the empirical
     covariance is invertible and falls back to pure add-delete otherwise.
+
+    Each iteration runs the chain (run_chain) and then draws the statistics
+    on its graph (draw_suff_stats) from the same generator, so a draw takes
+    the random calls that sample_hiw would, and no p x p covariance is
+    formed or factored.
     """
     if hp_base.phi_mode != "scaled_identity":
         raise ValueError("the EM drives tau, so phi_mode must be scaled_identity")
@@ -148,9 +164,8 @@ def run_saem(stats: DatasetStats, cfg: SaemConfig, hp_base: Hyperparams, rng,
     trace = np.empty((cfg.n_iter, len(TRACE_COLUMNS)))
     for k in range(1, cfg.n_iter + 1):
         n_chain = cfg.m_first if k <= cfg.n_warm else cfg.m_rest
-        state, sigma = sample_graph_and_sigma(state, stats, hp, n_chain, rng,
-                                              cfg=kernel)
-        s = s + step_size(k, cfg.n_unit) * (compute_suff_stats(state.graph, sigma) - s)
+        state, _ = run_chain(state, n_chain, stats, hp, kernel, rng)
+        s = s + step_size(k, cfg.n_unit) * (draw_suff_stats(state.graph, stats, hp, rng) - s)
         tau, r_new = m_step(s, hp_base.delta, p, m)
         if estimate_r:
             r = r_new

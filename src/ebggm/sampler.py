@@ -269,7 +269,8 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     whose memo, step parity and acceptance count carry on.  Either way the
     start graph is scored under hp, so a state reached under other
     hyperparameters resumes correctly; a start on another p than stats is
-    a MismatchedModelError, raised before any draw.
+    a MismatchedModelError, raised before any draw and before the start
+    joins the memo.
 
     Each step picks add or delete with probability 1/2, then a legal move
     in that direction: uniformly (add_delete; even step_index under
@@ -288,9 +289,9 @@ def run_chain(init, n_steps, stats: DatasetStats, hp: Hyperparams,
     if isinstance(init, Graph):
         init = ChainState(init, 0.0, moves=MoveCache())
     g, moves = init.graph, init.moves
+    log_score = scorer.score(g)  # raises on another p before the memo sees g
     if g not in moves:  # a fresh or hand-built start
         g = moves.moves(g)
-    log_score = scorer.score(g)
     step, accepts = init.step_index, init.accept_count
     if cfg.mode == "add_delete":
         by_parity = (None, None)
@@ -330,6 +331,9 @@ def sample_graph_and_sigma(state, stats: DatasetStats, hp: Hyperparams,
 
     Returns (new ChainState, sigma).  The drawn sigma follows the
     graph-constrained law with degrees delta + n and scale Phi + scatter.
+    run_saem does not call this: it runs run_chain and reads its statistics
+    off the draw's blocks (saem.draw_suff_stats), with the same random
+    calls.  It is kept for library users who want the covariance itself.
     """
     state, _ = run_chain(state, M, stats, hp, cfg, rng)
     post_scale = phi_matrix(hp, stats) + stats.scatter

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ebggm import (DatasetStats, Graph, Hyperparams, KernelConfig, NonFiniteError,
+from ebggm import (ChainLog, DatasetStats, Graph, Hyperparams, KernelConfig, NonFiniteError,
                    ParseError, SaemConfig, ZeroVarianceError, cli, exact_posterior,
                    n_candidate_edges, random_decomposable_graph, run_chain, run_saem,
                    sampler)
@@ -207,6 +207,27 @@ def test_writers_match_csv_writer(tmp_path):
             ref.writerows([fmt(v) for v in row] for row in rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), \
             writer.__name__
+
+
+def test_visit_log_matches_per_step_formatting(tmp_path):
+    # write_visit_log reuses a row's graph_id,k_edges,log_score text on the
+    # next row only when both the ID and the score are the same objects; a
+    # hand-built log covers a first row equal to start_id, repeated IDs, a
+    # repeated ID whose score differs, and 0.0 against -0.0 on one graph.
+    zero, neg_zero, a, b = 0.0, -0.0, -12.5, float("-12.25")
+    ids = [5, 5, 5, 9, 9, 9, 9, 3, 3, 3, 3, 3, 40, 40]
+    scores = [a, a, b, b, b, -12.5, np.float64(-12.5), zero, zero, neg_zero, neg_zero,
+              zero, 1e-300, 1e-300]
+    log = ChainLog(p=4, start_step=7, start_id=5, graph_ids=ids, log_scores=scores)
+    width = id_width(4)
+    want = "step,graph_id,k_edges,log_score,accepted\r\n" + "".join(
+        f"{step},{gid:0{width}x},{gid.bit_count()},{float(score)!r},{int(acc)}\r\n"
+        for step, gid, score, acc in zip(range(8, 8 + len(ids)), ids, scores,
+                                          [False, False, False, True, False, False, False,
+                                           True, False, False, False, False, True, False]))
+    assert "-0.0" in want and ",0.0," in want
+    write_visit_log(str(tmp_path / "visits.csv"), log)
+    assert (tmp_path / "visits.csv").read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("rows, row, cell", [

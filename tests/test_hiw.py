@@ -1,6 +1,7 @@
 """Normalizing constants, marginal likelihood, scoring, and HIW sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from ebggm.errors import (
     SingularScatterError,
     ZeroVarianceError,
 )
-from ebggm.graphs import Graph, bench9_graph, graph_from_cliques, iter_bits, \
-    perfect_sequence, random_decomposable_graph
+from ebggm.graphs import Graph, bench9_graph, enumerate_decomposable, graph_from_cliques, \
+    iter_bits, perfect_sequence, random_decomposable_graph
 from ebggm.hiw import (
     GRAPH_PRIORS,
     DatasetStats,
@@ -31,8 +32,10 @@ from ebggm.hiw import (
     log_posterior_score,
     phi_matrix,
     sample_hiw,
+    sample_hiw_inverse_trace,
     simulate_dataset,
 )
+from ebggm.saem import compute_suff_stats
 
 
 def make_stats(data):
@@ -409,16 +412,32 @@ def test_hiw_clique_inverse_moments():
         np.testing.assert_allclose(got, want, rtol=0.08, atol=0.05)
 
 
-@pytest.mark.parametrize("g", [Graph(1), graph_from_cliques(4, [(0, 1), (1, 2), (2, 3)]),
-                               bench9_graph(),
-                               random_decomposable_graph(12, np.random.default_rng([3, 12]))],
-                         ids=["p1", "path4", "bench9", "random12"])
-def test_hiw_draw_inverse_trace_mean(g):
+def _assembled_inverse_trace(g, delta, phi, rng):
+    # Cholesky raises unless the draw is positive definite, as every draw of
+    # the law is; tr Sigma^-1 is the squared norm of L^-1
+    half = np.linalg.inv(np.linalg.cholesky(sample_hiw(g, delta, phi, rng)))
+    return np.sum(half * half)
+
+
+TRACE_MEAN_GRAPHS = {
+    "p1": Graph(1), "path4": graph_from_cliques(4, [(0, 1), (1, 2), (2, 3)]),
+    "bench9": bench9_graph(),
+    "random12": random_decomposable_graph(12, np.random.default_rng([3, 12])),
+}
+
+
+@pytest.mark.parametrize("g, inverse_trace", [
+    pytest.param(g, trace, id=name + suffix)
+    for suffix, trace in (("", _assembled_inverse_trace), ("-blocks", sample_hiw_inverse_trace))
+    for name, g in TRACE_MEAN_GRAPHS.items()])
+def test_hiw_draw_inverse_trace_mean(g, inverse_trace):
     # The law of the whole assembled matrix, not only of its blocks: Sigma^-1
     # is the sum of its padded clique inverses less its padded separator
     # inverses, each inverse Wishart Sigma_B ~ IW(delta + |B| - 1, Phi_B)
     # (Dawid & Lauritzen 1993), so E tr Sigma^-1 = sum_C (delta + |C| - 1)
-    # tr Phi_C^-1 - sum_S (delta + |S| - 1) tr Phi_S^-1.
+    # tr Phi_C^-1 - sum_S (delta + |S| - 1) tr Phi_S^-1.  The "-blocks"
+    # cases check sample_hiw_inverse_trace, which reads the trace off the
+    # draw's blocks, against the same closed form.
     rng = np.random.default_rng([25, g.p])
     delta, draws = 2.5, 4000
     a = rng.standard_normal((g.p, g.p))
@@ -432,12 +451,57 @@ def test_hiw_draw_inverse_trace_mean(g):
     want = moment(cliques) - moment(separators)
     traces = np.empty(draws)
     for t in range(draws):
-        # Cholesky raises unless the draw is positive definite, as every
-        # draw of the law is; tr Sigma^-1 is the squared norm of L^-1
-        half = np.linalg.inv(np.linalg.cholesky(sample_hiw(g, delta, phi, rng)))
-        traces[t] = np.sum(half * half)
+        traces[t] = inverse_trace(g, delta, phi, rng)
     z = (traces.mean() - want) / (traces.std(ddof=1) / math.sqrt(draws))
     assert abs(z) <= 4.0, z
+
+
+def test_hiw_inverse_trace_matches_the_assembled_draw():
+    # sample_hiw_inverse_trace is tr Sigma^-1 of sample_hiw's draw, from the
+    # same random calls.  Two laws whose draws are well conditioned: the
+    # prior delta = 3, Phi = I, and a posterior as a fit draws it, delta + n
+    # with Phi + scatter.  (With delta = 1, the first clique's chi-square on
+    # one degree can leave Sigma with a condition number near 1e6, and the
+    # two computations then part at about 1e-11, each as far from the exact
+    # inverse trace of the float Sigma.)
+    graphs = [g for p in range(1, 6) for g in enumerate_decomposable(p)]
+    graphs += [graph_from_cliques(p, [(i, i + 1) for i in range(p - 1)]) for p in (9, 16, 25, 32)]
+    graphs += [Graph(32), Graph.complete(32)]
+    data = np.random.default_rng(26).standard_normal((100, 32))
+    for g in graphs:
+        scatter = data[:, :g.p].T @ data[:, :g.p]
+        for delta, phi in ((3.0, np.eye(g.p)), (101.0, 0.5 * np.eye(g.p) + scatter)):
+            rng, blk_rng = np.random.default_rng([27, g.p]), np.random.default_rng([27, g.p])
+            for _ in range(2):
+                want = compute_suff_stats(g, sample_hiw(g, delta, phi, rng))[1]
+                got = sample_hiw_inverse_trace(g, delta, phi, blk_rng)
+                assert abs(got - want) <= 1e-12 * want, (g, delta)
+                assert blk_rng.bit_generator.state == rng.bit_generator.state
+    assert len(graphs) == 1 + 2 + 8 + 61 + 822 + 6
+
+
+def test_hiw_inverse_trace_raises_as_the_draw_does():
+    # A wrong Phi shape, delta <= 0 and a Phi that is not SPD on one clique
+    # of a stack raise what sample_hiw raises, with its message, after the
+    # same random calls.
+    path = graph_from_cliques(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    bad = []
+    for i, j in ((3, 4), (0, 1)):
+        phi = np.eye(6)
+        phi[i, j] = phi[j, i] = 2.0
+        bad.append((1.0, phi))
+    bad += [(delta, np.eye(6)) for delta in (0.0, -1.0, float("nan"))]
+    bad += [(1.0, phi) for phi in (np.eye(5), np.eye(7), np.ones(6), np.eye(6)[:, :5])]
+    raised = set()
+    for delta, phi in bad:
+        rng, blk_rng = np.random.default_rng(28), np.random.default_rng(28)
+        with pytest.raises((ValueError, DomainError, NotSPDError)) as want:
+            sample_hiw(path, delta, phi, rng)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            sample_hiw_inverse_trace(path, delta, phi, blk_rng)
+        assert blk_rng.bit_generator.state == rng.bit_generator.state
+        raised.add(want.type)
+    assert raised == {ValueError, DomainError, NotSPDError}
 
 
 def _scipy_lower_solve(lo, b):

@@ -124,7 +124,7 @@ def test_run_saem_trace_is_robbins_monro_average(monkeypatch):
     draws = [np.array([rng.uniform(5.0, 20.0), rng.uniform(1.0, 9.0),
                        float(rng.integers(0, 7))]) for _ in range(12)]
     given = iter(draws)
-    monkeypatch.setattr(saem_mod, "compute_suff_stats", lambda g, sigma: next(given))
+    monkeypatch.setattr(saem_mod, "draw_suff_stats", lambda g, stats, hp, rng: next(given))
     stats = make_stats(4, n=80, seed=11)
     cfg = SaemConfig(n_iter=12, n_unit=4, m_first=20, m_rest=5, n_warm=2)
     res = run_saem(stats, cfg, Hyperparams(delta=1.0, tau=1.0), np.random.default_rng(3))

@@ -20,6 +20,7 @@ from ebggm import (
     MoveCache,
     PosteriorScorer,
     SaemConfig,
+    bench9_graph,
     edge_index,
     edge_weights,
     enumerate_decomposable,
@@ -124,12 +125,12 @@ def test_move_cache_matches_fresh_computation():
 
 
 def test_graph_builds_its_sequence_once(monkeypatch):
-    # Scoring, the HIW draw, the SAEM statistics and both move masks of one
-    # Graph share a single maximum cardinality search; the exhaustive layer
-    # runs none, since it scores elimination families, and a memo hit is
-    # the graph built before.
+    # Scoring, the HIW draw, its inverse trace, the SAEM statistics and both
+    # move masks of one Graph share a single maximum cardinality search; the
+    # exhaustive layer runs none, since it scores elimination families, and
+    # a memo hit is the graph built before.
     import ebggm.graphs as graphs_mod
-    from ebggm import compute_suff_stats, exact_posterior, sample_hiw
+    from ebggm import compute_suff_stats, exact_posterior, sample_hiw, sample_hiw_inverse_trace
     from ebggm.graphs import addition_mask, deletion_mask
 
     calls = []
@@ -147,6 +148,8 @@ def test_graph_builds_its_sequence_once(monkeypatch):
     score = scorer.score(g)
     sigma = sample_hiw(g, 3.0, np.eye(4), np.random.default_rng(4))
     suff = compute_suff_stats(g, sigma)
+    s2 = sample_hiw_inverse_trace(g, 3.0, np.eye(4), np.random.default_rng(4))
+    assert s2 == pytest.approx(suff[1], rel=1e-12)
     adds, dels = g.additions, g.deletions
     assert calls == [g.edges]
     fresh = Graph(4, g.edges)
@@ -565,6 +568,17 @@ def test_chain_rejects_a_graph_of_another_p(figure1_stats):
         with pytest.raises(MismatchedModelError, match=f"p={p}, data have p=9"):
             run_chain(state, 1, figure1_stats, hp, KernelConfig(), rng)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    # A resumed memo stays clean: the start is scored, and refused, before
+    # it could join the memo.
+    filled, _ = run_chain(bench9_graph(), 10, figure1_stats, hp, KernelConfig("alternate"),
+                          np.random.default_rng(1))
+    before = len(filled.moves._memo)
+    assert before > 1
+    with pytest.raises(MismatchedModelError, match="p=5, data have p=9"):
+        run_chain(ChainState(Graph(5), 0.0, moves=filled.moves), 10, figure1_stats, hp,
+                  KernelConfig("alternate"), np.random.default_rng(2))
+    assert len(filled.moves._memo) == before
+    assert Graph(5) not in filled.moves
 
 
 def test_data_driven_step_runs_and_moves():
