@@ -103,12 +103,13 @@ class Graph:
 
     Its slots adjacency (per-vertex neighbour bitmasks), cliques and
     separators (vertex bitmasks of a perfect sequence, from one maximum
-    cardinality search), additions and deletions (edge bitmasks of the moves
-    that keep it decomposable) are outside equality and unset until their
-    first read, when __getattr__ builds and keeps them, so a Graph is cheap
-    to make.  (A graph made by flip comes with its adjacency already set,
-    from the graph whose edge it flips.)  On a non-chordal graph the last
-    four raise NotDecomposableError on every read.
+    cardinality search; only the HIW draws read their order), additions and
+    deletions (edge bitmasks of the moves that keep it decomposable) are
+    outside equality and unset until their first read, when __getattr__
+    builds and keeps them, so a Graph is cheap to make.  (A graph made by
+    flip comes with its adjacency already set, from the graph whose edge it
+    flips.)  On a non-chordal graph the last four raise NotDecomposableError
+    on every read.
     """
 
     p: int
@@ -268,7 +269,8 @@ def perfect_sequence(g: Graph):
     = cliques[i] & (cliques[0] | ... | cliques[i-1]).  They come from one
     maximum cardinality search, with unvisited vertices kept in one bitmask
     per weight and ties broken toward the lowest vertex.  Raises
-    NotDecomposableError when the graph is not chordal.
+    NotDecomposableError when the graph is not chordal.  Only the HIW draws
+    need the perfect order; the score and the move masks read the sets.
 
     The reverse visit order is a perfect elimination order exactly when the
     graph is chordal; by Tarjan and Yannakakis it suffices to check that the
@@ -367,41 +369,32 @@ def addition_mask(g: Graph):
 
     Adding (x, y) to a chordal graph keeps it chordal iff x and y lie in
     cliques adjacent in some junction tree (Giudici and Green 1999); their
-    separator S = N(x) & N(y) is then one of the sequence's separators (the
-    empty one when g is disconnected).  The sequence is a junction tree: by
-    running intersection, clique C_i meets the earlier ones in its link S_i
-    (empty for the first), which lies in one earlier clique.  Walking the
-    cliques that hold S in order, one whose link strictly holds S shares
-    S_i - S with that earlier clique's group and joins it; any other is cut
-    off from the earlier cliques by S and starts a group.  Less S, the
-    groups are the joinable parts of the components of G - S, and every
-    pair across two groups is a legal addition.
+    separator S = N(x) & N(y) is then one of the graph's separators (the
+    empty one when g is disconnected).  The cliques that hold S form a
+    subtree of a junction tree, and its tree edges whose separator is
+    exactly S cut it into groups.  Two neighbours within a group share a
+    vertex outside S, and by running intersection no two cliques of
+    different groups do; so merging the cliques that hold S by shared
+    vertices outside S, in any order, finds the groups.  Less S, they are
+    the joinable parts of the components of G - S, and every pair across
+    two groups is a legal addition.
     """
-    linked = tuple(zip(g.cliques, (0,) + g.separators))
-    partner = [0] * g.p
+    p, mask = g.p, 0
     for s in set(g.separators):
         groups, joinable = [], 0
-        for c, link in linked:
+        for c in g.cliques:
             if c & s == s:
-                joinable |= c ^ s
-                if link & s == s and link != s:
-                    for k, group in enumerate(groups):
-                        if group & (link ^ s):
-                            groups[k] = group | (c ^ s)
-                            break
-                else:
-                    groups.append(c ^ s)
-        if len(groups) > 1:
-            for group in groups:
-                others = joinable ^ group
-                while group:
-                    b = group & -group
-                    partner[b.bit_length() - 1] |= others
-                    group ^= b
-    off = _row_offsets(g.p)
-    mask = 0
-    for x, partners in enumerate(partner):
-        mask |= (partners >> (x + 1)) << off[x]
+                merged, kept = c ^ s, []
+                joinable |= merged
+                for group in groups:  # disjoint: those that meet c - S merge
+                    if group & merged:
+                        merged |= group
+                    else:
+                        kept.append(group)
+                groups = kept + [merged]
+        # the groups' pair sets are disjoint subsets of joinable's
+        within = sum(clique_edge_mask(p, group) for group in groups)
+        mask |= clique_edge_mask(p, joinable) & ~within
     return mask
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite, lgamma, log, log1p, pi, sqrt
+from math import fsum, isfinite, lgamma, log, log1p, pi, sqrt
 
 import numpy as np
 
@@ -244,21 +244,18 @@ def log_hiw_constant(g: Graph, delta, phi):
     """Log normalizing constant of the graph-wide covariance prior.
 
     Product of clique constants over product of separator constants, on the
-    log scale.  Invariant to the choice of perfect clique order.
+    log scale, summed by math.fsum as PosteriorScorer.log_lik sums its
+    terms, so it does not depend on the clique order either.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (g.p, g.p):
         raise ValueError(f"Phi must be {g.p} x {g.p}, got {phi.shape}")
-    out = 0.0
-    for c in g.cliques:
-        idx = _index(c)
-        out += log_iw_constant(phi[np.ix_(idx, idx)], delta)
-    for s in g.separators:
-        if not s:
-            continue
-        idx = _index(s)
-        out -= log_iw_constant(phi[np.ix_(idx, idx)], delta)
-    return out
+
+    def block(mask):
+        idx = _index(mask)
+        return log_iw_constant(phi[np.ix_(idx, idx)], delta)
+
+    return fsum([block(c) for c in g.cliques] + [-block(s) for s in g.separators if s])
 
 
 def _log_h_ratio(g, stats, hp):
@@ -307,11 +304,11 @@ def log_posterior_score(g: Graph, stats: DatasetStats, hp: Hyperparams):
 class PosteriorScorer:
     """Cached posterior scorer bound to one (stats, hyperparams) pair.
 
-    A graph's score is a sum of terms over the cliques and separators the
-    Graph keeps.  A term comes in closed form from the block's scatter
-    eigenvalues lam (DatasetStats.spectrum, shared by every scorer on the
-    same stats, whatever tau), since Phi_C and Phi_C + S_C are both
-    functions of S_C:
+    A graph's score is a correctly rounded sum of terms over the cliques
+    and separators the Graph keeps, so it does not depend on their order.
+    A term comes in closed form from the block's scatter eigenvalues lam
+    (DatasetStats.spectrum, shared by every scorer on the same stats,
+    whatever tau), since Phi_C and Phi_C + S_C are both functions of S_C:
 
       scaled_identity   log det Phi_C = q log tau
                         log det(Phi_C + S_C) = sum log(tau + lam)
@@ -380,7 +377,10 @@ class PosteriorScorer:
         return t
 
     def log_lik(self, g: Graph):
-        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph.
+        """log h(delta, Phi) - log h(delta + n, Phi + scatter) for this graph:
+        the math.fsum of its clique terms and its negated nonempty separator
+        terms.  fsum rounds the exact sum once, so the value depends on the
+        two multisets only, never on the order a search found them in.
 
         Raises MismatchedModelError when g is not on the scorer's p vertices.
         """
@@ -389,13 +389,9 @@ class PosteriorScorer:
         # a memo read per term; term() runs on a miss (or on a memoized 0.0,
         # which it returns again)
         known, term = self._terms.get, self.term
-        val = 0.0
-        for cm in g.cliques:
-            val += known(cm) or term(cm)
-        for sm in g.separators:
-            if sm:
-                val -= known(sm) or term(sm)
-        return val
+        terms = [known(cm) or term(cm) for cm in g.cliques]
+        terms += [-(known(sm) or term(sm)) for sm in g.separators if sm]
+        return fsum(terms)
 
     def log_prior(self, n_edges):
         """log_graph_prior of any graph with n_edges edges, memoized per count."""

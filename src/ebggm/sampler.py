@@ -30,6 +30,8 @@ KERNEL_MODES = ("add_delete", "data_driven", "alternate")
 BOUND_SLACK = 1e-9
 # lower clamp of |K_ij|, so that every legal move keeps a positive, finite weight
 WEIGHT_FLOOR = 1e-12
+# most graphs in each of the move memo's two generations
+MOVE_MEMO_SIZE = 1 << 14
 _TABLES = weakref.WeakKeyDictionary()  # weight_tables per DatasetStats
 
 
@@ -57,17 +59,25 @@ def auto_kernel_mode(stats: DatasetStats):
 
 class MoveCache:
     """One Graph per distinct graph, so that a graph the chain revisits
-    brings the cliques, separators and move masks it built before."""
+    brings the cliques, separators and move masks it built before.  A full
+    _memo (MOVE_MEMO_SIZE graphs) becomes _old, whose graphs a return moves
+    back into _memo; the _old it replaces is dropped, rebuilt on return."""
 
     def __init__(self):
-        self._memo = {}
+        self._memo, self._old = {}, {}
 
     def moves(self, g: Graph):
-        """The memo's Graph equal to g, which is g itself the first time."""
-        return self._memo.setdefault(g, g)
+        """The memo's Graph equal to g, which is g itself if it holds none."""
+        found = self._memo.get(g)
+        if found is None:
+            found = self._old.pop(g, g)
+            if len(self._memo) >= MOVE_MEMO_SIZE:
+                self._old, self._memo = self._memo, {}
+            self._memo[g] = found
+        return found
 
     def __contains__(self, g: Graph):
-        return g in self._memo
+        return g in self._memo or g in self._old
 
 
 @dataclass(frozen=True)

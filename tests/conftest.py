@@ -79,6 +79,43 @@ def relabeled(g, perm):
     return g_p, lambda mask: sum(1 << int(perm[k]) for k in iter_bits(mask))
 
 
+def reordered(g, perms, rng):
+    """Stand-ins for g that hold its cliques and separators in other orders:
+    the perfect sequence of g relabeled by each of perms, mapped back to g's
+    labels, then g's own sequence shuffled by rng.  Each stand-in has the p,
+    cliques, separators and edge_count that a score and addition_mask read."""
+    from types import SimpleNamespace
+
+    orders = []
+    for perm in perms:
+        g_p, back = relabeled(g, perm)
+        orders.append((tuple(map(back, g_p.cliques)), tuple(map(back, g_p.separators))))
+    orders.append((tuple(rng.permutation(g.cliques).tolist()),
+                   tuple(rng.permutation(g.separators).tolist())))
+    return [SimpleNamespace(p=g.p, cliques=cliques, separators=separators,
+                            edge_count=g.edge_count) for cliques, separators in orders]
+
+
+def chain_graphs(p, count):
+    """(stats, graphs): 200 rows drawn around a band of overlapping
+    6-cliques on p vertices, and count graphs evenly spaced over those that
+    a 12,000-step add_delete chain from the empty graph looks up on them
+    (tau 0.5, r 0.2)."""
+    from ebggm.graphs import Graph, graph_from_cliques
+    from ebggm.hiw import Hyperparams, simulate_dataset
+    from ebggm.sampler import KernelConfig, run_chain
+
+    rng = np.random.default_rng([29, p])
+    model = graph_from_cliques(p, [range(i, min(i + 6, p)) for i in range(0, p - 3, 3)])
+    data, _ = simulate_dataset(model, 0.03, 3.0, 200, rng)
+    stats = DatasetStats.from_data(data)
+    state, _ = run_chain(Graph(p), 12000, stats, Hyperparams(tau=0.5, r=0.2),
+                         KernelConfig(), rng)
+    looked_up = list(state.moves._memo)
+    assert len(looked_up) >= count
+    return stats, looked_up[::len(looked_up) // count][:count]
+
+
 def loop_clique_edge_mask(p, vertices):
     """Reference edge mask of a vertex set, by the loop that
     graphs.clique_edge_mask runs on a cache miss: one row of partner edges

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_clique_edge_mask, relabeled, search_addition_mask, vertex_sets
+from conftest import chain_graphs, loop_clique_edge_mask, relabeled, reordered, \
+    search_addition_mask, vertex_sets
 import ebggm.graphs as graphs_mod
 from ebggm.errors import NotDecomposableError, TooLargeError
 from ebggm.graphs import (
@@ -567,8 +568,9 @@ def test_additions_connect_components():
     assert (0, 3) in adds and (2, 5) in adds and (4, 5) in adds
 
 
-# addition_mask groups the cliques of each separator along the perfect
-# sequence; the reference finds the components of G - S by search instead.
+# addition_mask groups the cliques that hold each separator S by shared
+# vertices outside S, in no order; the reference finds the components of
+# G - S by search instead.
 def test_addition_mask_matches_search_every_graph_to_p6():
     n = 0
     for p in range(1, 7):
@@ -576,6 +578,29 @@ def test_addition_mask_matches_search_every_graph_to_p6():
             assert addition_mask(g) == search_addition_mask(g), g
             n += 1
     assert n == 19048
+
+
+def test_addition_mask_reads_the_clique_and_separator_sets_only():
+    # In a perfect order a clique meets the earlier ones inside one clique,
+    # so it overlaps at most one group; a shuffled order also brings a
+    # clique after two of its group that no clique has joined yet.
+    rng = np.random.default_rng(29)
+    n = 0
+    for p in range(1, 7):
+        perms = [np.arange(p)[::-1], np.roll(np.arange(p), 1), rng.permutation(p)]
+        for g in enumerate_decomposable(p):
+            for stand_in in reordered(g, perms, rng):
+                assert addition_mask(stand_in) == g.additions, g
+            n += 1
+    assert n == 19048
+
+
+@pytest.mark.parametrize("p", [16, 25, 32])
+def test_addition_mask_matches_search_on_chain_graphs(p):
+    _, graphs = chain_graphs(p, 300)
+    assert max(g.edge_count for g in graphs) > p  # not only forests
+    for g in graphs:
+        assert addition_mask(g) == search_addition_mask(g), g
 
 
 def add_leaning_walk(p, rng, steps, every):

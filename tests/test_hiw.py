@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from conftest import vertex_sets
+from conftest import chain_graphs, reordered, vertex_sets
 from ebggm.errors import (
     DomainError,
     MismatchedModelError,
@@ -17,8 +18,8 @@ from ebggm.errors import (
     SingularScatterError,
     ZeroVarianceError,
 )
-from ebggm.graphs import Graph, bench9_graph, enumerate_decomposable, graph_from_cliques, \
-    iter_bits, perfect_sequence, random_decomposable_graph
+from ebggm.graphs import Graph, bench9_graph, elimination_families, enumerate_decomposable, \
+    graph_from_cliques, iter_bits, perfect_sequence, random_decomposable_graph
 from ebggm.hiw import (
     GRAPH_PRIORS,
     DatasetStats,
@@ -246,6 +247,57 @@ def test_spectral_scorer_matches_cholesky_path(p, kind):
             for g in graphs:
                 assert scorer.score(g) == pytest.approx(
                     log_posterior_score(g, stats_, hp), rel=1e-10)
+
+
+# A score is the correctly rounded sum of its clique and separator terms, so
+# it reads their multisets only.  Unstandardized mixed columns give terms of
+# many sizes, whose left-to-right sum depends on the order.
+
+def mixed_stats(p, seed):
+    rng = np.random.default_rng([seed, p])
+    return make_stats(rng.standard_normal((30, p)) @ rng.standard_normal((p, p)))
+
+
+def test_score_reads_the_clique_and_separator_multisets_only():
+    rng = np.random.default_rng(31)
+    n = 0
+    for p in range(1, 7):
+        scorer = PosteriorScorer(mixed_stats(p, 31), Hyperparams(delta=1.0, tau=0.4, r=0.3))
+        perms = [np.arange(p)[::-1], np.roll(np.arange(p), 1), rng.permutation(p)]
+        for g in enumerate_decomposable(p):
+            want = scorer.score(g)
+            for stand_in in reordered(g, perms, rng):
+                assert scorer.score(stand_in) == want, g
+            n += 1
+    assert n == 19048
+
+
+def test_score_is_the_exact_sum_of_the_elimination_family_terms():
+    # Each vertex v adds t(M_v + v) and takes away t(M_v); the families
+    # that are not cliques cancel exactly, so the fsum is the score's.
+    for p in range(1, 6):
+        scorer = PosteriorScorer(mixed_stats(p, 32), Hyperparams(delta=2.5, tau=1.7, r=0.3))
+        for ids, fams in elimination_families(p):
+            for edges, fam in zip(ids.tolist(), fams.T.tolist()):
+                terms = [scorer.term(m | 1 << v) for v, m in enumerate(fam)]
+                terms += [-scorer.term(m) for m in fam if m]
+                g = Graph(p, edges)
+                assert scorer.score(g) == math.fsum(terms) + scorer.log_prior(g.edge_count), g
+
+
+def test_log_lik_is_the_correctly_rounded_sum_of_its_terms():
+    cases = [(mixed_stats(p, 33), list(enumerate_decomposable(p))) for p in range(1, 7)]
+    cases += [chain_graphs(p, count) for p, count in ((9, 100), (25, 300), (32, 300))]
+    off_exact = 0  # graphs whose left-to-right sum is not the rounded exact one
+    for stats_, graphs in cases:
+        scorer = PosteriorScorer(stats_, Hyperparams(delta=1.0, tau=0.5, r=0.2))
+        for g in graphs:
+            terms = [scorer.term(c) for c in g.cliques]
+            terms += [-scorer.term(s) for s in g.separators if s]
+            exact = float(sum(map(Fraction, terms)))
+            assert scorer.log_lik(g) == exact, g
+            off_exact += sum(terms) != exact
+    assert off_exact > 1000
 
 
 def test_scorer_rejects_a_graph_of_another_p(figure1_stats):

@@ -581,6 +581,35 @@ def test_chain_rejects_a_graph_of_another_p(figure1_stats):
     assert Graph(5) not in filled.moves
 
 
+def test_move_memo_keeps_two_bounded_generations(monkeypatch, figure1_stats):
+    import ebggm.sampler as sampler_mod
+
+    hp, cfg = Hyperparams(tau=0.25, r=0.4), KernelConfig("alternate")
+    want_rng = np.random.default_rng(5)
+    want, want_log = run_chain(Graph(9), 3000, figure1_stats, hp, cfg, want_rng)
+    assert len(want.moves._memo) > 128
+    monkeypatch.setattr(sampler_mod, "MOVE_MEMO_SIZE", 64)
+    moves = MoveCache()
+    first = [moves.moves(Graph(9, e)) for e in range(65)]  # the 65th turns it over
+    assert len(moves._memo) == 1 and len(moves._old) == 64
+    assert moves.moves(Graph(9, 0)) is first[0] and Graph(9, 0) not in moves._old
+    for e in range(100, 163):
+        moves.moves(Graph(9, e))
+    assert Graph(9, 1) not in moves and moves.moves(Graph(9, 1)) is not first[1]
+    # A chain cannot tell a dropped graph from one it kept: ten resumes at
+    # a bound of 64 match the one run above at the default bound.
+    rng, state, ids, scores = np.random.default_rng(5), Graph(9), [], []
+    for _ in range(10):
+        state, log = run_chain(state, 300, figure1_stats, hp, cfg, rng)
+        ids += log.graph_ids
+        scores += log.log_scores
+        assert len(state.moves._memo) <= 64
+        assert len(state.moves._memo) + len(state.moves._old) <= 128
+    assert ids == want_log.graph_ids and scores == want_log.log_scores
+    assert state.accept_count == want.accept_count
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_data_driven_step_runs_and_moves():
     stats = make_stats(4, n=60, seed=8)
     hp = Hyperparams(delta=1.0, tau=0.5)
